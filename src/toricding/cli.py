@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import io as tio
-from .errors import MismatchReport, ToricDingError
+from .errors import InternalError, MismatchReport, ToricDingError
 from .extremal import dh_of_vector_field, extremal_affine, validate_fano
 from .functionals import (
     d_na,
@@ -337,6 +337,9 @@ def main(argv=None) -> int:
     except MismatchReport as exc:
         sys.stderr.write(f"identity violation: {exc}\n")
         return 2
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     except ToricDingError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

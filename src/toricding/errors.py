@@ -25,7 +25,11 @@ class OriginNotInterior(ToricDingError):
     """The origin does not lie strictly inside the polytope."""
 
 
-class SingularGram(ToricDingError):
+class InternalError(ToricDingError):
+    """A computed object broke an invariant the library guarantees."""
+
+
+class SingularGram(InternalError):
     """The covariance Gram matrix failed to invert (internal error)."""
 
 

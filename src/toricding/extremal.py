@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotCanonicalFano, OriginNotInterior, SingularGram
@@ -21,7 +22,7 @@ from .geometry import (
     Point,
     Quadratic,
     _frac,
-    _solve_square,
+    _solve,
     barycenter,
     integrate_quadratic,
     vertices,
@@ -48,10 +49,7 @@ class FanoPolytope:
 
     def anticanonical_degree(self) -> Fraction:
         """L^n = n! * vol(P) for the canonical presentation."""
-        f = 1
-        for i in range(2, self.dim + 1):
-            f *= i
-        return f * self.volume()
+        return factorial(self.dim) * self.volume()
 
 
 def validate_fano(P: HPolytope) -> FanoPolytope:
@@ -110,7 +108,7 @@ def extremal_affine(P: FanoPolytope) -> ExtremalData:
     cov = covariance(P)
     b = P.barycenter()
     vol = P.volume()
-    g = _solve_square([list(row) for row in cov], [vol * bi for bi in b])
+    g = _solve(cov, [vol * bi for bi in b])
     if g is None:
         raise SingularGram("covariance matrix is singular")
     theta = AffineFn(tuple(g), -sum(gi * bi for gi, bi in zip(g, b)))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import rationalpoly as rp
-from .errors import DimensionMismatch, EmptyPolytope
+from .errors import DimensionMismatch, EmptyPolytope, InternalError
 from .extremal import ExtremalData, FanoPolytope
 from .geometry import (
     AffineFn,
@@ -109,18 +109,18 @@ class DHMeasure:
     def _validate(self) -> None:
         for _, mass in self.atoms:
             if mass < 0:
-                raise ValueError(f"negative atom mass {mass}")
+                raise InternalError(f"negative atom mass {mass}")
         for lo, hi, coeffs in self.pieces:
             if not lo < hi:
-                raise ValueError("empty density interval")
+                raise InternalError("empty density interval")
             step = (hi - lo) / 4
             for i in range(5):
                 if rp.evaluate(coeffs, lo + i * step) < 0:
-                    raise ValueError("negative density")
+                    raise InternalError("negative density")
             if len(coeffs) == 3 and coeffs[2] > 0:
                 crit = -coeffs[1] / (2 * coeffs[2])
                 if lo < crit < hi and rp.evaluate(coeffs, crit) < 0:
-                    raise ValueError("negative density at critical point")
+                    raise InternalError("negative density at critical point")
 
     def total_mass(self) -> Fraction:
         mass = sum((m for _, m in self.atoms), Fraction(0))

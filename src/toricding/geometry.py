@@ -1,9 +1,12 @@
 """Exact rational polytope kernel.
 
-Vertex enumeration, triangulation, volumes, barycenters and exact
-integration of polynomials of total degree <= 2 over bounded rational
-H-polytopes.  All arithmetic is over fractions.Fraction; floats never
-enter this module.  Intended for desk-scale dimensions (n <= 5).
+Vertex enumeration, pulling triangulation, volumes, barycenters and
+exact integration of polynomials of total degree <= 2 over bounded
+rational H-polytopes.  Boundedness is checked once, when a polytope is
+built from outside (HPolytope.from_inequalities); clips and linearity
+regions of a bounded polytope are bounded and skip the check.  All
+arithmetic is over fractions.Fraction; floats never enter this module.
+Intended for desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DegreeTooHigh, DimensionMismatch, EmptyPolytope, UnboundedPolytope
@@ -65,15 +68,10 @@ def _primitive(normal: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ..
     fracs = [_frac(a) for a in normal]
     if all(a == 0 for a in fracs):
         raise ValueError("zero facet normal")
-    denom_lcm = 1
-    for a in fracs:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    scale = Fraction(denom_lcm, g)
-    return tuple(a // g for a in ints), _frac(rhs) * scale
+    denom = lcm(*(a.denominator for a in fracs))
+    ints = [int(a * denom) for a in fracs]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints), _frac(rhs) * Fraction(denom, g)
 
 
 @dataclass(frozen=True)
@@ -89,16 +87,10 @@ class HPolytope:
 
     @staticmethod
     def from_inequalities(dim: int, rows: Iterable[tuple[Sequence, object]]) -> "HPolytope":
-        tight: dict[tuple[int, ...], Fraction] = {}
-        for normal, rhs in rows:
-            if len(normal) != dim:
-                raise DimensionMismatch("facet normal has wrong length")
-            n, r = _primitive(normal, _frac(rhs))
-            if n in tight:
-                tight[n] = min(tight[n], r)
-            else:
-                tight[n] = r
-        return HPolytope(dim, tuple(sorted(tight.items())))
+        """Normalize the rows; raises UnboundedPolytope for an unbounded system."""
+        P = _normalized(dim, rows)
+        _assert_bounded(P)
+        return P
 
     def contains(self, x: Sequence) -> bool:
         x = _as_point(x)
@@ -110,77 +102,79 @@ class HPolytope:
 
     def clip(self, normal: Sequence, rhs) -> "HPolytope":
         """Intersect with the halfspace <normal, x> <= rhs."""
-        return HPolytope.from_inequalities(self.dim, list(self.facets) + [(normal, rhs)])
+        return _normalized(self.dim, self.facets + ((normal, rhs),))
+
+
+def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]]) -> HPolytope:
+    """Primitive normals with the tightest rhs each; boundedness unchecked."""
+    tight: dict[tuple[int, ...], Fraction] = {}
+    for normal, rhs in rows:
+        if len(normal) != dim:
+            raise DimensionMismatch("facet normal has wrong length")
+        n, r = _primitive(normal, rhs)
+        tight[n] = min(tight[n], r) if n in tight else r
+    return HPolytope(dim, tuple(sorted(tight.items())))
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((_frac(x) * _frac(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination; returns None when the matrix is singular."""
-    n = len(rows)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan reduction: (reduced rows, pivot columns, determinant).
 
-
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _nullspace_direction(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """A nonzero vector orthogonal to all rows, or None when rank is full."""
-    n = len(rows[0])
-    m = [row[:] for row in rows]
+    The determinant is that of the leading square block (0 when it is
+    singular); elimination stops once every row holds a pivot.
+    """
+    m = [[_frac(v) for v in row] for row in rows]
     pivots: list[int] = []
-    rank = 0
-    for col in range(n):
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        if rank == len(m):
+            break
         piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if piv is None:
+            det = Fraction(0)
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
         inv = m[rank][col]
+        det *= inv
         m[rank] = [v / inv for v in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
         pivots.append(col)
-        rank += 1
-    if rank == n:
+    return m, pivots, det
+
+
+def _solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
+    """The solution of a square system, or None when it is singular."""
+    m, _, det = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
+    return None if det == 0 else [row[-1] for row in m]
+
+
+def _null_vector(rows: Sequence[Sequence]) -> list[Fraction] | None:
+    """A nonzero vector orthogonal to all rows, or None when rank is full."""
+    n = len(rows[0])
+    m, pivots, _ = _eliminate(rows)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
         return None
-    free = next(c for c in range(n) if c not in pivots)
     d = [Fraction(0)] * n
     d[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        d[col] = -m[r][free]
+    for row, col in zip(m, pivots):
+        d[col] = -row[free]
     return d
+
+
+def _affine_rank(points: Sequence[Point]) -> int:
+    """Dimension of the affine hull of a nonempty point set."""
+    base = points[0]
+    return len(_eliminate([[p[t] - base[t] for t in range(len(base))] for p in points[1:]])[1])
 
 
 def _assert_bounded(P: HPolytope) -> None:
@@ -189,16 +183,16 @@ def _assert_bounded(P: HPolytope) -> None:
     The cone {d : Ld <= 0} is nontrivial iff L has rank < n (lineality)
     or some (n-1)-subset of normals carries an extreme ray.
     """
-    normals = [[Fraction(a) for a in n] for n, _ in P.facets]
-    if not normals or _matrix_rank(normals) < P.dim:
+    normals = [n for n, _ in P.facets]
+    if not normals or len(_eliminate(normals)[1]) < P.dim:
         raise UnboundedPolytope("facet normals do not span the ambient space")
     if P.dim == 1:
         # rank 1 in 1-d: need both a <= and a >= constraint
-        if not any(n[0] > 0 for n, _ in P.facets) or not any(n[0] < 0 for n, _ in P.facets):
+        if not any(n[0] > 0 for n in normals) or not any(n[0] < 0 for n in normals):
             raise UnboundedPolytope("interval missing a bound")
         return
     for subset in itertools.combinations(normals, P.dim - 1):
-        d = _nullspace_direction([row[:] for row in subset])
+        d = _null_vector(subset)
         if d is None:
             continue
         for cand in (d, [-v for v in d]):
@@ -211,120 +205,63 @@ def vertices(P: HPolytope) -> tuple[Point, ...]:
     """All points where >= dim facets are tight and every facet holds.
 
     Exhaustive dim-subset intersection with a feasibility filter;
-    deduplicated, sorted lexicographically.
+    deduplicated, sorted lexicographically.  P is bounded by
+    construction, so no recession check is made here.
     """
     if P.dim > 5:
         raise ValueError("vertex enumeration supports dim <= 5")
-    _assert_bounded(P)
     found: set[Point] = set()
     rows = [([Fraction(a) for a in n], r) for n, r in P.facets]
-    for subset in itertools.combinations(range(len(rows)), P.dim):
-        mat = [rows[i][0] for i in subset]
-        rhs = [rows[i][1] for i in subset]
-        x = _solve_square(mat, rhs)
-        if x is None:
-            continue
-        if all(_dot(n, x) <= r for n, r in rows):
+    for subset in itertools.combinations(rows, P.dim):
+        x = _solve([n for n, _ in subset], [r for _, r in subset])
+        if x is not None and all(_dot(n, x) <= r for n, r in rows):
             found.add(tuple(x))
     if not found:
         raise EmptyPolytope("no feasible vertex")
     return tuple(sorted(found))
 
 
-def _facet_subpolytope(P: HPolytope, facet_index: int):
-    """The facet as a full-rank polytope in dim-1 coordinates plus a lift map.
-
-    Eliminates one coordinate using the facet equality <normal, x> = rhs.
-    """
-    normal, rhs = P.facets[facet_index]
-    j = max(range(P.dim), key=lambda i: abs(normal[i]))
-    nj = Fraction(normal[j])
-    rows = []
-    for i, (m, s) in enumerate(P.facets):
-        if i == facet_index:
-            continue
-        # substitute x_j = (rhs - sum_{i != j} normal_i x_i) / normal_j
-        coef = Fraction(m[j], nj)
-        red = [Fraction(m[t]) - coef * normal[t] for t in range(P.dim) if t != j]
-        red_rhs = Fraction(s) - coef * rhs
-        if all(c == 0 for c in red):
-            if red_rhs < 0:
-                raise EmptyPolytope("facet hyperplane misses the polytope")
-            continue
-        rows.append((red, red_rhs))
-    Q = HPolytope.from_inequalities(P.dim - 1, rows)
-
-    def lift(y: Point) -> Point:
-        full = list(y[:j]) + [Fraction(0)] + list(y[j:])
-        xj = (rhs - sum(Fraction(normal[t]) * full[t] for t in range(P.dim) if t != j)) / nj
-        full[j] = xj
-        return tuple(full)
-
-    return Q, lift
-
-
 def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
     n = len(simplex) - 1
     v0 = simplex[0]
-    rows = [[simplex[i + 1][t] - v0[t] for t in range(n)] for i in range(n)]
-    det = _det(rows)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return abs(det) / fact
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return det
+    det = _eliminate([[w[t] - v0[t] for t in range(n)] for w in simplex[1:]])[2]
+    return abs(det) / factorial(n)
 
 
 @lru_cache(maxsize=None)
 def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
-    """Fan triangulation from the lexicographically-first vertex.
+    """Pulling triangulation over the vertex-facet incidence of P.
 
-    Facets not containing the apex are triangulated recursively in
-    facet coordinates and coned back.  Degenerate simplices are dropped,
-    so a lower-dimensional input yields the empty triangulation.
+    A face is the tuple of its vertices.  The facets of a k-face are its
+    vertex subsets tight at one more facet of P whose affine rank is
+    k - 1.  The lexicographically-first vertex of the face is coned over
+    the triangulations of the facets that miss it.  Every simplex is
+    full-dimensional; a lower-dimensional P yields the empty
+    triangulation.
     """
     verts = vertices(P)
-    if len(verts) < P.dim + 1:
+    if _affine_rank(verts) < P.dim:
         return ()
-    if P.dim == 1:
-        return ((verts[0], verts[-1]),) if verts[0] != verts[-1] else ()
-    apex = verts[0]
-    simplices = []
-    for i, (normal, rhs) in enumerate(P.facets):
-        if _dot(normal, apex) == rhs:
-            continue
-        on_facet = [v for v in verts if _dot(normal, v) == rhs]
-        if len(on_facet) < P.dim:
-            continue  # not a genuine facet (redundant row)
-        Q, lift = _facet_subpolytope(P, i)
-        try:
-            sub = triangulate(Q)
-        except EmptyPolytope:
-            continue
-        for s in sub:
-            simplex = (apex,) + tuple(lift(y) for y in s)
-            if _simplex_volume(simplex) > 0:
-                simplices.append(simplex)
-    return tuple(simplices)
+    tight = [frozenset(i for i, v in enumerate(verts) if _dot(n, v) == r) for n, r in P.facets]
+
+    def pull(face: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+        if k == 0:
+            return [face]
+        apex = face[0]
+        seen: set[tuple[int, ...]] = set()
+        simplices = []
+        for on_facet in tight:
+            if apex in on_facet:
+                continue
+            sub = tuple(i for i in face if i in on_facet)
+            if sub in seen:
+                continue
+            seen.add(sub)
+            if len(sub) >= k and _affine_rank([verts[i] for i in sub]) == k - 1:
+                simplices.extend((apex,) + s for s in pull(sub, k - 1))
+        return simplices
+
+    return tuple(tuple(verts[i] for i in s) for s in pull(tuple(range(len(verts))), P.dim))
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +416,7 @@ def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
             rows.append((diff, ai.constant - aj.constant))
         if dominated:
             continue
-        R = HPolytope.from_inequalities(P.dim, rows)
+        R = _normalized(P.dim, rows)
         try:
             if volume(R) > 0:
                 out.append((R, aj))
@@ -499,10 +436,7 @@ def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
 
     def is_facet(normal, rhs):
         tight = [p for p in pts if _dot(normal, p) == rhs]
-        if len(tight) < dim:
-            return False
-        span = [[p[t] - tight[0][t] for t in range(dim)] for p in tight[1:]]
-        return _matrix_rank(span) == dim - 1 if span else dim == 1
+        return len(tight) >= dim and _affine_rank(tight) == dim - 1
 
     rows = []
     for subset in itertools.combinations(pts, dim):
@@ -510,8 +444,7 @@ def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
             normal = [Fraction(1)]
         else:
             base = subset[0]
-            span = [[p[t] - base[t] for t in range(dim)] for p in subset[1:]]
-            normal = _nullspace_direction(span)
+            normal = _null_vector([[p[t] - base[t] for t in range(dim)] for p in subset[1:]])
             if normal is None:
                 continue
         rhs = _dot(normal, subset[0])
@@ -522,11 +455,10 @@ def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
             rows.append(([-c for c in normal], -rhs))
     if not rows:
         raise EmptyPolytope("points do not span a full-dimensional hull")
-    P = HPolytope.from_inequalities(dim, rows)
     try:
-        degenerate = volume(P) == 0
+        P = HPolytope.from_inequalities(dim, rows)
     except UnboundedPolytope:
-        degenerate = True
-    if degenerate:
+        raise EmptyPolytope("hull is lower-dimensional") from None
+    if volume(P) == 0:
         raise EmptyPolytope("hull is lower-dimensional")
     return P

@@ -59,11 +59,8 @@ def _jump_weights(f: PLConcave, k: int) -> tuple[tuple[tuple[int, ...], int], ..
     # integer dot over a cleared denominator
     pieces = []
     for a in f.affines:
-        denom = 1
-        for g in a.gradient:
-            denom = denom * g.denominator // math.gcd(denom, g.denominator)
         kc = k * a.constant
-        denom = denom * kc.denominator // math.gcd(denom, kc.denominator)
+        denom = math.lcm(*(g.denominator for g in a.gradient), kc.denominator)
         ints = [int(g * denom) for g in a.gradient]
         pieces.append((ints, int(kc * denom), denom))
     out = []

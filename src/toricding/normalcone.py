@@ -19,7 +19,7 @@ from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
 from .extremal import FanoPolytope, extremal_affine
 from .functionals import DHMeasure, PLConcave, d_na, dh_measure, inner_product, j_na
-from .geometry import AffineFn, Point, _det, _frac, _solve_square, vertices
+from .geometry import AffineFn, Point, _eliminate, _frac, _null_vector, _primitive
 from .twisting import reduce_jna
 
 
@@ -60,41 +60,17 @@ def _edge_directions(P: FanoPolytope, v: Point) -> list[tuple[int, ...]]:
         raise NonSmoothVertex(f"{len(tight)} facets meet at {v}, expected {n}")
     dirs = []
     for rest in itertools.combinations(range(n), n - 1):
-        rows = [[Fraction(a) for a in tight[i][0]] for i in rest]
         omitted = next(i for i in range(n) if i not in rest)
-        if n == 1:
-            d = [Fraction(1)]
-        else:
-            d = _null_direction(rows)
-        off = sum(Fraction(a) * x for a, x in zip(tight[omitted][0], d))
+        d = _null_vector([tight[i][0] for i in rest]) if n > 1 else [Fraction(1)]
+        if d is None:
+            raise NonSmoothVertex("facet normals at vertex are linearly dependent")
+        off = sum(a * x for a, x in zip(tight[omitted][0], d))
         if off > 0:
             d = [-x for x in d]
         elif off == 0:
             raise NonSmoothVertex(f"degenerate edge at {v}")
-        denom_lcm = 1
-        for x in d:
-            denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in d]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
-        dirs.append(tuple(x // g for x in ints))
+        dirs.append(_primitive(d, 0)[0])
     return sorted(dirs)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _null_direction(rows):
-    from .geometry import _nullspace_direction
-
-    d = _nullspace_direction([row[:] for row in rows])
-    if d is None:
-        raise NonSmoothVertex("facet normals at vertex are linearly dependent")
-    return d
 
 
 def vertex_chart(P: FanoPolytope, v: Point) -> VertexChart:
@@ -106,19 +82,14 @@ def vertex_chart(P: FanoPolytope, v: Point) -> VertexChart:
     n = P.dim
     v = tuple(_frac(c) for c in v)
     dirs = _edge_directions(P, v)
-    E = [[Fraction(dirs[j][i]) for j in range(n)] for i in range(n)]  # columns = dirs
-    det = _det([row[:] for row in E])
+    # reduce [E | I] with E's columns the edge directions: the right half becomes E^{-1}
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    m, _, det = _eliminate([[dirs[j][i] for j in range(n)] + unit[i] for i in range(n)])
     if abs(det) != 1:
         raise NonSmoothVertex(
             f"edge directions at {v} span a sublattice of index {abs(det)}", determinant=det
         )
-    # U = E^{-1}, integer because |det| = 1
-    U_cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        col = _solve_square([row[:] for row in E], e)
-        U_cols.append(col)
-    U = tuple(tuple(int(U_cols[j][i]) for j in range(n)) for i in range(n))
+    U = tuple(tuple(int(x) for x in row[n:]) for row in m)  # integer because |det| = 1
     grad = tuple(sum(Fraction(U[i][j]) for i in range(n)) for j in range(n))
     ord_fn = AffineFn(grad, -sum(g * c for g, c in zip(grad, v)))
     for w in P.vertices():

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, LPUnbounded
 from .functionals import PLConcave, e_na
-from .geometry import Point, _frac, barycenter
+from .geometry import Point, _dot, _frac, barycenter
 from .lp import solve_lp
 
 
@@ -57,10 +57,6 @@ def jna_twisted(f: PLConcave, rho: Sequence, problem: TwistProblem | None = None
     rho = tuple(_frac(r) for r in rho)
     peak = max(f(v) + _dot(rho, v) for v in p.candidates)
     return peak - (p.mean_f + _dot(rho, p.b))
-
-
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((_frac(x) * _frac(y) for x, y in zip(a, b)), Fraction(0))
 
 
 def reduce_jna(f: PLConcave, problem: TwistProblem | None = None):

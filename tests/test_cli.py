@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricding import cli
 from toricding import io as tio
 from toricding.cli import main
+from toricding.errors import SingularGram
 
 from conftest import POLYTOPE_DIR
 
@@ -145,6 +147,22 @@ class TestTcEval:
     def test_dimension_mismatch(self, capsys, tc_step):
         code, _, err = run(capsys, "tc-eval", str(POLYTOPE_DIR / "p2.json"), tc_step)
         assert code == 1
+
+    def test_unbounded_polytope_exit_1(self, capsys, tmp_path, tc_step):
+        halfline = tmp_path / "halfline.json"
+        halfline.write_text('{"dim": 1, "facets": [{"normal": [1], "rhs": 1}]}')
+        code, _, err = run(capsys, "tc-eval", str(halfline), tc_step)
+        assert code == 1
+        assert "interval missing a bound" in err
+
+    def test_internal_error_exit_3(self, capsys, monkeypatch, tc_step):
+        def singular(P):
+            raise SingularGram("covariance matrix is singular")
+
+        monkeypatch.setattr(cli, "extremal_affine", singular)
+        code, _, err = run(capsys, "tc-eval", str(POLYTOPE_DIR / "p1.json"), tc_step)
+        assert code == 3
+        assert err.startswith("internal error:")
 
 
 class TestReduce:

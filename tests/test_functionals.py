@@ -16,7 +16,8 @@ from toricding import (
     j_na,
     weight_measure,
 )
-from toricding.errors import DimensionMismatch
+from toricding.errors import DimensionMismatch, InternalError
+from toricding.functionals import DHMeasure
 
 from conftest import pl
 
@@ -40,6 +41,10 @@ class TestDHMeasure:
         m = dh_measure(pl(p2, (0, 0, Fraction(3, 7))))
         assert m.atoms == ((Fraction(3, 7), 1),)
         assert m.pieces == ()
+
+    def test_negative_atom_is_internal_error(self):
+        with pytest.raises(InternalError, match="negative atom mass"):
+            DHMeasure.build(atoms=[(Fraction(0), Fraction(-1, 2))], pieces=[])
 
     def test_step_function(self, step_p1):
         m = dh_measure(step_p1)

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,10 @@ class TestVertices:
         for normal, rhs in P.facets:
             on_facet = [v for v in verts if sum(a * c for a, c in zip(normal, v)) == rhs]
             assert len(on_facet) >= P.dim
+
+    def test_unbounded_rejected_at_construction(self):
+        with pytest.raises(UnboundedPolytope):
+            HPolytope.from_inequalities(2, [([1, 0], 1), ([-1, 0], 1), ([0, 1], 1)])
 
     def test_unbounded(self):
         with pytest.raises(UnboundedPolytope):
@@ -115,6 +121,71 @@ class TestVolume:
             c = tuple(sum(v[t] for v in s) / Fraction(3) for t in range(2))
             for j, other in enumerate(tri):
                 assert inside(other, c) == (i == j)
+
+
+def cube(dim):
+    return hp(dim, *(tuple(s if t == i else 0 for t in range(dim)) + (1,)
+                     for i in range(dim) for s in (1, -1)))
+
+
+def cross_polytope(dim):
+    return hp(dim, *(signs + (1,) for signs in itertools.product((1, -1), repeat=dim)))
+
+
+def projective(dim):
+    return hp(dim, *[tuple(-int(t == i) for t in range(dim)) + (1,) for i in range(dim)],
+              (1,) * dim + (1,))
+
+
+class TestPullingTriangulation:
+    def assert_valid(self, P):
+        tri = triangulate(P)
+        assert all(len(s) == P.dim + 1 for s in tri)
+        assert all(_simplex_volume(s) > 0 for s in tri)
+
+    @pytest.mark.parametrize("dim, vol", [(3, Fraction(4, 3)), (4, Fraction(2, 3))])
+    def test_cross_polytope(self, dim, vol):
+        # every vertex lies on 2^(dim-1) facets: far from simple
+        P = cross_polytope(dim)
+        assert len(vertices(P)) == 2 * dim
+        self.assert_valid(P)
+        assert volume(P) == vol
+        assert barycenter(P) == (0,) * dim
+
+    @pytest.mark.parametrize("normal, rhs, vol", [
+        ((1, 1, 1), 0, 4),
+        ((1, 1, 0), Fraction(1, 2), Fraction(23, 4)),
+    ])
+    def test_cube_clip(self, normal, rhs, vol):
+        P = cube(3).clip(normal, rhs)
+        self.assert_valid(P)
+        assert volume(P) == vol
+
+    def test_redundant_row_tight_at_a_2_face(self):
+        # x1 + x2 <= 2 touches the 4-cube in a square: a row that defines
+        # no facet yet holds as many vertices as a facet of P needs
+        P = cube(4).clip((1, 1, 0, 0), 2)
+        assert ((1, 1, 0, 0), 2) in P.facets
+        self.assert_valid(P)
+        assert volume(P) == 16
+
+    def test_clip_to_a_face_is_empty(self):
+        P = cube(3).clip((1, 0, 0), -1)
+        assert len(vertices(P)) == 4
+        assert triangulate(P) == ()
+        assert volume(P) == 0
+
+    @pytest.mark.parametrize("P, degree", [
+        pytest.param(projective(3), 64, id="P3"),
+        pytest.param(hp(3, (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1),
+                        (1, 1, 1, 1), (-1, -1, -1, 1)), 56, id="Bl_pt P3"),
+        pytest.param(cube(3), 48, id="(P1)^3"),
+        pytest.param(projective(4), 625, id="P4"),
+        pytest.param(cube(4), 384, id="(P1)^4"),
+    ])
+    def test_corpus_degrees(self, P, degree):
+        self.assert_valid(P)
+        assert factorial(P.dim) * volume(P) == degree
 
 
 class TestBarycenter:
