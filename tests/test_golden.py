@@ -2,10 +2,14 @@
 
 tests/golden/cli_outputs.json records stdout and exit code of analyze,
 normal-cone, tc-eval, reduce and oracle on each bundled polytope, with
-the step configuration min(0, -x_1) where one is needed.  Any change to
-a number, a float rendering or the JSON layout fails here.
+the step configuration min(0, -x_1) where one is needed, and of oracle on
+the dim 3-4 polytopes in tests/golden/ (P3, P3 blown up at a point,
+(P1)^3, P4, (P1)^4).  Any change to a number, a float rendering or the
+JSON layout fails here.
 
-Regenerate only when an output change is intended:
+Running the module records every case that has no entry yet and leaves
+the existing entries alone; to regenerate an entry when an output change
+is intended, delete it first:
 
     python3 tests/test_golden.py
 """
@@ -25,6 +29,9 @@ GOLDEN = REPO / "tests" / "golden" / "cli_outputs.json"
 POLYTOPES = ["p1", "p2", "bl1p2", "p1xp1", "stretched"]
 DIMS = {"p1": 1, "p2": 2, "bl1p2": 2, "p1xp1": 2, "stretched": 2}
 RHO = {1: "1/2", 2: "1/2,-1/3"}
+# dim 3-4 polytopes: oracle only, on a ladder that stays in tier-1 time
+ORACLE_ONLY = {"p3": 3, "blp3": 3, "p1x3": 3, "p4": 4, "p1x4": 4}
+LADDER = {3: "4,8", 4: "2,4"}
 
 
 def cases() -> dict[str, list[str]]:
@@ -37,6 +44,9 @@ def cases() -> dict[str, list[str]]:
         out[f"tc-eval:{name}"] = ["tc-eval", poly, step, f"--rho={RHO[DIMS[name]]}"]
         out[f"reduce:{name}"] = ["reduce", poly, step]
         out[f"oracle:{name}"] = ["oracle", poly, step, "--k-ladder", "4,8"]
+    for name, dim in ORACLE_ONLY.items():
+        out[f"oracle:{name}"] = ["oracle", f"tests/golden/{name}.json",
+                                 f"tests/golden/step{dim}.json", "--k-ladder", LADDER[dim]]
     return out
 
 
@@ -71,9 +81,11 @@ def test_byte_identical(golden, case):
 
 
 if __name__ == "__main__":
-    doc = {}
-    for case, argv in sorted(cases().items()):
+    doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    added = [case for case in sorted(cases()) if case not in doc]
+    for case in added:
+        argv = cases()[case]
         code, stdout = run(argv)
         doc[case] = {"argv": argv, "exit": code, "stdout": stdout}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc)} cases to {GOLDEN}")
+    print(f"added {len(added)} cases to {GOLDEN}: {', '.join(added)}")
