@@ -13,6 +13,7 @@ from .errors import (
     DegreeTooHigh,
     DimensionMismatch,
     EmptyPolytope,
+    InputTooLarge,
     InternalError,
     LPInfeasible,
     LPUnbounded,

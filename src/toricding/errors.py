@@ -25,6 +25,10 @@ class OriginNotInterior(ToricDingError):
     """The origin does not lie strictly inside the polytope."""
 
 
+class InputTooLarge(ToricDingError):
+    """The input is beyond the sizes the exact algorithms can handle."""
+
+
 class InternalError(ToricDingError):
     """A computed object broke an invariant the library guarantees."""
 

@@ -18,7 +18,13 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DegreeTooHigh, DimensionMismatch, EmptyPolytope, UnboundedPolytope
+from .errors import (
+    DegreeTooHigh,
+    DimensionMismatch,
+    EmptyPolytope,
+    InputTooLarge,
+    UnboundedPolytope,
+)
 
 Rat = Fraction
 Point = tuple[Fraction, ...]
@@ -209,7 +215,7 @@ def vertices(P: HPolytope) -> tuple[Point, ...]:
     construction, so no recession check is made here.
     """
     if P.dim > 5:
-        raise ValueError("vertex enumeration supports dim <= 5")
+        raise InputTooLarge("vertex enumeration supports dim <= 5")
     found: set[Point] = set()
     rows = [([Fraction(a) for a in n], r) for n, r in P.facets]
     for subset in itertools.combinations(rows, P.dim):

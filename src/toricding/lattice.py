@@ -1,4 +1,4 @@
-"""Finite-level lattice brute force: the discrete oracle.
+"""Finite-level lattice enumeration: the discrete oracle.
 
 Sections of the k-th power correspond to lattice points of kP; a toric
 test-configuration filters them by jumping numbers floor(k f(u/k)).
@@ -10,17 +10,23 @@ module an independent check on every limit formula.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputTooLarge
 from .extremal import FanoPolytope
 from .functionals import PLConcave
-from .geometry import HPolytope, _frac, vertices
+from .geometry import HPolytope, _frac, _primitive, volume
+
+# Refuse a level whose estimated point count vol(P) k^n exceeds this; its
+# points and weights alone would take about 2 GB.
+MAX_LATTICE_POINTS = 10**7
 
 
 def _base(P) -> HPolytope:
@@ -29,49 +35,114 @@ def _base(P) -> HPolytope:
 
 def lattice_points(P, k: int) -> list[tuple[int, ...]]:
     """All integer points of the dilate kP, in lexicographic order."""
-    return list(_lattice_points(_base(P), k))
+    points: list[tuple[int, ...]] = []
+    for prefix, xs in _fibers(_base(P), k):
+        points.extend(zip(*map(repeat, prefix), xs))
+    return points
 
 
-@lru_cache(maxsize=None)
-def _lattice_points(base: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=16)
+def _fiber_rows(base: HPolytope):
+    """Per coordinate i, the rows that bound u_i once u_0..u_{i-1} are fixed.
+
+    Level i holds the rows <a, x> <= num/d of the Fourier-Motzkin
+    projection of base onto coordinates 0..i whose i-th coefficient is
+    nonzero, as (d a_0..d a_{i-1}, d |a_i|, num), split into upper bounds
+    (a_i > 0) and lower bounds (a_i < 0).  Rows with a zero i-th
+    coefficient are rows of the projection onto 0..i-1, which the outer
+    levels enforce.
+    """
+    rows = dict(base.facets)
+    levels = []
+    for i in reversed(range(base.dim)):
+        upper, lower = [], []
+        for n, r in rows.items():
+            if n[i]:
+                row = (tuple(r.denominator * a for a in n[:i]), r.denominator * abs(n[i]),
+                       r.numerator)
+                (upper if n[i] > 0 else lower).append(row)
+        levels.append((tuple(upper), tuple(lower)))
+        if i == 0:
+            break
+        projected: dict[tuple[int, ...], Fraction] = {}
+
+        def keep(normal, rhs):
+            n, r = _primitive(normal, rhs)
+            projected[n] = min(projected[n], r) if n in projected else r
+
+        for n, r in rows.items():
+            if n[i] == 0:
+                keep(n[:i], r)
+        for p, rp in rows.items():
+            if p[i] <= 0:
+                continue
+            for q, rq in rows.items():
+                if q[i] >= 0:
+                    continue
+                # -q_i p + p_i q eliminates x_i; a zero combination only
+                # says 0 <= rhs, which holds for a nonempty polytope
+                normal = [-q[i] * a + p[i] * b for a, b in zip(p[:i], q[:i])]
+                if any(normal):
+                    keep(normal, -q[i] * rp + p[i] * rq)
+        rows = projected
+    return tuple(reversed(levels))
+
+
+def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
+    """(prefix, xs): the lattice points prefix + (x,), x in xs, of kP.
+
+    The prefixes come in lexicographic order.  Each coordinate runs over
+    the integers that the rows of its level allow, in integer arithmetic:
+    d <a, u> <= k num.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    verts = vertices(base)
-    lo = [math.ceil(k * min(v[i] for v in verts)) for i in range(base.dim)]
-    hi = [math.floor(k * max(v[i] for v in verts)) for i in range(base.dim)]
-    # integerized test: den(r) <n,u> <= k num(r)
-    rows = [(n, r.denominator, k * r.numerator) for n, r in base.facets]
-    out = []
-    for u in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(d * sum(n[i] * u[i] for i in range(len(u))) <= kr for n, d, kr in rows):
-            out.append(u)
-    return tuple(out)
+    estimate = volume(base) * k**base.dim
+    if estimate > MAX_LATTICE_POINTS:
+        raise InputTooLarge(
+            f"k = {k}: about {round(estimate)} lattice points in kP, "
+            f"above the limit of {MAX_LATTICE_POINTS}")
+
+    def interval(prefix, upper, lower) -> range:
+        hi = min((k * num - sum(map(mul, pre, prefix))) // c for pre, c, num in upper)
+        lo = max(-((k * num - sum(map(mul, pre, prefix))) // c) for pre, c, num in lower)
+        return range(lo, hi + 1)
+
+    *outer, (upper, lower) = _fiber_rows(base)
+    prefixes: list[tuple[int, ...]] = [()]
+    for up, low in outer:
+        prefixes = [p + (x,) for p in prefixes for x in interval(p, up, low)]
+    return [(p, xs) for p in prefixes if (xs := interval(p, upper, lower))]
 
 
 def jump_weights(f: PLConcave, k: int) -> dict[tuple[int, ...], int]:
     """u -> floor(k * f(u/k)) over the lattice points of the dilated domain."""
-    return dict(_jump_weights(f, k))
+    points, weights = _jump_weights(f, k)
+    return dict(zip(points, weights))
 
 
-@lru_cache(maxsize=None)
-def _jump_weights(f: PLConcave, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # k f(u/k) = min_j (<g_j, u> + k c_j); evaluate each piece as one big
-    # integer dot over a cleared denominator
-    pieces = []
-    for a in f.affines:
-        kc = k * a.constant
-        denom = math.lcm(*(g.denominator for g in a.gradient), kc.denominator)
-        ints = [int(g * denom) for g in a.gradient]
-        pieces.append((ints, int(kc * denom), denom))
-    out = []
-    for u in _lattice_points(f.domain, k):
-        best = None
-        for ints, const, denom in pieces:
-            val = Fraction(sum(g * c for g, c in zip(ints, u)) + const, denom)
-            if best is None or val < best:
-                best = val
-        out.append((u, math.floor(best)))
-    return tuple(out)
+@lru_cache(maxsize=1)
+def _jump_weights(f: PLConcave, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    # k f(u/k) = min_j (<g_j, u> + k c_j) = min_j (<G_j, u> + C_j) / D over
+    # one common denominator D, so the floor is an integer division.  Along
+    # a fiber, piece j runs through the progression <G_j, prefix> + C_j +
+    # G_j[-1] x.
+    consts = [k * a.constant for a in f.affines]
+    D = math.lcm(*(g.denominator for a in f.affines for g in a.gradient),
+                 *(c.denominator for c in consts))
+    pieces = [(tuple(int(g * D) for g in a.gradient), int(c * D))
+              for a, c in zip(f.affines, consts)]
+    points: list[tuple[int, ...]] = []
+    weights: list[int] = []
+    for prefix, xs in _fibers(f.domain, k):
+        points.extend(zip(*map(repeat, prefix), xs))
+        lines = []
+        for G, C in pieces:
+            at0, s = sum(map(mul, G, prefix)) + C, G[-1]
+            lines.append(range(at0 + s * xs.start, at0 + s * xs.stop, s) if s
+                         else repeat(at0, len(xs)))
+        weights.extend(w // D for w in (map(min, *lines) if len(lines) > 1 else lines[0]))
+    return points, weights
 
 
 @dataclass(frozen=True)
@@ -100,11 +171,9 @@ class WeightMeasure:
 
 def weight_measure(f: PLConcave, k: int) -> WeightMeasure:
     weights = jump_weights(f, k)
-    counts: dict[Fraction, int] = {}
-    for mu in weights.values():
-        loc = Fraction(mu, k)
-        counts[loc] = counts.get(loc, 0) + 1
-    return WeightMeasure(k=k, entries=tuple(sorted(counts.items())), N_k=len(weights))
+    counts = Counter(weights.values())
+    entries = tuple((Fraction(mu, k), m) for mu, m in sorted(counts.items()))
+    return WeightMeasure(k=k, entries=entries, N_k=len(weights))
 
 
 def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
@@ -125,7 +194,7 @@ def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
     s_nu = 0
     s_cross = 0
     for u, mu in weights.items():
-        nu = sum(r * c for r, c in zip(rho, u))
+        nu = sum(map(mul, rho, u))
         s_mu += mu
         s_nu += nu
         s_cross += mu * nu

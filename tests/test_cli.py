@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricding import cli
+from toricding import cli, lattice
 from toricding import io as tio
 from toricding.cli import main
 from toricding.errors import SingularGram
 
-from conftest import POLYTOPE_DIR
+from conftest import POLYTOPE_DIR, REPO
+
+GOLDEN_DIR = REPO / "tests" / "golden"
 
 
 @pytest.fixture
@@ -110,6 +112,15 @@ class TestAnalyze:
         )
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 1
+
+    def test_dim_6_exit_1(self, capsys, tmp_path):
+        cube = tmp_path / "cube6.json"
+        cube.write_text(json.dumps({"dim": 6, "facets": [
+            {"normal": [s * int(t == i) for t in range(6)], "rhs": 1}
+            for i in range(6) for s in (1, -1)]}))
+        code, _, err = run(capsys, "analyze", str(cube))
+        assert code == 1
+        assert err == "error: vertex enumeration supports dim <= 5\n"
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
@@ -277,6 +288,17 @@ class TestOracle:
             "1/1000",
         )
         assert code == 2
+
+    def test_level_too_large_exit_1(self, capsys, monkeypatch):
+        def enumerate_rows(base):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(lattice, "_fiber_rows", enumerate_rows)
+        code, out, err = run(capsys, "oracle", str(GOLDEN_DIR / "p4.json"),
+                             str(GOLDEN_DIR / "step4.json"), "--k-ladder", "40")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: k = 40: about 66666667 lattice points")
 
     def test_bad_ladder(self, capsys, tc_step):
         code, _, _ = run(

@@ -19,7 +19,7 @@ from toricding import (
     vertices,
     volume,
 )
-from toricding.errors import DegreeTooHigh
+from toricding.errors import DegreeTooHigh, InputTooLarge
 from toricding.geometry import _simplex_volume
 
 from conftest import pl
@@ -68,6 +68,10 @@ class TestVertices:
     def test_empty(self):
         with pytest.raises(EmptyPolytope):
             vertices(hp(1, (1, -1), (-1, -1)))
+
+    def test_dim_6_too_large(self):
+        with pytest.raises(InputTooLarge, match="vertex enumeration supports dim <= 5"):
+            vertices(cube(6))
 
     def test_cube_3d(self):
         rows = []

@@ -1,20 +1,70 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricding import (
+    FanoPolytope,
+    HPolytope,
     dh_measure,
     e_na,
     gabor_inner,
     inner_product,
     jump_weights,
     lattice_points,
+    validate_fano,
+    vertices,
     vol_distribution,
     weight_measure,
 )
-from toricding.errors import DimensionMismatch
+from toricding import io as tio
+from toricding import lattice
+from toricding.errors import DimensionMismatch, InputTooLarge
 
-from conftest import pl
+from conftest import POLYTOPE_DIR, REPO, pl
+
+# the bundled polytopes and the dim 3-4 ones kept with the golden outputs
+CORPUS_FILES = {
+    **{name: POLYTOPE_DIR / f"{name}.json"
+       for name in ("p1", "p2", "bl1p2", "p1xp1", "stretched")},
+    **{name: REPO / "tests" / "golden" / f"{name}.json"
+       for name in ("p3", "blp3", "p1x3", "p4", "p1x4")},
+}
+
+
+def corpus(name):
+    return validate_fano(tio.load_polytope(str(CORPUS_FILES[name])))
+
+
+def box_scan(P, k):
+    """Reference enumeration: every integer point of the bounding box of kP
+    that satisfies every facet, in lexicographic order."""
+    base = P.base if isinstance(P, FanoPolytope) else P
+    verts = vertices(base)
+    ranges = [range(math.ceil(k * min(v[i] for v in verts)),
+                    math.floor(k * max(v[i] for v in verts)) + 1) for i in range(base.dim)]
+    return [u for u in product(*ranges)
+            if all(sum(a * x for a, x in zip(n, u)) <= k * r for n, r in base.facets)]
+
+
+@st.composite
+def clipped_boxes(draw):
+    """A rational box around the origin cut by primitive normals with
+    non-integer rhs; the origin stays inside, so the result is nonempty."""
+    dim = draw(st.integers(1, 3))
+    half = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=4)
+    rows = [(tuple(s * int(t == i) for t in range(dim)), draw(half))
+            for i in range(dim) for s in (1, -1)]
+    for _ in range(draw(st.integers(0, 3))):
+        normal = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+                      .filter(lambda v: math.gcd(*v) == 1))
+        den = draw(st.integers(2, 5))
+        num = draw(st.integers(1, 4 * den).filter(lambda m: m % den))
+        rows.append((normal, Fraction(num, den)))
+    return HPolytope.from_inequalities(dim, rows)
 
 
 class TestLatticePoints:
@@ -38,6 +88,60 @@ class TestLatticePoints:
         with pytest.raises(ValueError):
             lattice_points(p1, 0)
 
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES))
+    def test_matches_box_scan_on_corpus(self, name):
+        P = corpus(name)
+        for k in range(1, {1: 6, 2: 6, 3: 4, 4: 3}[P.dim]):
+            assert lattice_points(P, k) == box_scan(P, k)
+
+    @given(clipped_boxes(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_box_scan_on_rational_polytopes(self, P, k):
+        assert lattice_points(P, k) == box_scan(P, k)
+
+    def test_lexicographic_order(self):
+        pts = lattice_points(corpus("blp3"), 3)
+        assert pts == sorted(set(pts))
+
+
+EHRHART = {
+    "p3": lambda k: math.comb(4 * k + 3, 3),
+    "blp3": lambda k: math.comb(4 * k + 3, 3) - math.comb(2 * k + 2, 3),
+    "p1x3": lambda k: (2 * k + 1) ** 3,
+    "p1x4": lambda k: (2 * k + 1) ** 4,
+    "p4": lambda k: math.comb(5 * k + 4, 4),
+}
+
+
+class TestEhrhartClosedForms:
+    @pytest.mark.parametrize("name, k, count", [
+        ("p3", 16, 47905),
+        ("blp3", 4, 849),
+        ("blp3", 8, 5729),
+        ("p1x3", 8, 4913),
+        ("p1x4", 8, 83521),
+        ("p4", 8, 135751),
+    ])
+    def test_count(self, name, k, count):
+        assert EHRHART[name](k) == count
+        assert len(lattice_points(corpus(name), k)) == count
+
+    @pytest.mark.parametrize("name", sorted(EHRHART))
+    def test_small_levels(self, name):
+        P = corpus(name)
+        for k in range(1, 5):
+            assert len(lattice_points(P, k)) == EHRHART[name](k)
+
+
+class TestResourceGuard:
+    def test_p4_k40_refused_before_enumerating(self, monkeypatch):
+        def enumerate_rows(base):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(lattice, "_fiber_rows", enumerate_rows)
+        with pytest.raises(InputTooLarge, match=r"k = 40: about 66666667 lattice points"):
+            lattice_points(corpus("p4"), 40)
+
 
 class TestJumpWeights:
     def test_zero_function(self, p2):
@@ -52,6 +156,25 @@ class TestJumpWeights:
         f = pl(p2, (2, -1, 0))
         for u, mu in jump_weights(f, 3).items():
             assert mu == 2 * u[0] - u[1]
+
+    @given(
+        st.sampled_from(["p1", "p2", "bl1p2", "stretched", "p3"]),
+        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6),
+                 min_size=4, max_size=12),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_floor_of_fraction_minimum(self, name, coeffs, k):
+        P = corpus(name)
+        row = P.dim + 1
+        rows = [tuple(coeffs[i:i + row]) for i in range(0, len(coeffs) - row + 1, row)]
+        f = pl(P, *rows)
+        expected = {
+            u: math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
+                              for a in f.affines))
+            for u in box_scan(P, k)
+        }
+        assert jump_weights(f, k) == expected
 
 
 class TestWeightMeasure:
