@@ -15,8 +15,6 @@ from .errors import (
     EmptyPolytope,
     InputTooLarge,
     InternalError,
-    LPInfeasible,
-    LPUnbounded,
     MismatchReport,
     NonSmoothVertex,
     NotCanonicalFano,

@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", help="comma-separated rational vector")
     p.add_argument("--emit-plot-data", dest="plot")
 
-    p = sub.add_parser("reduce", help="reduced J-functional via exact LP")
+    p = sub.add_parser("reduce", help="reduced J-functional in closed form")
     p.add_argument("polytope")
     p.add_argument("tc")
     p.add_argument("--segment", help="'a1,a2;b1,b2;N' sampling segment for J(rho)")

@@ -41,14 +41,6 @@ class DimensionMismatch(ToricDingError):
     """Vector length does not match the ambient dimension."""
 
 
-class LPUnbounded(ToricDingError):
-    """The linear program is unbounded below."""
-
-
-class LPInfeasible(ToricDingError):
-    """The linear program has no feasible point."""
-
-
 class NonSmoothVertex(ToricDingError):
     """Primitive edge directions at the vertex are not a lattice basis."""
 

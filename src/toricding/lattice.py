@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatch, InputTooLarge
+from .errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 from .extremal import FanoPolytope
 from .functionals import PLConcave
 from .geometry import HPolytope, _frac, _primitive, volume
@@ -97,7 +97,11 @@ def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    estimate = volume(base) * k**base.dim
+    vol = volume(base)
+    if vol == 0:
+        # vol k^n would be 0 however many points a lower-dimensional P has
+        raise EmptyPolytope("lattice points need a full-dimensional polytope; P has volume 0")
+    estimate = vol * k**base.dim
     if estimate > MAX_LATTICE_POINTS:
         raise InputTooLarge(
             f"k = {k}: about {round(estimate)} lattice points in kP, "

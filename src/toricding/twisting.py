@@ -2,11 +2,14 @@
 
 Twisting a toric test-configuration by rho tilts every affine piece by
 <rho, x>.  The reduced J-functional is the infimum of the twisted J over
-all real rho; since J(rho) is piecewise-linear with rational data the
-infimum is attained at a rational point and is found by an exact LP:
+all real rho.  For concave f = min_j a_j and the barycenter b, which is
+interior, max_P (f + <rho, . - b>) >= f(b) with equality exactly when
+-rho lies in the superdifferential of f at b, so
 
-    minimize  t - <rho, b> - mean(f)
-    subject   t >= f(v) + <rho, v>   for all subdivision vertices v.
+    inf_rho J(f + <rho, .>) = f(b) - mean(f),
+
+attained on conv{-grad a_j : a_j(b) = f(b)}.  The lexicographically
+smallest point of that hull is one of its generators.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, LPUnbounded
+from .errors import DimensionMismatch
 from .functionals import PLConcave, e_na
 from .geometry import Point, _dot, _frac, barycenter
-from .lp import solve_lp
 
 
 @dataclass(frozen=True)
@@ -60,39 +62,12 @@ def jna_twisted(f: PLConcave, rho: Sequence, problem: TwistProblem | None = None
 
 
 def reduce_jna(f: PLConcave, problem: TwistProblem | None = None):
-    """(rho_star, j_t): exact minimizer and minimum of the twisted J.
-
-    Variables (t, rho).  Among optimal rho the lexicographically
-    smallest is returned, obtained by sequentially minimizing each
-    coordinate over the optimal face.
-    """
-    p = problem if problem is not None else TwistProblem.from_plconcave(f)
-    n = f.domain.dim
-    # columns: t, rho_1..rho_n
-    rows = []
-    rhs = []
-    for v in p.candidates:
-        rows.append([Fraction(-1)] + [_frac(c) for c in v])
-        rhs.append(-f(v))
-    cost = [Fraction(1)] + [-bi for bi in p.b]
-    try:
-        opt, _ = solve_lp(cost, rows, rhs)
-    except LPUnbounded:
-        raise LPUnbounded(
-            "twisted J unbounded below: barycenter outside the candidate hull"
-        ) from None
-    j_t = opt - p.mean_f
-    # lexicographic refinement over the optimal face
-    face_rows = rows + [cost]
-    face_rhs = rhs + [opt]
-    fixed: list[Fraction] = []
-    for i in range(n):
-        obj = [Fraction(0)] * (n + 1)
-        obj[1 + i] = Fraction(1)
-        val, _ = solve_lp(obj, face_rows, face_rhs)
-        fixed.append(val)
-        unit = [Fraction(0)] * (n + 1)
-        unit[1 + i] = Fraction(1)
-        face_rows = face_rows + [unit, [-c for c in unit]]
-        face_rhs = face_rhs + [val, -val]
-    return tuple(fixed), j_t
+    """(rho_star, j_t): the lexicographically smallest minimizer of the
+    twisted J and its minimum, f(b) - mean(f)."""
+    if problem is not None:
+        b, mean_f = problem.b, problem.mean_f
+    else:
+        b, mean_f = barycenter(f.domain), e_na(f)
+    top = f(b)
+    rho_star = min(tuple(-g for g in a.gradient) for a in f.affines if a(b) == top)
+    return rho_star, top - mean_f

@@ -182,7 +182,7 @@ def test_criterion_08_convexity_suite():
             assert j_t <= jna_twisted(f, rho, problem), (i, rows, rho)
         if i % 25 == 0:
             track(dh_measure(f), e_na(f))
-    ok(8, "midpoint convexity and LP <= twisted J hold exactly on 100 random instances")
+    ok(8, "midpoint convexity and reduced J <= twisted J hold exactly on 100 random instances")
 
 
 def test_criterion_09_extremal_invariants():

@@ -22,7 +22,7 @@ from toricding import (
 )
 from toricding import io as tio
 from toricding import lattice
-from toricding.errors import DimensionMismatch, InputTooLarge
+from toricding.errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 
 from conftest import POLYTOPE_DIR, REPO, pl
 
@@ -141,6 +141,17 @@ class TestResourceGuard:
         monkeypatch.setattr(lattice, "_fiber_rows", enumerate_rows)
         with pytest.raises(InputTooLarge, match=r"k = 40: about 66666667 lattice points"):
             lattice_points(corpus("p4"), 40)
+
+    def test_zero_volume_domain_refused(self, monkeypatch):
+        # the estimate vol(P) k^n is 0 on a segment, so it cannot refuse it
+        def enumerate_rows(base):
+            raise AssertionError("enumeration started")
+
+        segment = HPolytope.from_inequalities(
+            2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)])
+        monkeypatch.setattr(lattice, "_fiber_rows", enumerate_rows)
+        with pytest.raises(EmptyPolytope, match="full-dimensional"):
+            lattice_points(segment, 10**6)
 
 
 class TestJumpWeights:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from toricding import (
     AffineFn,
+    PLConcave,
     TwistProblem,
     dh_measure,
     e_na,
@@ -15,10 +16,12 @@ from toricding import (
     reduce_jna,
     twist,
 )
+from toricding import io as tio
+from toricding import validate_fano
 from toricding.errors import DimensionMismatch
 from toricding.geometry import barycenter
 
-from conftest import pl
+from conftest import REPO, pl
 
 small_rational = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 pl_rows_p2 = st.lists(
@@ -129,8 +132,43 @@ class TestReduce:
         _, j_t_twisted = reduce_jna(twist(f, list(r)))
         assert j_t == j_t_twisted
 
+    def test_without_problem_enumerates_no_vertices(self, step_p2, monkeypatch):
+        def enumerate_vertices(self):
+            raise AssertionError("subdivision vertices enumerated")
+
+        monkeypatch.setattr(PLConcave, "subdivision_vertices", enumerate_vertices)
+        assert reduce_jna(step_p2) == ((0, 0), Fraction(8, 27))
+
+    @pytest.mark.parametrize("name", ["p3", "blp3", "p1x3", "p4", "p1x4"])
+    def test_forced_tie_in_dims_3_4(self, name):
+        # random pieces plus one forced through (b, f(b)), so at least two
+        # pieces are active at the barycenter; the minimizer is checked
+        # against the twisted J itself, not against the active-set rule
+        P = validate_fano(tio.load_polytope(str(REPO / "tests" / "golden" / f"{name}.json")))
+        b = barycenter(P.base)
+        rng = random.Random(name)
+
+        def rand_gradient():
+            return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(P.dim)]
+
+        for _ in range(3):
+            pieces = [AffineFn.make(rand_gradient(), Fraction(rng.randint(-4, 4), 3))
+                      for _ in range(rng.randint(1, 3))]
+            top = min(a(b) for a in pieces)
+            forced = AffineFn.make(rand_gradient(), 0)
+            pieces.append(AffineFn.make(forced.gradient, top - forced(b)))
+            f = PLConcave.make(pieces, P)
+            problem = TwistProblem.from_plconcave(f)
+            rho_star, j_t = reduce_jna(f, problem)
+            assert jna_twisted(f, rho_star, problem) == j_t
+            minimizers = [rho for rho in (tuple(-g for g in a.gradient) for a in pieces)
+                          if jna_twisted(f, rho, problem) == j_t]
+            assert tuple(-g for g in pieces[-1].gradient) in minimizers
+            assert len(set(minimizers)) >= 2
+            assert all(rho_star <= rho for rho in minimizers)
+
     def test_subgradient_descent_cross_check(self):
-        # float subgradient run with Polyak steps lands on the LP optimum
+        # float subgradient run with Polyak steps lands on the closed-form optimum
         from conftest import make_p2
 
         rng = random.Random(11)
