@@ -2,10 +2,12 @@
 
 tests/golden/cli_outputs.json records stdout and exit code of analyze,
 normal-cone, tc-eval, reduce and oracle on each bundled polytope, with
-the step configuration min(0, -x_1) where one is needed, and of oracle on
-the dim 3-4 polytopes in tests/golden/ (P3, P3 blown up at a point,
-(P1)^3, P4, (P1)^4).  Any change to a number, a float rendering or the
-JSON layout fails here.
+the step configuration min(0, -x_1) where one is needed, and of analyze,
+oracle and tc-eval on the dim 3-4 polytopes in tests/golden/ (P3, P3
+blown up at a point, (P1)^3, P4, (P1)^4); there tc-eval runs on the step
+configuration and on the three-piece configuration mix{3,4}.json, whose
+gradients are rational and generic.  Any change to a number, a float
+rendering or the JSON layout fails here.
 
 Running the module records every case that has no entry yet and leaves
 the existing entries alone; to regenerate an entry when an output change
@@ -28,9 +30,9 @@ from toricding.cli import main
 GOLDEN = REPO / "tests" / "golden" / "cli_outputs.json"
 POLYTOPES = ["p1", "p2", "bl1p2", "p1xp1", "stretched"]
 DIMS = {"p1": 1, "p2": 2, "bl1p2": 2, "p1xp1": 2, "stretched": 2}
-RHO = {1: "1/2", 2: "1/2,-1/3"}
-# dim 3-4 polytopes: oracle only, on a ladder that stays in tier-1 time
-ORACLE_ONLY = {"p3": 3, "blp3": 3, "p1x3": 3, "p4": 4, "p1x4": 4}
+RHO = {1: "1/2", 2: "1/2,-1/3", 3: "1/2,-1/3,1/5", 4: "1/2,-1/3,1/5,-1/7"}
+# dim 3-4 polytopes; the oracle ladder stays in tier-1 time
+HIGHER = {"p3": 3, "blp3": 3, "p1x3": 3, "p4": 4, "p1x4": 4}
 LADDER = {3: "4,8", 4: "2,4"}
 
 
@@ -44,9 +46,14 @@ def cases() -> dict[str, list[str]]:
         out[f"tc-eval:{name}"] = ["tc-eval", poly, step, f"--rho={RHO[DIMS[name]]}"]
         out[f"reduce:{name}"] = ["reduce", poly, step]
         out[f"oracle:{name}"] = ["oracle", poly, step, "--k-ladder", "4,8"]
-    for name, dim in ORACLE_ONLY.items():
-        out[f"oracle:{name}"] = ["oracle", f"tests/golden/{name}.json",
-                                 f"tests/golden/step{dim}.json", "--k-ladder", LADDER[dim]]
+    for name, dim in HIGHER.items():
+        poly = f"tests/golden/{name}.json"
+        step = f"tests/golden/step{dim}.json"
+        mix = f"tests/golden/mix{dim}.json"
+        out[f"analyze:{name}"] = ["analyze", poly]
+        out[f"tc-eval:{name}"] = ["tc-eval", poly, step, f"--rho={RHO[dim]}"]
+        out[f"tc-eval-mix:{name}"] = ["tc-eval", poly, mix, f"--rho={RHO[dim]}"]
+        out[f"oracle:{name}"] = ["oracle", poly, step, "--k-ladder", LADDER[dim]]
     return out
 
 
