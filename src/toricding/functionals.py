@@ -5,17 +5,20 @@ function f = min(affines) on the moment polytope.  Its Duistermaat-
 Heckman measure is the pushforward of normalized Lebesgue measure
 under f, computed exactly: linearity regions with constant value
 contribute atoms, the others contribute piecewise-polynomial density
-of degree <= n-1 obtained from exact level-set volumes.
+of degree <= n-1: the sum over the simplices of each region of the
+B-splines whose knots are the values of f at the simplex vertices
+(Curry-Schoenberg).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import rationalpoly as rp
-from .errors import DimensionMismatch, EmptyPolytope, InternalError
+from .errors import DimensionMismatch, InternalError
 from .extremal import ExtremalData, FanoPolytope
 from .geometry import (
     AffineFn,
@@ -23,10 +26,12 @@ from .geometry import (
     Point,
     Quadratic,
     _frac,
+    _simplex_volume,
     barycenter,
     integrate_affine,
     integrate_quadratic,
     region_subdivision as _region_subdivision,
+    triangulate,
     vertices,
     volume,
 )
@@ -180,30 +185,28 @@ def _canonical_pieces(pieces):
 
 
 def dh_measure(f: PLConcave) -> DHMeasure:
-    """Exact pushforward of Lebesgue/vol(P) under f."""
-    P = f.domain
-    vol = volume(P)
-    n = P.dim
+    """Exact pushforward of Lebesgue/vol(P) under f.
+
+    Each simplex s of a non-constant region R adds vol(s)/vol(P) times
+    the B-spline with knots f(vertices of s), summed on the intervals
+    between consecutive values of f at the vertices of R.
+    """
+    vol = volume(f.domain)
     atoms = []
     pieces = []
     for R, a in f.regions():
         if a.is_constant:
             atoms.append((a.constant, volume(R) / vol))
             continue
-        values = sorted({a(v) for v in vertices(R)})
-        for lo, hi in zip(values, values[1:]):
-            nodes = []
-            for i in range(n + 1):
-                lam = lo + (hi - lo) * Fraction(i, n)
-                clipped = R.clip(a.gradient, lam - a.constant)
-                try:
-                    nodes.append((lam, volume(clipped)))
-                except EmptyPolytope:
-                    nodes.append((lam, Fraction(0)))
-            cdf = rp.lagrange_interpolate(nodes)
-            density = rp.scale(rp.derivative(cdf), Fraction(1) / vol)
-            if density:
-                pieces.append((lo, hi, density))
+        cuts = sorted({a(v) for v in vertices(R)})
+        density: dict[int, rp.Poly] = {}
+        for s in triangulate(R):
+            weight = _simplex_volume(s) / vol
+            for lo, hi, coeffs in rp.bspline([a(w) for w in s]):
+                coeffs = rp.scale(coeffs, weight)
+                for j in range(bisect_left(cuts, lo), bisect_left(cuts, hi)):
+                    density[j] = rp.add(density.get(j, ()), coeffs)
+        pieces.extend((cuts[j], cuts[j + 1], coeffs) for j, coeffs in sorted(density.items()))
     return DHMeasure.build(atoms, pieces)
 
 

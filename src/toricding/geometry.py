@@ -279,16 +279,15 @@ def volume(P: HPolytope) -> Fraction:
 @lru_cache(maxsize=None)
 def barycenter(P: HPolytope) -> Point:
     """Exact centroid: volume-weighted average of simplex centroids."""
-    tri = triangulate(P)
-    total = sum((_simplex_volume(s) for s in tri), Fraction(0))
+    total = volume(P)
     if total == 0:
         raise EmptyPolytope("barycenter of a degenerate polytope")
     acc = [Fraction(0)] * P.dim
-    for s in tri:
+    for s in triangulate(P):
         vol = _simplex_volume(s)
         for t in range(P.dim):
-            acc[t] += vol * sum(v[t] for v in s) / (P.dim + 1)
-    return tuple(a / total for a in acc)
+            acc[t] += vol * sum(v[t] for v in s)
+    return tuple(a / (total * (P.dim + 1)) for a in acc)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,22 @@ from toricding import (
     j_na,
     weight_measure,
 )
-from toricding.errors import DimensionMismatch, InternalError
+from toricding import HPolytope, validate_fano
+from toricding import io as tio
+from toricding import rationalpoly as rp
+from toricding.errors import DimensionMismatch, EmptyPolytope, InternalError
 from toricding.functionals import DHMeasure
+from toricding.geometry import volume
 
-from conftest import pl
+from conftest import (
+    REPO,
+    make_bl1p2,
+    make_p1,
+    make_p1xp1,
+    make_p2,
+    make_stretched,
+    pl,
+)
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 small_rational = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -78,25 +90,103 @@ class TestDHMeasure:
         assert m.mean() == e_na(f)
         assert m.max_support() == f.max_value()
 
-    def test_complementary_cdf_matches_sections(self, p2, step_p2):
-        # independent route: clip the regions and take volumes directly
-        from toricding.errors import EmptyPolytope
-        from toricding.geometry import volume
+    def test_complementary_cdf_matches_sections(self, step_p2):
+        assert_upper_mass_matches_sections(step_p2)
 
-        for lam in (Fraction(-3, 4), Fraction(-1, 2), Fraction(-1, 4)):
-            direct = Fraction(0)
-            for R, a in step_p2.regions():
-                if a.is_constant:
-                    if a.constant >= lam:
-                        direct += volume(R)
-                    continue
-                clipped = R.clip([-g for g in a.gradient], a.constant - lam)
-                try:
-                    direct += volume(clipped)
-                except EmptyPolytope:
-                    pass
-            direct /= volume(step_p2.domain)
-            assert dh_measure(step_p2).upper_mass(lam) == direct
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_complementary_cdf_random_configurations(self, data):
+        P = data.draw(st.sampled_from(SECTION_DOMAINS))
+        rows = data.draw(st.lists(st.tuples(*[small_rational] * (P.dim + 1)),
+                                  min_size=1, max_size=3))
+        assert_upper_mass_matches_sections(pl(P, *rows))
+
+    @pytest.mark.parametrize("name", ["p3", "blp3", "p1x3", "p4", "p1x4"])
+    def test_complementary_cdf_dim_3_4_corpus(self, name):
+        P = golden_polytope(name)
+        path = REPO / "tests" / "golden" / f"mix{P.dim}.json"
+        assert_upper_mass_matches_sections(tio.load_test_config(str(path), P))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_coordinate_on_cube_is_uniform(self, dim):
+        # the triangulated cube has simplices whose values of x_1 repeat
+        # up to dim times; the B-splines must still add up to 1/2 on [-1, 1]
+        rows = [(tuple(s if j == i else 0 for j in range(dim)), 1)
+                for i in range(dim) for s in (1, -1)]
+        cube = HPolytope.from_inequalities(dim, rows)
+        m = dh_measure(pl(cube, (1,) + (0,) * dim))
+        assert m.atoms == ()
+        assert m.pieces == ((-1, 1, (Fraction(1, 2),)),)
+
+
+def golden_polytope(name):
+    return validate_fano(tio.load_polytope(str(REPO / "tests" / "golden" / f"{name}.json")))
+
+
+SECTION_DOMAINS = [make_p1(), make_p2(), make_bl1p2(), make_p1xp1(), make_stretched(),
+                   golden_polytope("p3"), golden_polytope("p1x3")]
+
+
+def assert_upper_mass_matches_sections(f):
+    """upper_mass equals the volume of {f >= lam}, summed region by region
+    over clips, at every breakpoint and at the quarter points between.
+
+    upper_mass is a polynomial of degree <= dim on each interval, so in
+    dims <= 4 these five points per interval determine it there.
+    """
+    m = dh_measure(f)
+    vol = volume(f.domain)
+    breaks = sorted({loc for loc, _ in m.atoms} | {x for lo, hi, _ in m.pieces for x in (lo, hi)})
+    inner = [lo + (hi - lo) * Fraction(i, 4) for lo, hi in zip(breaks, breaks[1:]) for i in (1, 2, 3)]
+    for lam in breaks + inner:
+        direct = Fraction(0)
+        for R, a in f.regions():
+            if a.is_constant:
+                if a.constant >= lam:
+                    direct += volume(R)
+                continue
+            try:
+                direct += volume(R.clip([-g for g in a.gradient], a.constant - lam))
+            except EmptyPolytope:
+                pass
+        assert m.upper_mass(lam) == direct / vol, lam
+
+
+knots = st.lists(rational, min_size=2, max_size=6).filter(lambda t: len(set(t)) > 1)
+
+
+class TestBSpline:
+    @given(t=knots)
+    @settings(max_examples=50, deadline=None)
+    def test_total_mass_one(self, t):
+        assert sum(rp.integrate(c, lo, hi) for lo, hi, c in rp.bspline(t)) == 1
+
+    @given(t=knots)
+    @settings(max_examples=50, deadline=None)
+    def test_mean_is_knot_average(self, t):
+        mean = sum(rp.integrate((Fraction(0),) + c, lo, hi) for lo, hi, c in rp.bspline(t))
+        assert mean == Fraction(sum(t), len(t))
+
+    @given(t=knots)
+    @settings(max_examples=50, deadline=None)
+    def test_support_is_knot_hull(self, t):
+        pieces = rp.bspline(t)
+        assert pieces[0][0] == min(t) and pieces[-1][1] == max(t)
+        assert [lo for lo, _, _ in pieces[1:]] == [hi for _, hi, _ in pieces[:-1]]
+        assert all(rp.evaluate(c, (lo + hi) / 2) > 0 for lo, hi, c in pieces)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_knot_of_multiplicity_n(self, n):
+        # M(x; 0, 1, ..., 1) = n x^(n-1) and M(x; 0, ..., 0, 1) = n (1 - x)^(n-1)
+        up = rp.bspline([0] + [1] * n)
+        down = rp.bspline([0] * n + [1])
+        assert up == [(0, 1, (0,) * (n - 1) + (n,))]
+        assert down == [(0, 1, rp.scale(rp.binomial_power(Fraction(-1), n - 1),
+                                        Fraction(n * (-1) ** (n - 1))))]
+
+    def test_single_distinct_knot_rejected(self):
+        with pytest.raises(ValueError):
+            rp.bspline([1, 1, 1])
 
 
 class TestEnergy:
