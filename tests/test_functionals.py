@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from toricding import (
     AffineFn,
+    HPolytope,
     PLConcave,
     d_na,
     d_z_na,
@@ -14,9 +15,9 @@ from toricding import (
     extremal_affine,
     inner_product,
     j_na,
+    validate_fano,
     weight_measure,
 )
-from toricding import HPolytope, validate_fano
 from toricding import io as tio
 from toricding import rationalpoly as rp
 from toricding.errors import DimensionMismatch, EmptyPolytope, InternalError
