@@ -10,7 +10,6 @@ family whose closed forms audit all of the above.
 
 from .errors import (
     COutOfRange,
-    DegreeTooHigh,
     DimensionMismatch,
     EmptyPolytope,
     InputTooLarge,
@@ -22,6 +21,7 @@ from .errors import (
     SingularGram,
     ToricDingError,
     UnboundedPolytope,
+    ZeroFacetNormal,
 )
 from .extremal import (
     ExtremalData,
@@ -46,10 +46,9 @@ from .functionals import (
 from .geometry import (
     AffineFn,
     HPolytope,
-    Quadratic,
     barycenter,
     facets_from_vertices,
-    integrate_quadratic,
+    integrate_product,
     triangulate,
     vertices,
     volume,

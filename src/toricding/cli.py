@@ -25,7 +25,7 @@ from .functionals import (
     outside_calibrated_regime,
 )
 from .lattice import gabor_inner, weight_measure
-from .normalcone import normal_cone_family, verdict, verify_family
+from .normalcone import _default_grid, normal_cone_family, verdict, verify_family
 from .twisting import TwistProblem, jna_twisted, reduce_jna
 
 
@@ -113,13 +113,12 @@ def cmd_reduce(cfg: RunConfig) -> int:
         a = tio.parse_rational_list(a_txt)
         b = tio.parse_rational_list(b_txt)
         steps = int(n_txt)
-        with open(cfg.csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "j_twisted"])
-            for i in range(steps + 1):
-                t = Fraction(i, steps)
-                rho = [x + t * (y - x) for x, y in zip(a, b)]
-                writer.writerow([float(t), float(jna_twisted(f, rho, problem))])
+        rows = []
+        for i in range(steps + 1):
+            t = Fraction(i, steps)
+            rho = [x + t * (y - x) for x, y in zip(a, b)]
+            rows.append([float(t), float(jna_twisted(f, rho, problem))])
+        _save_csv(cfg.csv_path, ["t", "j_twisted"], rows)
     return 0
 
 
@@ -130,10 +129,7 @@ def cmd_normal_cone(cfg: RunConfig) -> int:
     else:
         idx = int(cfg.vertex)
         family = normal_cone_family(P, P.vertices()[idx])
-    grid = cfg.c_grid or None
-    if grid is None:
-        cap = family.grid_cap()
-        grid = [cap * Fraction(i, 4) for i in (1, 2, 3)]
+    grid = cfg.c_grid or _default_grid(family)
     bad = [c for c in grid if not 0 < c < family.c_max]
     if bad:
         raise tio.ParseError(f"c values {bad} outside (0, {family.c_max})")
@@ -168,21 +164,13 @@ def cmd_normal_cone(cfg: RunConfig) -> int:
         },
     }
     sys.stdout.write(tio.dumps(out))
+    header = ["c", "j_na", "j_t_na", "d_na", "pairing_with_extremal", "d_z_na"]
+    table = [[float(x) for x in (r.c, r.j, r.j_t, r.d, r.pairing, r.d_z)] for r in report.rows]
     if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c", "j_na", "j_t_na", "d_na", "pairing_with_extremal", "d_z_na"])
-            for r in report.rows:
-                writer.writerow(
-                    [float(r.c), float(r.j), float(r.j_t), float(r.d),
-                     float(r.pairing), float(r.d_z)]
-                )
+        _save_csv(cfg.csv_path, header, table)
     if cfg.plot_path:
-        with open(cfg.plot_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c", "j_na", "j_t_na", "d_na", "d_z_na"])
-            for r in report.rows:
-                writer.writerow([float(r.c), float(r.j), float(r.j_t), float(r.d), float(r.d_z)])
+        # the plot data leaves out the pairing column
+        _save_csv(cfg.plot_path, header[:4] + header[5:], [row[:4] + row[5:] for row in table])
     return 0
 
 
@@ -218,17 +206,11 @@ def cmd_oracle(cfg: RunConfig) -> int:
                 "err_inner": abs(gk - exact_inner),
             }
         )
-    writer = csv.writer(sys.stdout)
     header = list(rows[0].keys())
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row["k"], row["N_k"]] + [float(row[h]) for h in header[2:]])
+    table = [[row["k"], row["N_k"]] + [float(row[h]) for h in header[2:]] for row in rows]
+    _write_csv(sys.stdout, header, table)
     if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([row["k"], row["N_k"]] + [float(row[h]) for h in header[2:]])
+        _save_csv(cfg.csv_path, header, table)
     final = rows[-1]
     ok = max(final["err_mean"], final["err_second"], final["err_inner"]) <= cfg.tol
     return 0 if ok else 2
@@ -237,15 +219,21 @@ def cmd_oracle(cfg: RunConfig) -> int:
 def _emit_density_plot(cfg: RunConfig, dh) -> None:
     if not cfg.plot_path:
         return
-    with open(cfg.plot_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "density"])
-        for lam, dens in tio.density_samples(dh):
-            writer.writerow([float(lam), float(dens)])
-        writer.writerow([])
-        writer.writerow(["atom_location", "atom_mass"])
-        for loc, mass in dh.atoms:
-            writer.writerow([float(loc), float(mass)])
+    rows = [[float(lam), float(dens)] for lam, dens in tio.density_samples(dh)]
+    rows += [[], ["atom_location", "atom_mass"]]
+    rows += [[float(loc), float(mass)] for loc, mass in dh.atoms]
+    _save_csv(cfg.plot_path, ["lambda", "density"], rows)
+
+
+def _write_csv(fh, header: list, rows: list) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _save_csv(path: str, header: list, rows: list) -> None:
+    with open(path, "w", newline="") as fh:
+        _write_csv(fh, header, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

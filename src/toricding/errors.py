@@ -13,8 +13,8 @@ class UnboundedPolytope(ToricDingError):
     """The inequality system has a nontrivial recession cone."""
 
 
-class DegreeTooHigh(ToricDingError):
-    """A polynomial of total degree > 2 was passed to the exact integrator."""
+class ZeroFacetNormal(ToricDingError):
+    """An inequality has the zero vector as its normal."""
 
 
 class NotCanonicalFano(ToricDingError):

@@ -20,11 +20,10 @@ from .geometry import (
     AffineFn,
     HPolytope,
     Point,
-    Quadratic,
     _frac,
     _solve,
     barycenter,
-    integrate_quadratic,
+    integrate_product,
     vertices,
     volume,
 )
@@ -82,18 +81,9 @@ class ExtremalData:
 @lru_cache(maxsize=None)
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx, exact."""
-    n = P.dim
     b = P.barycenter()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            q = Quadratic.product_of_affines(
-                _coordinate_affine(n, i, -b[i]), _coordinate_affine(n, j, -b[j])
-            )
-            row.append(integrate_quadratic(P.base, q))
-        rows.append(tuple(row))
-    return tuple(rows)
+    centered = [_coordinate_affine(P.dim, i, -bi) for i, bi in enumerate(b)]
+    return tuple(tuple(integrate_product(P.base, xi, xj) for xj in centered) for xi in centered)
 
 
 def _coordinate_affine(n: int, i: int, shift: Fraction) -> AffineFn:

@@ -1,12 +1,12 @@
 """Exact rational polytope kernel.
 
 Vertex enumeration, pulling triangulation, volumes, barycenters and
-exact integration of polynomials of total degree <= 2 over bounded
-rational H-polytopes.  Boundedness is checked once, when a polytope is
-built from outside (HPolytope.from_inequalities); clips and linearity
-regions of a bounded polytope are bounded and skip the check.  All
-arithmetic is over fractions.Fraction; floats never enter this module.
-Intended for desk-scale dimensions (n <= 5).
+exact integrals of an affine function or of a product of two affine
+functions over bounded rational H-polytopes.  Boundedness is checked
+once, when a polytope is built from outside (HPolytope.from_inequalities);
+linearity regions of a bounded polytope are bounded and skip the check.
+All arithmetic is over fractions.Fraction; floats never enter this
+module.  Intended for desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
-    DegreeTooHigh,
     DimensionMismatch,
     EmptyPolytope,
     InputTooLarge,
     UnboundedPolytope,
+    ZeroFacetNormal,
 )
 
 Rat = Fraction
@@ -73,7 +73,7 @@ def _primitive(normal: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ..
     """Scale <normal, x> <= rhs so the normal is a primitive integer vector."""
     fracs = [_frac(a) for a in normal]
     if all(a == 0 for a in fracs):
-        raise ValueError("zero facet normal")
+        raise ZeroFacetNormal("zero facet normal")
     denom = lcm(*(a.denominator for a in fracs))
     ints = [int(a * denom) for a in fracs]
     g = gcd(*ints)
@@ -105,10 +105,6 @@ class HPolytope:
     def strictly_contains(self, x: Sequence) -> bool:
         x = _as_point(x)
         return all(_dot(n, x) < r for n, r in self.facets)
-
-    def clip(self, normal: Sequence, rhs) -> "HPolytope":
-        """Intersect with the halfspace <normal, x> <= rhs."""
-        return _normalized(self.dim, self.facets + ((normal, rhs),))
 
 
 def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]]) -> HPolytope:
@@ -290,91 +286,18 @@ def barycenter(P: HPolytope) -> Point:
     return tuple(a / (total * (P.dim + 1)) for a in acc)
 
 
-@dataclass(frozen=True)
-class Quadratic:
-    """Polynomial of total degree <= 2: constant + linear + quadratic part.
+def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
+    """Exact integral of a(x) b(x) over P from the values at simplex vertices.
 
-    quad maps index pairs (i, j) with i <= j to the coefficient of x_i x_j.
+    Over a simplex with vertices w_0..w_n (barycentric Dirichlet moments):
+      int a b = vol * (sum_w a(w) b(w) + sum_w a(w) * sum_w b(w)) / ((n+1)(n+2))
     """
-
-    constant: Fraction
-    linear: tuple[Fraction, ...]
-    quad: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    @staticmethod
-    def from_monomials(dim: int, coeffs: dict) -> "Quadratic":
-        const = Fraction(0)
-        lin = [Fraction(0)] * dim
-        quad: dict[tuple[int, int], Fraction] = {}
-        for mono, c in coeffs.items():
-            mono = tuple(mono)
-            if len(mono) > 2:
-                raise DegreeTooHigh(f"monomial {mono} has degree {len(mono)} > 2")
-            if any(i < 0 or i >= dim for i in mono):
-                raise DimensionMismatch(f"monomial index out of range in {mono}")
-            if len(mono) == 0:
-                const += _frac(c)
-            elif len(mono) == 1:
-                lin[mono[0]] += _frac(c)
-            else:
-                key = (min(mono), max(mono))
-                quad[key] = quad.get(key, Fraction(0)) + _frac(c)
-        return Quadratic(const, tuple(lin), tuple(sorted(quad.items())))
-
-    @staticmethod
-    def product_of_affines(a: AffineFn, b: AffineFn) -> "Quadratic":
-        dim = len(a.gradient)
-        coeffs: dict[tuple, Fraction] = {(): a.constant * b.constant}
-        for i in range(dim):
-            coeffs[(i,)] = a.gradient[i] * b.constant + b.gradient[i] * a.constant
-        for i in range(dim):
-            for j in range(dim):
-                key = (min(i, j), max(i, j))
-                coeffs[key] = coeffs.get(key, Fraction(0)) + a.gradient[i] * b.gradient[j]
-        return Quadratic.from_monomials(dim, coeffs)
-
-    def __call__(self, x: Sequence) -> Fraction:
-        x = _as_point(x)
-        val = self.constant + sum(l * c for l, c in zip(self.linear, x))
-        for (i, j), c in self.quad:
-            val += c * x[i] * x[j]
-        return val
-
-
-def _simplex_integrals(simplex: Sequence[Point]):
-    """(volume, first moments, second moments) over one simplex.
-
-    Uses the closed-form Beta/multinomial integrals of barycentric
-    coordinates: for vertices w_0..w_n,
-      int x_i       = vol * (sum_a w_ai) / (n+1)
-      int x_i x_j   = vol * (sum_a w_ai w_aj + (sum_a w_ai)(sum_a w_aj))
-                      / ((n+1)(n+2))
-    """
-    n = len(simplex) - 1
-    vol = _simplex_volume(simplex)
-    sums = [sum(w[i] for w in simplex) for i in range(n)]
-    first = [vol * s / (n + 1) for s in sums]
-    second = {}
-    for i in range(n):
-        for j in range(i, n):
-            cross = sum(w[i] * w[j] for w in simplex)
-            second[(i, j)] = vol * (cross + sums[i] * sums[j]) / ((n + 1) * (n + 2))
-    return vol, first, second
-
-
-def integrate_quadratic(P: HPolytope, q: Quadratic) -> Fraction:
-    """Exact integral of a degree <= 2 polynomial over P."""
-    if len(q.linear) != P.dim:
-        raise DimensionMismatch("polynomial dimension does not match polytope")
     total = Fraction(0)
     for s in triangulate(P):
-        vol, first, second = _simplex_integrals(s)
-        val = q.constant * vol
-        val += sum(c * first[i] for i, c in enumerate(q.linear))
-        for (i, j), c in q.quad:
-            val += c * second[(i, j)]
-        total += val
-    return total
+        va = [a(w) for w in s]
+        vb = [b(w) for w in s]
+        total += _simplex_volume(s) * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
+    return total / ((P.dim + 1) * (P.dim + 2))
 
 
 def integrate_affine(P: HPolytope, a: AffineFn) -> Fraction:

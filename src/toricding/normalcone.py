@@ -18,7 +18,7 @@ from typing import Sequence
 from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
 from .extremal import FanoPolytope, extremal_affine
-from .functionals import DHMeasure, PLConcave, d_na, dh_measure, inner_product, j_na
+from .functionals import DHMeasure, PLConcave, d_na, d_z_na, dh_measure, inner_product, j_na
 from .geometry import AffineFn, Point, _eliminate, _frac, _null_vector, _primitive
 from .twisting import reduce_jna
 
@@ -208,7 +208,7 @@ def verify_family(family: NormalConeFamily, c_grid: Sequence) -> FamilyReport:
     for i in range(1, n + 4):
         ci = cap * Fraction(i, n + 3)
         fi = g_c(family, ci)
-        nodes.append((ci, d_na(fi) + inner_product(fi, ext.theta.gradient)))
+        nodes.append((ci, d_z_na(fi, ext)))
     coeffs = rp.lagrange_interpolate(nodes)
     report.expansion_nodes = nodes
     report.expansion_coeffs = coeffs
@@ -216,7 +216,7 @@ def verify_family(family: NormalConeFamily, c_grid: Sequence) -> FamilyReport:
     report.leading_expected = (1 - ext.vartheta) / ((n + 1) * Ln)
     c_h = cap * Fraction(2 * (n + 3) - 1, 2 * (n + 3))
     fh = g_c(family, c_h)
-    dz_h = d_na(fh) + inner_product(fh, ext.theta.gradient)
+    dz_h = d_z_na(fh, ext)
     report.held_out = (c_h, dz_h, rp.evaluate(coeffs, c_h))
     if rp.evaluate(coeffs, c_h) != dz_h:
         failures.append(("expansion held-out value", rp.evaluate(coeffs, c_h), dz_h))
@@ -266,14 +266,14 @@ def verdict(P: FanoPolytope, c_grid: Sequence | None = None) -> StabilityReport:
         c0 = grid[0]
         f0 = g_c(family, c0)
         rho_star, j_t = reduce_jna(f0)
-        dz0 = d_na(f0) + inner_product(f0, ext.theta.gradient)
+        dz0 = d_z_na(f0, ext)
         report.ratio_c = c0
         report.ratio_value = dz0 / j_t
     if vt > 1:
         witness = None
         for c in grid:
             f = g_c(family, c)
-            dz = d_na(f) + inner_product(f, ext.theta.gradient)
+            dz = d_z_na(f, ext)
             if dz < 0:
                 witness = (c, dz)
                 break
@@ -282,7 +282,7 @@ def verdict(P: FanoPolytope, c_grid: Sequence | None = None) -> StabilityReport:
             for _ in range(60):
                 c = c / 2
                 f = g_c(family, c)
-                dz = d_na(f) + inner_product(f, ext.theta.gradient)
+                dz = d_z_na(f, ext)
                 if dz < 0:
                     witness = (c, dz)
                     break

@@ -7,9 +7,28 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from toricding import AffineFn, HPolytope, PLConcave, validate_fano
+from toricding import io as tio
+from toricding.geometry import _normalized
 
 REPO = Path(__file__).resolve().parent.parent
 POLYTOPE_DIR = REPO / "polytopes"
+
+# the bundled polytopes and the dim 3-4 ones kept with the golden outputs
+CORPUS_FILES = {
+    **{name: POLYTOPE_DIR / f"{name}.json"
+       for name in ("p1", "p2", "bl1p2", "p1xp1", "stretched")},
+    **{name: REPO / "tests" / "golden" / f"{name}.json"
+       for name in ("p3", "blp3", "p1x3", "p4", "p1x4")},
+}
+
+
+def load_corpus(name):
+    return validate_fano(tio.load_polytope(str(CORPUS_FILES[name])))
+
+
+def clip(P, normal, rhs):
+    """Intersect P with the halfspace <normal, x> <= rhs."""
+    return _normalized(P.dim, P.facets + ((normal, rhs),))
 
 
 def make_p1():

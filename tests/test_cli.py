@@ -122,6 +122,15 @@ class TestAnalyze:
         assert code == 1
         assert err == "error: vertex enumeration supports dim <= 5\n"
 
+    def test_zero_normal_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "zero.json"
+        bad.write_text('{"dim": 1, "facets": [{"normal": [0], "rhs": 1}, '
+                       '{"normal": [1], "rhs": 1}, {"normal": [-1], "rhs": 1}]}')
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == "error: zero facet normal\n"
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
         _, out2, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
@@ -275,6 +284,14 @@ class TestOracle:
         first = rows[1].split(",")
         assert first[0] == "2" and first[1] == "5"
         assert float(first[2]) == -0.3
+
+    def test_csv_file_equals_stdout(self, capsys, tc_step, tmp_path):
+        table = tmp_path / "oracle.csv"
+        code, out, _ = run(capsys, "oracle", str(POLYTOPE_DIR / "p1.json"), tc_step,
+                           "--k-ladder", "2,4", "--csv", str(table))
+        assert code == 0
+        with open(table, newline="") as fh:
+            assert fh.read() == out
 
     def test_tolerance_failure_exit_2(self, capsys, tc_step):
         code, _, _ = run(

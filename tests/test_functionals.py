@@ -26,6 +26,7 @@ from toricding.geometry import volume
 
 from conftest import (
     REPO,
+    clip,
     make_bl1p2,
     make_p1,
     make_p1xp1,
@@ -147,7 +148,7 @@ def assert_upper_mass_matches_sections(f):
                     direct += volume(R)
                 continue
             try:
-                direct += volume(R.clip([-g for g in a.gradient], a.constant - lam))
+                direct += volume(clip(R, [-g for g in a.gradient], a.constant - lam))
             except EmptyPolytope:
                 pass
         assert m.upper_mass(lam) == direct / vol, lam

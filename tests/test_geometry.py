@@ -1,28 +1,31 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricding import (
+    AffineFn,
     EmptyPolytope,
     HPolytope,
-    Quadratic,
+    PLConcave,
     UnboundedPolytope,
+    ZeroFacetNormal,
     barycenter,
+    dh_measure,
     facets_from_vertices,
-    integrate_quadratic,
+    integrate_product,
     region_subdivision,
     triangulate,
     vertices,
     volume,
 )
-from toricding.errors import DegreeTooHigh, InputTooLarge
+from toricding.errors import InputTooLarge
 from toricding.geometry import _simplex_volume
 
-from conftest import pl
+from conftest import CORPUS_FILES, clip, load_corpus, pl
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -68,6 +71,10 @@ class TestVertices:
     def test_empty(self):
         with pytest.raises(EmptyPolytope):
             vertices(hp(1, (1, -1), (-1, -1)))
+
+    def test_zero_normal(self):
+        with pytest.raises(ZeroFacetNormal, match="zero facet normal"):
+            hp(2, (0, 0, 1), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))
 
     def test_dim_6_too_large(self):
         with pytest.raises(InputTooLarge, match="vertex enumeration supports dim <= 5"):
@@ -161,20 +168,20 @@ class TestPullingTriangulation:
         ((1, 1, 0), Fraction(1, 2), Fraction(23, 4)),
     ])
     def test_cube_clip(self, normal, rhs, vol):
-        P = cube(3).clip(normal, rhs)
+        P = clip(cube(3), normal, rhs)
         self.assert_valid(P)
         assert volume(P) == vol
 
     def test_redundant_row_tight_at_a_2_face(self):
         # x1 + x2 <= 2 touches the 4-cube in a square: a row that defines
         # no facet yet holds as many vertices as a facet of P needs
-        P = cube(4).clip((1, 1, 0, 0), 2)
+        P = clip(cube(4), (1, 1, 0, 0), 2)
         assert ((1, 1, 0, 0), 2) in P.facets
         self.assert_valid(P)
         assert volume(P) == 16
 
     def test_clip_to_a_face_is_empty(self):
-        P = cube(3).clip((1, 0, 0), -1)
+        P = clip(cube(3), (1, 0, 0), -1)
         assert len(vertices(P)) == 4
         assert triangulate(P) == ()
         assert volume(P) == 0
@@ -204,27 +211,30 @@ class TestBarycenter:
         assert b == (Fraction(-1, 12), Fraction(-1, 12))
 
 
-class TestIntegrateQuadratic:
+def coordinate(dim, i):
+    """The affine function x -> x_i."""
+    return AffineFn.make([int(t == i) for t in range(dim)])
+
+
+def affines(dim):
+    return st.builds(lambda g, c: AffineFn.make(g, c),
+                     st.lists(rational, min_size=dim, max_size=dim), rational)
+
+
+class TestIntegrateProduct:
     def test_square_of_x(self):
         P = hp(1, (1, 1), (-1, 1))
-        q = Quadratic.from_monomials(1, {(0, 0): 1})
-        assert integrate_quadratic(P, q) == Fraction(2, 3)
+        assert integrate_product(P, coordinate(1, 0), coordinate(1, 0)) == Fraction(2, 3)
 
     def test_odd_vanishes(self):
         P = hp(1, (1, 1), (-1, 1))
-        q = Quadratic.from_monomials(1, {(0,): 1})
-        assert integrate_quadratic(P, q) == 0
-
-    def test_degree_too_high(self):
-        with pytest.raises(DegreeTooHigh):
-            Quadratic.from_monomials(1, {(0, 0, 0): 1})
+        assert integrate_product(P, coordinate(1, 0), AffineFn.const(1, 1)) == 0
 
     def test_p2_xy_monte_carlo(self):
         # independent oracle: uniform sampling of the triangle, 10^6 points
         numpy = pytest.importorskip("numpy")
         P = hp(2, (-1, 0, 1), (0, -1, 1), (1, 1, 1))
-        q = Quadratic.from_monomials(2, {(0, 1): 1})
-        exact_mean = integrate_quadratic(P, q) / volume(P)
+        exact_mean = integrate_product(P, coordinate(2, 0), coordinate(2, 1)) / volume(P)
         rng = numpy.random.default_rng(20240817)
         N = 10**6
         A, B, C = numpy.array([-1.0, -1.0]), numpy.array([2.0, -1.0]), numpy.array([-1.0, 2.0])
@@ -236,30 +246,47 @@ class TestIntegrateQuadratic:
         sigma = samples.std(ddof=1) / N**0.5
         assert abs(float(exact_mean) - mc_mean) < 3 * sigma
 
-    @given(
-        a=st.tuples(rational, rational, rational),
-        b=st.tuples(rational, rational, rational),
-        s=rational,
-        t=rational,
-    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_box_moments(self, n):
+        # int over [-1,1]^n of x_i x_j: 2^n/3 on the diagonal, 0 off it
+        P = cube(n)
+        for i, j in itertools.product(range(n), repeat=2):
+            expected = Fraction(2**n, 3) if i == j else 0
+            assert integrate_product(P, coordinate(n, i), coordinate(n, j)) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_standard_simplex_moments(self, n):
+        # int over {x >= 0, sum x <= 1} of x^alpha = alpha! / (n + |alpha|)!
+        P = hp(n, *[tuple(-int(t == i) for t in range(n)) + (0,) for i in range(n)],
+               (1,) * n + (1,))
+        one = AffineFn.const(1, n)
+        assert integrate_product(P, one, one) == Fraction(1, factorial(n))
+        for i in range(n):
+            assert integrate_product(P, coordinate(n, i), one) == Fraction(1, factorial(n + 1))
+        for i, j in itertools.product(range(n), repeat=2):
+            alpha = [int(t == i) + int(t == j) for t in range(n)]
+            expected = Fraction(prod(factorial(a) for a in alpha), factorial(n + 2))
+            assert integrate_product(P, coordinate(n, i), coordinate(n, j)) == expected
+
+    @given(a=affines(2), b=affines(2), c=affines(2), s=rational, t=rational)
     @settings(max_examples=40, deadline=None)
-    def test_linearity(self, a, b, s, t):
-        P = hp(2, (-1, 0, 1), (0, -1, 1), (1, 1, 1))
-        qa = Quadratic.from_monomials(2, {(): a[0], (0,): a[1], (0, 1): a[2]})
-        qb = Quadratic.from_monomials(2, {(): b[0], (1,): b[1], (1, 1): b[2]})
-        combo = Quadratic.from_monomials(
-            2,
-            {
-                (): s * a[0] + t * b[0],
-                (0,): s * a[1],
-                (1,): t * b[1],
-                (0, 1): s * a[2],
-                (1, 1): t * b[2],
-            },
-        )
-        lhs = integrate_quadratic(P, combo)
-        rhs = s * integrate_quadratic(P, qa) + t * integrate_quadratic(P, qb)
-        assert lhs == rhs
+    def test_bilinear_and_symmetric(self, a, b, c, s, t):
+        P = hp(2, (1, 0, 1), (0, 1, 1), (-1, -1, 1), (1, 1, 1))
+        combo = AffineFn(tuple(s * x + t * y for x, y in zip(a.gradient, b.gradient)),
+                         s * a.constant + t * b.constant)
+        lhs = integrate_product(P, combo, c)
+        assert lhs == s * integrate_product(P, a, c) + t * integrate_product(P, b, c)
+        assert integrate_product(P, a, c) == integrate_product(P, c, a)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_dh_second_moment(self, name, data):
+        # independent route: the B-spline pushforward of Lebesgue measure under a
+        P = load_corpus(name).base
+        a = data.draw(affines(P.dim))
+        second = dh_measure(PLConcave((a,), P)).second_moment()
+        assert integrate_product(P, a, a) / volume(P) == second
 
 
 class TestRegionSubdivision:

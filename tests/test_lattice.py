@@ -15,28 +15,14 @@ from toricding import (
     inner_product,
     jump_weights,
     lattice_points,
-    validate_fano,
     vertices,
     vol_distribution,
     weight_measure,
 )
-from toricding import io as tio
 from toricding import lattice
 from toricding.errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 
-from conftest import POLYTOPE_DIR, REPO, pl
-
-# the bundled polytopes and the dim 3-4 ones kept with the golden outputs
-CORPUS_FILES = {
-    **{name: POLYTOPE_DIR / f"{name}.json"
-       for name in ("p1", "p2", "bl1p2", "p1xp1", "stretched")},
-    **{name: REPO / "tests" / "golden" / f"{name}.json"
-       for name in ("p3", "blp3", "p1x3", "p4", "p1x4")},
-}
-
-
-def corpus(name):
-    return validate_fano(tio.load_polytope(str(CORPUS_FILES[name])))
+from conftest import CORPUS_FILES, load_corpus as corpus, pl
 
 
 def box_scan(P, k):
