@@ -9,7 +9,6 @@ a one-line summary per polytope.
 import argparse
 import csv
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -28,6 +27,7 @@ from toricding import (
     weight_measure,
 )
 from toricding import io as tio
+from toricding.normalcone import _default_grid
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = ["p1", "p2", "bl1p2", "p1xp1", "stretched"]
@@ -56,9 +56,7 @@ def analyze_one(name: str, out_dir: Path, k_ladder):
 
     try:
         family = normal_cone_family(fano)
-        cap = family.grid_cap()
-        grid = [cap * Fraction(i, 4) for i in (1, 2, 3)]
-        fam_report = verify_family(family, grid)
+        fam_report = verify_family(family, _default_grid(family))
         summary["normal_cone"] = {
             "vertex": tio.vector_to_strings(fam_report.vertex),
             "c_max": tio.format_rational(fam_report.c_max),

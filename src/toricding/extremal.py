@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotCanonicalFano, OriginNotInterior, SingularGram
 from .geometry import (
+    CACHE_SIZE,
     AffineFn,
     HPolytope,
     Point,
@@ -63,8 +64,6 @@ def validate_fano(P: HPolytope) -> FanoPolytope:
     for normal, rhs in P.facets:
         if rhs != 1:
             raise NotCanonicalFano(f"facet {normal} has rhs {rhs} != 1")
-    # reject unbounded/empty input up front
-    vertices(P)
     if volume(P) == 0:
         raise NotCanonicalFano("polytope is not full-dimensional")
     return FanoPolytope(P)
@@ -78,7 +77,7 @@ class ExtremalData:
     vartheta: Fraction
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx, exact."""
     b = P.barycenter()
@@ -92,7 +91,7 @@ def _coordinate_affine(n: int, i: int, shift: Fraction) -> AffineFn:
     return AffineFn(tuple(grad), shift)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def extremal_affine(P: FanoPolytope) -> ExtremalData:
     """Solve cov . g = vol(P) . b; theta(x) = <g, x - b>; vartheta = max theta."""
     cov = covariance(P)

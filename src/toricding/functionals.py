@@ -25,12 +25,11 @@ from .geometry import (
     HPolytope,
     Point,
     _frac,
-    _simplex_volume,
+    _record,
     barycenter,
     integrate_affine,
     integrate_product,
     region_subdivision as _region_subdivision,
-    triangulate,
     vertices,
     volume,
 )
@@ -193,8 +192,8 @@ def dh_measure(f: PLConcave) -> DHMeasure:
             continue
         cuts = sorted({a(v) for v in vertices(R)})
         density: dict[int, rp.Poly] = {}
-        for s in triangulate(R):
-            weight = _simplex_volume(s) / vol
+        for s, vol_s in _record(R).simplices:
+            weight = vol_s / vol
             for lo, hi, coeffs in rp.bspline([a(w) for w in s]):
                 coeffs = rp.scale(coeffs, weight)
                 for j in range(bisect_left(cuts, lo), bisect_left(cuts, hi)):

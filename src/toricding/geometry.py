@@ -5,6 +5,9 @@ exact integrals of an affine function or of a product of two affine
 functions over bounded rational H-polytopes.  Boundedness is checked
 once, when a polytope is built from outside (HPolytope.from_inequalities);
 linearity regions of a bounded polytope are bounded and skip the check.
+Each polytope has one record, computed once: its vertices with their
+tight facets, and its simplices with their volumes.  A linearity region
+clips its vertices from its parent's (the double-description step).
 All arithmetic is over fractions.Fraction; floats never enter this
 module.  Intended for desk-scale dimensions (n <= 5).
 """
@@ -12,11 +15,11 @@ module.  Intended for desk-scale dimensions (n <= 5).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -28,6 +31,10 @@ from .errors import (
 
 Rat = Fraction
 Point = tuple[Fraction, ...]
+
+# entries per kernel cache: more polytopes than one pass of any bundled
+# workload touches, few enough to bound a long-lived process
+CACHE_SIZE = 1024
 
 
 def _frac(x) -> Fraction:
@@ -85,11 +92,13 @@ class HPolytope:
     """Bounded rational polytope {x : <normal_i, x> <= rhs_i}.
 
     Facet normals are primitive integer vectors; facets are sorted and
-    deduplicated, so equal polytope descriptions compare equal.
+    deduplicated, so equal polytope descriptions compare equal.  A linearity
+    region's parent, the polytope it was cut from, takes no part in equality.
     """
 
     dim: int
     facets: tuple[tuple[tuple[int, ...], Fraction], ...]
+    parent: "HPolytope | None" = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_inequalities(dim: int, rows: Iterable[tuple[Sequence, object]]) -> "HPolytope":
@@ -107,7 +116,8 @@ class HPolytope:
         return all(_dot(n, x) < r for n, r in self.facets)
 
 
-def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]]) -> HPolytope:
+def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]],
+                parent: HPolytope | None = None) -> HPolytope:
     """Primitive normals with the tightest rhs each; boundedness unchecked."""
     tight: dict[tuple[int, ...], Fraction] = {}
     for normal, rhs in rows:
@@ -115,7 +125,7 @@ def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]]) -> HPolytope:
             raise DimensionMismatch("facet normal has wrong length")
         n, r = _primitive(normal, rhs)
         tight[n] = min(tight[n], r) if n in tight else r
-    return HPolytope(dim, tuple(sorted(tight.items())))
+    return HPolytope(dim, tuple(sorted(tight.items())), parent)
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -202,25 +212,89 @@ def _assert_bounded(P: HPolytope) -> None:
                 raise UnboundedPolytope(f"recession direction {tuple(cand)}")
 
 
-@lru_cache(maxsize=None)
-def vertices(P: HPolytope) -> tuple[Point, ...]:
-    """All points where >= dim facets are tight and every facet holds.
+class _Record(NamedTuple):
+    """What the kernel knows of one polytope; vertices are () when it is empty."""
 
-    Exhaustive dim-subset intersection with a feasibility filter;
-    deduplicated, sorted lexicographically.  P is bounded by
-    construction, so no recession check is made here.
-    """
+    vertices: tuple[Point, ...]  # sorted lexicographically
+    tight: tuple[frozenset[int], ...]  # per vertex, indices of the facets tight there
+    simplices: tuple[tuple[tuple[Point, ...], Fraction], ...]  # (simplex, its volume)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _record(P: HPolytope) -> _Record:
+    verts, tight = _enumerate(P) if P.parent is None else _clip(P)
+    simplices = _pulling(P, verts, tight)
+    return _Record(verts, tight, tuple((s, _simplex_volume(s)) for s in simplices))
+
+
+def _nonempty(P: HPolytope) -> _Record:
+    rec = _record(P)
+    if not rec.vertices:
+        raise EmptyPolytope("no feasible vertex")
+    return rec
+
+
+def _enumerate(P: HPolytope) -> tuple[tuple[Point, ...], tuple[frozenset[int], ...]]:
+    """Exhaustive dim-subset intersection with a feasibility filter."""
     if P.dim > 5:
         raise InputTooLarge("vertex enumeration supports dim <= 5")
     found: set[Point] = set()
-    rows = [([Fraction(a) for a in n], r) for n, r in P.facets]
-    for subset in itertools.combinations(rows, P.dim):
+    for subset in itertools.combinations(P.facets, P.dim):
         x = _solve([n for n, _ in subset], [r for _, r in subset])
-        if x is not None and all(_dot(n, x) <= r for n, r in rows):
+        if x is not None and all(_dot(n, x) <= r for n, r in P.facets):
             found.add(tuple(x))
-    if not found:
-        raise EmptyPolytope("no feasible vertex")
-    return tuple(sorted(found))
+    verts = tuple(sorted(found))
+    return verts, tuple(frozenset(i for i, (n, r) in enumerate(P.facets) if _dot(n, v) == r)
+                        for v in verts)
+
+
+def _clip(R: HPolytope) -> tuple[tuple[Point, ...], tuple[frozenset[int], ...]]:
+    """Vertices of R with their tight sets over R.facets, from its parent P.
+
+    P's vertices are cut by one row of R at a time: a row keeps the
+    vertices on its side and adds the point where it crosses each edge.
+    Two vertices span an edge iff no other vertex is tight at every
+    constraint both are.  The constraints are P's facets (i) and the rows
+    already cut by (len(P.facets) + i); no tight set names a later row.
+    """
+    P = R.parent
+    m = len(P.facets)
+    of_P = {row: i for i, row in enumerate(P.facets)}
+    verts, tight = list(_record(P).vertices), list(_record(P).tight)
+    for i, (normal, rhs) in enumerate(R.facets, start=m):
+        if (normal, rhs) in of_P:  # every point so far holds it; tight where the facet is
+            tight = [T | {i} if of_P[normal, rhs] in T else T for T in tight]
+            continue
+        slack = [sum(a * x for a, x in zip(normal, v)) - rhs for v in verts]
+        cut = [(v, T | {i} if s == 0 else T) for v, T, s in zip(verts, tight, slack) if s <= 0]
+        for u, su in enumerate(slack):
+            if su >= 0:
+                continue
+            for w, sw in enumerate(slack):
+                if sw <= 0:
+                    continue
+                Z = tight[u] & tight[w]
+                if len(Z) >= R.dim - 1 and not any(
+                        Z <= T for k, T in enumerate(tight) if k != u and k != w):
+                    t = su / (su - sw)
+                    cut.append((tuple(x + t * (y - x) for x, y in zip(verts[u], verts[w])),
+                                Z | {i}))
+        if not cut:
+            return (), ()
+        verts, tight = [v for v, _ in cut], [T for _, T in cut]
+    verts, tight = zip(*sorted(zip(verts, tight)))
+    return verts, tuple(frozenset(j - m for j in T if j >= m) for T in tight)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def vertices(P: HPolytope) -> tuple[Point, ...]:
+    """All points where >= dim facets are tight and every facet holds.
+
+    Clipped from the parent's vertices for a linearity region (P.parent
+    set), else exhaustive dim-subset intersection with a feasibility
+    filter.  Sorted lexicographically; raises EmptyPolytope when empty.
+    """
+    return _nonempty(P).vertices
 
 
 def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
@@ -230,21 +304,19 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
     return abs(det) / factorial(n)
 
 
-@lru_cache(maxsize=None)
-def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
+def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int]]):
     """Pulling triangulation over the vertex-facet incidence of P.
 
     A face is the tuple of its vertices.  The facets of a k-face are its
     vertex subsets tight at one more facet of P whose affine rank is
     k - 1.  The lexicographically-first vertex of the face is coned over
     the triangulations of the facets that miss it.  Every simplex is
-    full-dimensional; a lower-dimensional P yields the empty
+    full-dimensional; an empty or lower-dimensional P yields the empty
     triangulation.
     """
-    verts = vertices(P)
-    if _affine_rank(verts) < P.dim:
+    if not verts or _affine_rank(verts) < P.dim:
         return ()
-    tight = [frozenset(i for i, v in enumerate(verts) if _dot(n, v) == r) for n, r in P.facets]
+    on = [frozenset(k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
 
     def pull(face: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         if k == 0:
@@ -252,7 +324,7 @@ def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
         apex = face[0]
         seen: set[tuple[int, ...]] = set()
         simplices = []
-        for on_facet in tight:
+        for on_facet in on:
             if apex in on_facet:
                 continue
             sub = tuple(i for i in face if i in on_facet)
@@ -263,27 +335,30 @@ def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
                 simplices.extend((apex,) + s for s in pull(sub, k - 1))
         return simplices
 
-    return tuple(tuple(verts[i] for i in s) for s in pull(tuple(range(len(verts))), P.dim))
+    return [tuple(verts[i] for i in s) for s in pull(tuple(range(len(verts))), P.dim)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
+def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
+    """The pulling triangulation of P (see _pulling)."""
+    return tuple(s for s, _ in _nonempty(P).simplices)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def volume(P: HPolytope) -> Fraction:
     """Exact Lebesgue volume; 0 for lower-dimensional polytopes."""
-    return sum((_simplex_volume(s) for s in triangulate(P)), Fraction(0))
+    return sum((vol for _, vol in _nonempty(P).simplices), Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def barycenter(P: HPolytope) -> Point:
     """Exact centroid: volume-weighted average of simplex centroids."""
     total = volume(P)
     if total == 0:
         raise EmptyPolytope("barycenter of a degenerate polytope")
-    acc = [Fraction(0)] * P.dim
-    for s in triangulate(P):
-        vol = _simplex_volume(s)
-        for t in range(P.dim):
-            acc[t] += vol * sum(v[t] for v in s)
-    return tuple(a / (total * (P.dim + 1)) for a in acc)
+    simplices = _record(P).simplices
+    return tuple(sum(vol * sum(v[t] for v in s) for s, vol in simplices) / (total * (P.dim + 1))
+                 for t in range(P.dim))
 
 
 def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
@@ -293,10 +368,10 @@ def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
       int a b = vol * (sum_w a(w) b(w) + sum_w a(w) * sum_w b(w)) / ((n+1)(n+2))
     """
     total = Fraction(0)
-    for s in triangulate(P):
+    for s, vol in _nonempty(P).simplices:
         va = [a(w) for w in s]
         vb = [b(w) for w in s]
-        total += _simplex_volume(s) * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
+        total += vol * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
     return total / ((P.dim + 1) * (P.dim + 2))
 
 
@@ -317,7 +392,7 @@ def region_subdivision(P: HPolytope, affines: Sequence[AffineFn]):
     return list(_region_subdivision_cached(P, tuple(affines)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
     if not affines:
         raise ValueError("need at least one affine piece")
@@ -327,30 +402,23 @@ def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
             raise DimensionMismatch("affine dimension does not match polytope")
         if a not in uniq:
             uniq.append(a)
-    out = []
-    for j, aj in enumerate(uniq):
-        rows = list(P.facets)
-        dominated = False
-        for i, ai in enumerate(uniq):
-            if i == j:
-                continue
-            # a_j <= a_i  <=>  <g_j - g_i, x> <= c_i - c_j
-            diff = [gj - gi for gj, gi in zip(aj.gradient, ai.gradient)]
-            if all(d == 0 for d in diff):
-                if aj.constant > ai.constant:  # parallel and strictly above
-                    dominated = True
-                    break
-                continue
-            rows.append((diff, ai.constant - aj.constant))
-        if dominated:
+    regions = ((_region(P, a, uniq), a) for a in uniq)
+    return tuple((R, a) for R, a in regions if R is not None and _record(R).simplices)
+
+
+def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytope | None:
+    """P cut by a_j <= a_i for every affine a_i, with parent P; None when
+    a parallel affine lies strictly below a_j."""
+    rows = []
+    for ai in affines:
+        # a_j <= a_i  <=>  <g_j - g_i, x> <= c_i - c_j
+        diff = [gj - gi for gj, gi in zip(aj.gradient, ai.gradient)]
+        if all(d == 0 for d in diff):
+            if aj.constant > ai.constant:
+                return None
             continue
-        R = _normalized(P.dim, rows)
-        try:
-            if volume(R) > 0:
-                out.append((R, aj))
-        except EmptyPolytope:
-            continue
-    return tuple(out)
+        rows.append((diff, ai.constant - aj.constant))
+    return _normalized(P.dim, P.facets + tuple(rows), P)
 
 
 def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
