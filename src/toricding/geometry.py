@@ -305,15 +305,7 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
 
 
 def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int]]):
-    """Pulling triangulation over the vertex-facet incidence of P.
-
-    A face is the tuple of its vertices.  The facets of a k-face are its
-    vertex subsets tight at one more facet of P whose affine rank is
-    k - 1.  The lexicographically-first vertex of the face is coned over
-    the triangulations of the facets that miss it.  Every simplex is
-    full-dimensional; an empty or lower-dimensional P yields the empty
-    triangulation.
-    """
+    """The simplices of triangulate(P) from P's vertices and their tight sets."""
     if not verts or _affine_rank(verts) < P.dim:
         return ()
     on = [frozenset(k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
@@ -340,7 +332,15 @@ def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int
 
 @lru_cache(maxsize=CACHE_SIZE)
 def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
-    """The pulling triangulation of P (see _pulling)."""
+    """Pulling triangulation over the vertex-facet incidence of P.
+
+    A face is the tuple of its vertices.  The facets of a k-face are its
+    vertex subsets tight at one more facet of P whose affine rank is
+    k - 1.  The lexicographically-first vertex of the face is coned over
+    the triangulations of the facets that miss it.  Every simplex is
+    full-dimensional; a lower-dimensional P yields the empty
+    triangulation.
+    """
     return tuple(s for s, _ in _nonempty(P).simplices)
 
 
