@@ -11,7 +11,7 @@ seed, side, pair and order, so several invocations build one file;
 pairs are numbered on from the last one of the same workload and seed.
 With --trace 1 the result lines hold the per-layer metrics.  At the end
 the "summary" of --out is recomputed from all untraced runs: per
-workload, seed and metric, the quartiles of each side and the number of
+workload, seed and end-to-end metric of BENCHMARK.json, the quartiles of each side and the number of
 pairs the change wins.
 """
 
@@ -22,9 +22,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-BETTER = {"tasks_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
-
-
 def run_once(checkout: Path, args) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
@@ -32,11 +29,11 @@ def run_once(checkout: Path, args) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: list[dict]) -> list[dict]:
+def summarize(runs: list[dict], better_of: dict[str, str]) -> list[dict]:
     out = []
     for key in sorted({(r["workload"], r["seed"]) for r in runs if not r["trace"]}):
         group = [r for r in runs if (r["workload"], r["seed"]) == key and not r["trace"]]
-        for metric, better in BETTER.items():
+        for metric, better in better_of.items():
             value = {(r["side"], r["pair"]): r["result"]["metrics"][metric]["value"] for r in group}
             sides = {side: sorted(v for (s, _), v in value.items() if s == side)
                      for side in ("parent", "change")}
@@ -85,7 +82,8 @@ def main() -> None:
                                 "pair": pair, "order": order, "trace": args.trace,
                                 "seconds": args.seconds, "result": result})
             args.out.write_text(dump(doc))
-    doc["summary"] = summarize(doc["runs"])
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    doc["summary"] = summarize(doc["runs"], {m["name"]: m["better"] for m in spec["end_to_end"]})
     args.out.write_text(dump(doc))
 
 
