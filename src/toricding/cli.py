@@ -36,7 +36,6 @@ class RunConfig:
     tc_path: str | None = None
     k_ladder: list[int] = field(default_factory=list)
     c_grid: list[Fraction] = field(default_factory=list)
-    output: str = "json"
     digits: int = 12
     tol: Fraction = Fraction(1, 16)
     rho: list[Fraction] | None = None

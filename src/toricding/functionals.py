@@ -75,7 +75,8 @@ class PLConcave:
         return tuple(sorted(vs))
 
     def max_value(self) -> Fraction:
-        return max(self(v) for v in self.subdivision_vertices())
+        # on each region f is that region's affine
+        return max(a(v) for R, a in self.regions() for v in vertices(R))
 
     def min_value(self) -> Fraction:
         return min(self(v) for v in vertices(self.domain))

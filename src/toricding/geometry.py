@@ -2,19 +2,20 @@
 
 Vertex enumeration, pulling triangulation, volumes, barycenters and
 exact integrals of an affine function or of a product of two affine
-functions over bounded rational H-polytopes.  Boundedness is checked
-once, when a polytope is built from outside (HPolytope.from_inequalities);
-linearity regions of a bounded polytope are bounded and skip the check.
-Each polytope has one record, computed once: its vertices with their
-tight facets, and its simplices with their volumes.  A linearity region
-clips its vertices from its parent's (the double-description step).
-All arithmetic is over fractions.Fraction; floats never enter this
+functions over bounded rational H-polytopes, and convex hulls.  Every
+vertex set, boundedness check and hull is one double-description
+computation (Motzkin et al. 1953, Fukuda-Prodon 1996): the extreme rays
+of a cone {y : <h, y> <= 0}, cut by one row at a time.  Each polytope
+has one record, computed once: its vertices with their tight facets,
+and its simplices with their volumes.  Building a polytope from outside
+(HPolytope.from_inequalities) computes the record, which checks
+boundedness; a linearity region cuts its parent's vertices and needs no
+check.  All arithmetic is over fractions.Fraction; floats never enter this
 module.  Intended for desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -102,9 +103,10 @@ class HPolytope:
 
     @staticmethod
     def from_inequalities(dim: int, rows: Iterable[tuple[Sequence, object]]) -> "HPolytope":
-        """Normalize the rows; raises UnboundedPolytope for an unbounded system."""
+        """Normalize the rows and compute the record; raises UnboundedPolytope
+        for an unbounded system and InputTooLarge above dim 5."""
         P = _normalized(dim, rows)
-        _assert_bounded(P)
+        _record(P)
         return P
 
     def contains(self, x: Sequence) -> bool:
@@ -169,47 +171,10 @@ def _solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     return None if det == 0 else [row[-1] for row in m]
 
 
-def _null_vector(rows: Sequence[Sequence]) -> list[Fraction] | None:
-    """A nonzero vector orthogonal to all rows, or None when rank is full."""
-    n = len(rows[0])
-    m, pivots, _ = _eliminate(rows)
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        return None
-    d = [Fraction(0)] * n
-    d[free] = Fraction(1)
-    for row, col in zip(m, pivots):
-        d[col] = -row[free]
-    return d
-
-
 def _affine_rank(points: Sequence[Point]) -> int:
     """Dimension of the affine hull of a nonempty point set."""
     base = points[0]
     return len(_eliminate([[p[t] - base[t] for t in range(len(base))] for p in points[1:]])[1])
-
-
-def _assert_bounded(P: HPolytope) -> None:
-    """Raise UnboundedPolytope when the recession cone is nontrivial.
-
-    The cone {d : Ld <= 0} is nontrivial iff L has rank < n (lineality)
-    or some (n-1)-subset of normals carries an extreme ray.
-    """
-    normals = [n for n, _ in P.facets]
-    if not normals or len(_eliminate(normals)[1]) < P.dim:
-        raise UnboundedPolytope("facet normals do not span the ambient space")
-    if P.dim == 1:
-        # rank 1 in 1-d: need both a <= and a >= constraint
-        if not any(n[0] > 0 for n in normals) or not any(n[0] < 0 for n in normals):
-            raise UnboundedPolytope("interval missing a bound")
-        return
-    for subset in itertools.combinations(normals, P.dim - 1):
-        d = _null_vector(subset)
-        if d is None:
-            continue
-        for cand in (d, [-v for v in d]):
-            if all(_dot(n, cand) <= 0 for n in normals):
-                raise UnboundedPolytope(f"recession direction {tuple(cand)}")
 
 
 class _Record(NamedTuple):
@@ -220,9 +185,88 @@ class _Record(NamedTuple):
     simplices: tuple[tuple[tuple[Point, ...], Fraction], ...]  # (simplex, its volume)
 
 
+def _scaled(y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The ray y = (x, t) scaled so that |t| = 1, or as it is when t = 0."""
+    return tuple(c / abs(y[-1]) for c in y) if y[-1] else tuple(y)
+
+
+def _cut(rays: list, tight: list, rows: Iterable[tuple[int, Sequence]]) -> tuple[list, list]:
+    """Cut the cone spanned by rays with <h, y> <= 0 for each (i, h) of rows.
+
+    tight[k] holds the indices of the rows already cut by that are tight
+    at rays[k].  A row keeps the rays on its side, adding i to the tight
+    sets of those on it, and adds the ray where it crosses each edge of
+    the cone.  Two rays span an edge iff no other ray is tight at every
+    row both are (the double-description step).
+    """
+    for i, h in rows:
+        slack = [sum(a * c for a, c in zip(h, y)) for y in rays]
+        out = [w for w, s in enumerate(slack) if s > 0]
+        cut = [(y, T | {i} if s == 0 else T) for y, T, s in zip(rays, tight, slack) if s <= 0]
+        for u, su in enumerate(slack if out else ()):
+            if su >= 0:
+                continue
+            for w in out:
+                Z = tight[u] & tight[w]
+                if len(Z) >= len(h) - 2 and not any(
+                        Z <= T for k, T in enumerate(tight) if k != u and k != w):
+                    sw = slack[w]
+                    cut.append((_scaled([sw * a - su * b for a, b in zip(rays[u], rays[w])]),
+                                Z | {i}))
+        rays, tight = [y for y, _ in cut], [T for _, T in cut]
+    return rays, tight
+
+
+def _extreme_rays(rows: Sequence[Sequence]) -> tuple[list, list] | None:
+    """Extreme rays of {y : <h, y> <= 0 for h in rows}, with tight sets
+    indexing rows; None when the rows do not span, so the cone is not pointed.
+
+    The first independent rows B make a simplicial cone whose rays are the
+    negated columns of H_B^{-1}, ray j tight at every row of B but its
+    j-th; the remaining rows cut it.
+    """
+    d = len(rows[0])
+    basis = _eliminate(list(zip(*rows)))[1]
+    if len(basis) < d:
+        return None
+    # reduce [H_B | I]: the right half becomes H_B^{-1}
+    m = _eliminate([list(rows[b]) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)])[0]
+    rays = [_scaled([-row[d + j] for row in m]) for j in range(d)]
+    tight = [frozenset(basis) - {b} for b in basis]
+    return _cut(rays, tight, ((i, h) for i, h in enumerate(rows) if i not in basis))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _record(P: HPolytope) -> _Record:
-    verts, tight = _enumerate(P) if P.parent is None else _clip(P)
+    """The vertices of P are the rays (v, 1) of the cone {(x, t) : <n, x> <= r t, t >= 0}.
+
+    Without a parent, the cone comes from _extreme_rays; a ray with t = 0
+    is a recession direction.  A linearity region cuts its parent's cone
+    by its rows that are not facets of the parent; a facet of both keeps
+    its index here, the parent's other facets come after P's.
+    """
+    if P.dim > 5:
+        raise InputTooLarge("vertex enumeration supports dim <= 5")
+    m = len(P.facets)
+    if P.parent is None:
+        cone = _extreme_rays([n + (-r,) for n, r in P.facets] + [(0,) * P.dim + (-1,)])
+        if cone is None:
+            raise UnboundedPolytope("facet normals do not span the ambient space")
+        rays, tight = cone
+        d = next((y[:-1] for y in rays if y[-1] == 0), None)
+        if d is not None:
+            raise UnboundedPolytope(
+                "interval missing a bound" if P.dim == 1 else f"recession direction {d}")
+    else:
+        parent = _record(P.parent)
+        index = {row: i for i, row in enumerate(P.facets)}
+        of_P = [index.get(row, m + k) for k, row in enumerate(P.parent.facets)]
+        rays, tight = _cut([v + (Fraction(1),) for v in parent.vertices],
+                           [frozenset(of_P[k] for k in T) for T in parent.tight],
+                           ((i, n + (-r,)) for i, (n, r) in enumerate(P.facets)
+                            if i not in of_P))
+    verts, tight = zip(*sorted((y[:-1], frozenset(j for j in T if j < m))
+                               for y, T in zip(rays, tight))) if rays else ((), ())
     simplices = _pulling(P, verts, tight)
     return _Record(verts, tight, tuple((s, _simplex_volume(s)) for s in simplices))
 
@@ -234,65 +278,13 @@ def _nonempty(P: HPolytope) -> _Record:
     return rec
 
 
-def _enumerate(P: HPolytope) -> tuple[tuple[Point, ...], tuple[frozenset[int], ...]]:
-    """Exhaustive dim-subset intersection with a feasibility filter."""
-    if P.dim > 5:
-        raise InputTooLarge("vertex enumeration supports dim <= 5")
-    found: set[Point] = set()
-    for subset in itertools.combinations(P.facets, P.dim):
-        x = _solve([n for n, _ in subset], [r for _, r in subset])
-        if x is not None and all(_dot(n, x) <= r for n, r in P.facets):
-            found.add(tuple(x))
-    verts = tuple(sorted(found))
-    return verts, tuple(frozenset(i for i, (n, r) in enumerate(P.facets) if _dot(n, v) == r)
-                        for v in verts)
-
-
-def _clip(R: HPolytope) -> tuple[tuple[Point, ...], tuple[frozenset[int], ...]]:
-    """Vertices of R with their tight sets over R.facets, from its parent P.
-
-    P's vertices are cut by one row of R at a time: a row keeps the
-    vertices on its side and adds the point where it crosses each edge.
-    Two vertices span an edge iff no other vertex is tight at every
-    constraint both are.  The constraints are P's facets (i) and the rows
-    already cut by (len(P.facets) + i); no tight set names a later row.
-    """
-    P = R.parent
-    m = len(P.facets)
-    of_P = {row: i for i, row in enumerate(P.facets)}
-    verts, tight = list(_record(P).vertices), list(_record(P).tight)
-    for i, (normal, rhs) in enumerate(R.facets, start=m):
-        if (normal, rhs) in of_P:  # every point so far holds it; tight where the facet is
-            tight = [T | {i} if of_P[normal, rhs] in T else T for T in tight]
-            continue
-        slack = [sum(a * x for a, x in zip(normal, v)) - rhs for v in verts]
-        cut = [(v, T | {i} if s == 0 else T) for v, T, s in zip(verts, tight, slack) if s <= 0]
-        for u, su in enumerate(slack):
-            if su >= 0:
-                continue
-            for w, sw in enumerate(slack):
-                if sw <= 0:
-                    continue
-                Z = tight[u] & tight[w]
-                if len(Z) >= R.dim - 1 and not any(
-                        Z <= T for k, T in enumerate(tight) if k != u and k != w):
-                    t = su / (su - sw)
-                    cut.append((tuple(x + t * (y - x) for x, y in zip(verts[u], verts[w])),
-                                Z | {i}))
-        if not cut:
-            return (), ()
-        verts, tight = [v for v, _ in cut], [T for _, T in cut]
-    verts, tight = zip(*sorted(zip(verts, tight)))
-    return verts, tuple(frozenset(j - m for j in T if j >= m) for T in tight)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def vertices(P: HPolytope) -> tuple[Point, ...]:
     """All points where >= dim facets are tight and every facet holds.
 
-    Clipped from the parent's vertices for a linearity region (P.parent
-    set), else exhaustive dim-subset intersection with a feasibility
-    filter.  Sorted lexicographically; raises EmptyPolytope when empty.
+    Cut from the parent's vertices for a linearity region (P.parent set),
+    else the extreme rays of P's homogenized cone.  Sorted
+    lexicographically; raises EmptyPolytope when empty.
     """
     return _nonempty(P).vertices
 
@@ -422,39 +414,18 @@ def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytop
 
 
 def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
-    """H-representation of the convex hull of a full-dimensional point set."""
+    """H-representation of the convex hull of a full-dimensional point set.
+
+    Its facets <a, x> <= r are the extreme rays (a, r) of the cone of
+    inequalities that every point satisfies.
+    """
     pts = sorted(set(_as_point(p) for p in points))
     if not pts:
         raise EmptyPolytope("no points")
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise DimensionMismatch("points of mixed dimension")
-
-    def is_facet(normal, rhs):
-        tight = [p for p in pts if _dot(normal, p) == rhs]
-        return len(tight) >= dim and _affine_rank(tight) == dim - 1
-
-    rows = []
-    for subset in itertools.combinations(pts, dim):
-        if dim == 1:
-            normal = [Fraction(1)]
-        else:
-            base = subset[0]
-            normal = _null_vector([[p[t] - base[t] for t in range(dim)] for p in subset[1:]])
-            if normal is None:
-                continue
-        rhs = _dot(normal, subset[0])
-        values = [_dot(normal, p) - rhs for p in pts]
-        if all(v <= 0 for v in values) and is_facet(normal, rhs):
-            rows.append((normal, rhs))
-        if all(v >= 0 for v in values) and is_facet(normal, rhs):
-            rows.append(([-c for c in normal], -rhs))
-    if not rows:
+    cone = _extreme_rays([p + (-1,) for p in pts])
+    if cone is None:
         raise EmptyPolytope("points do not span a full-dimensional hull")
-    try:
-        P = HPolytope.from_inequalities(dim, rows)
-    except UnboundedPolytope:
-        raise EmptyPolytope("hull is lower-dimensional") from None
-    if volume(P) == 0:
-        raise EmptyPolytope("hull is lower-dimensional")
-    return P
+    return _normalized(dim, ((y[:-1], y[-1]) for y in cone[0]))

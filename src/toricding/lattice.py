@@ -20,23 +20,18 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, InputTooLarge
-from .extremal import FanoPolytope
-from .functionals import PLConcave
-from .geometry import HPolytope, _frac, _primitive, volume
+from .functionals import PLConcave, _domain_base
+from .geometry import HPolytope, _frac, facets_from_vertices, vertices, volume
 
 # Refuse a level whose estimated point count vol(P) k^n exceeds this; its
 # points and weights alone would take about 2 GB.
 MAX_LATTICE_POINTS = 10**7
 
 
-def _base(P) -> HPolytope:
-    return P.base if isinstance(P, FanoPolytope) else P
-
-
 def lattice_points(P, k: int) -> list[tuple[int, ...]]:
     """All integer points of the dilate kP, in lexicographic order."""
     points: list[tuple[int, ...]] = []
-    for prefix, xs in _fibers(_base(P), k):
+    for prefix, xs in _fibers(_domain_base(P), k):
         points.extend(zip(*map(repeat, prefix), xs))
     return points
 
@@ -45,47 +40,24 @@ def lattice_points(P, k: int) -> list[tuple[int, ...]]:
 def _fiber_rows(base: HPolytope):
     """Per coordinate i, the rows that bound u_i once u_0..u_{i-1} are fixed.
 
-    Level i holds the rows <a, x> <= num/d of the Fourier-Motzkin
-    projection of base onto coordinates 0..i whose i-th coefficient is
-    nonzero, as (d a_0..d a_{i-1}, d |a_i|, num), split into upper bounds
-    (a_i > 0) and lower bounds (a_i < 0).  Rows with a zero i-th
-    coefficient are rows of the projection onto 0..i-1, which the outer
-    levels enforce.
+    Level i holds the facets <a, x> <= num/d of the projection of base
+    onto coordinates 0..i, the hull of its projected vertices, whose i-th
+    coefficient is nonzero, as (d a_0..d a_{i-1}, d |a_i|, num), split
+    into upper bounds (a_i > 0) and lower bounds (a_i < 0).  Facets with
+    a zero i-th coefficient hold on the projection onto 0..i-1, which the
+    outer levels enforce.
     """
-    rows = dict(base.facets)
+    verts = vertices(base)
     levels = []
-    for i in reversed(range(base.dim)):
+    for i in range(base.dim):
         upper, lower = [], []
-        for n, r in rows.items():
+        for n, r in facets_from_vertices([v[:i + 1] for v in verts]).facets:
             if n[i]:
                 row = (tuple(r.denominator * a for a in n[:i]), r.denominator * abs(n[i]),
                        r.numerator)
                 (upper if n[i] > 0 else lower).append(row)
         levels.append((tuple(upper), tuple(lower)))
-        if i == 0:
-            break
-        projected: dict[tuple[int, ...], Fraction] = {}
-
-        def keep(normal, rhs):
-            n, r = _primitive(normal, rhs)
-            projected[n] = min(projected[n], r) if n in projected else r
-
-        for n, r in rows.items():
-            if n[i] == 0:
-                keep(n[:i], r)
-        for p, rp in rows.items():
-            if p[i] <= 0:
-                continue
-            for q, rq in rows.items():
-                if q[i] >= 0:
-                    continue
-                # -q_i p + p_i q eliminates x_i; a zero combination only
-                # says 0 <= rhs, which holds for a nonempty polytope
-                normal = [-q[i] * a + p[i] * b for a, b in zip(p[:i], q[:i])]
-                if any(normal):
-                    keep(normal, -q[i] * rp + p[i] * rq)
-        rows = projected
-    return tuple(reversed(levels))
+    return tuple(levels)
 
 
 def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
@@ -186,8 +158,7 @@ def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
     (1/k^2 N) sum mu(u) <rho,u>  -  (1/k^2 N^2)(sum mu(u))(sum <rho,u>);
     converges to inner_product(f, rho).
     """
-    base = _base(f.domain)
-    if len(rho) != base.dim:
+    if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
     if any(int(r) != _frac(r) for r in rho):
         raise ValueError("gabor_inner needs an integer direction rho")

@@ -10,7 +10,6 @@ the strongest end-to-end audit this library has.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -19,7 +18,7 @@ from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
 from .extremal import FanoPolytope, extremal_affine
 from .functionals import DHMeasure, PLConcave, d_na, d_z_na, dh_measure, inner_product, j_na
-from .geometry import AffineFn, Point, _eliminate, _frac, _null_vector, _primitive
+from .geometry import AffineFn, Point, _eliminate, _frac, _primitive, _record
 from .twisting import reduce_jna
 
 
@@ -53,24 +52,14 @@ def select_vertex(P: FanoPolytope) -> Point:
 
 
 def _edge_directions(P: FanoPolytope, v: Point) -> list[tuple[int, ...]]:
-    n = P.dim
-    tight = [(normal, rhs) for normal, rhs in P.base.facets
-             if sum(Fraction(a) * c for a, c in zip(normal, v)) == rhs]
-    if len(tight) != n:
-        raise NonSmoothVertex(f"{len(tight)} facets meet at {v}, expected {n}")
-    dirs = []
-    for rest in itertools.combinations(range(n), n - 1):
-        omitted = next(i for i in range(n) if i not in rest)
-        d = _null_vector([tight[i][0] for i in rest]) if n > 1 else [Fraction(1)]
-        if d is None:
-            raise NonSmoothVertex("facet normals at vertex are linearly dependent")
-        off = sum(a * x for a, x in zip(tight[omitted][0], d))
-        if off > 0:
-            d = [-x for x in d]
-        elif off == 0:
-            raise NonSmoothVertex(f"degenerate edge at {v}")
-        dirs.append(_primitive(d, 0)[0])
-    return sorted(dirs)
+    """The primitive directions from a vertex v with n tight facets to its
+    neighbours, the vertices tight at n - 1 of those facets."""
+    rec = _record(P.base)
+    tight = dict(zip(rec.vertices, rec.tight)).get(v)
+    if tight is None or len(tight) != P.dim:
+        raise NonSmoothVertex(f"{v} is not a vertex with {P.dim} tight facets")
+    return sorted(_primitive([a - b for a, b in zip(w, v)], 0)[0]
+                  for w, T in zip(rec.vertices, rec.tight) if len(T & tight) == P.dim - 1)
 
 
 def vertex_chart(P: FanoPolytope, v: Point) -> VertexChart:

@@ -1,7 +1,11 @@
-"""Linearity-region vertices clipped from the parent's against exhaustive
-enumeration of every dim-subset of facets."""
+"""The double-description kernel against independent references: vertices
+against exhaustive enumeration of every dim-subset of facets, boundedness
+against a recession scan of (dim-1)-subsets of normals, hulls against a
+scan of dim-subsets of points, and edge directions against the tight
+normals at each vertex."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import strategies as st
 
 from toricding import AffineFn, vertices, volume
 from toricding import geometry
+from toricding.errors import EmptyPolytope, NonSmoothVertex, UnboundedPolytope
+from toricding.normalcone import _edge_directions
 
 from conftest import CORPUS_FILES, load_corpus
 
@@ -53,6 +59,64 @@ def affine_rank(points):
     return len(_echelon([[p - q for p, q in zip(v, points[0])] for v in points[1:]])[1])
 
 
+def null_vector(rows):
+    """A nonzero vector orthogonal to every row, or None at full rank."""
+    n = len(rows[0])
+    m, pivots = _echelon(rows)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return None
+    d = [Fraction(0)] * n
+    d[free] = Fraction(1)
+    for row, c in zip(m, pivots):
+        d[c] = -row[free] / row[c]
+    return d
+
+
+def dot(a, b):
+    return sum(Fraction(x) * y for x, y in zip(a, b))
+
+
+def bounded(P):
+    """Reference: the recession cone {d : Ld <= 0} is trivial iff L has rank
+    n and no (n-1)-subset of normals carries a ray of it."""
+    normals = [n for n, _ in P.facets]
+    if not normals or len(_echelon(normals)[1]) < P.dim:
+        return False
+    if P.dim == 1:
+        return any(n[0] > 0 for n in normals) and any(n[0] < 0 for n in normals)
+    for subset in itertools.combinations(normals, P.dim - 1):
+        d = null_vector(subset)
+        if d is not None and any(
+                all(s * dot(n, d) <= 0 for n in normals) for s in (1, -1)):
+            return False
+    return True
+
+
+def hull(points):
+    """Reference hull: each dim-subset of points spans a hyperplane, which
+    is a facet when every point lies on one side and the points on it have
+    affine rank dim - 1; None when the points are not full-dimensional."""
+    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    dim = len(pts[0])
+    if affine_rank(pts) < dim:
+        return None
+    rows = []
+    for subset in itertools.combinations(pts, dim):
+        base = subset[0]
+        normal = [Fraction(1)] if dim == 1 else null_vector(
+            [[p - b for p, b in zip(q, base)] for q in subset[1:]])
+        if normal is None:
+            continue
+        on = [p for p in pts if dot(normal, p) == dot(normal, base)]
+        if affine_rank(on) != dim - 1:
+            continue
+        for s in (1, -1):
+            if all(s * dot(normal, p) <= s * dot(normal, base) for p in pts):
+                rows.append(([s * c for c in normal], s * dot(normal, base)))
+    return geometry._normalized(dim, rows)
+
+
 def assert_regions_match(P, affines):
     """Each region's clip equals the reference, the regions kept are the
     full-dimensional ones, and their volumes sum to vol(P)."""
@@ -63,7 +127,6 @@ def assert_regions_match(P, affines):
         if R is None:
             continue
         verts, tight = exhaustive(R)
-        assert geometry._clip(R) == (verts, tight)
         assert geometry._record(R)[:2] == (verts, tight)
         if verts and affine_rank(verts) == P.dim:
             kept.append((R, a))
@@ -170,3 +233,71 @@ class TestDegenerate:
         R = geometry._region(P, pieces[0], pieces)
         assert geometry._record(R).vertices == ((-1, -1), (-1, 0), (0, 0))
         assert len(assert_regions_match(P, pieces)) == 4
+
+
+@st.composite
+def h_systems(draw):
+    """Up to dim + 5 rows with small normals and rhs: bounded, empty,
+    lower-dimensional (a pair x <= r, -x <= -r) and unbounded systems."""
+    dim = draw(st.integers(1, 4))
+    normal = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    rhs = st.fractions(-2, 3, max_denominator=2)
+    rows = draw(st.lists(st.tuples(normal, rhs), min_size=1, max_size=dim + 5))
+    if draw(st.booleans()):
+        n, r = rows[0]
+        rows.append(([-a for a in n], -r))
+    return geometry._normalized(dim, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(P=h_systems())
+def test_record_matches_exhaustive(P):
+    if not bounded(P):
+        with pytest.raises(UnboundedPolytope):
+            geometry._record(P)
+    else:
+        assert geometry._record(P)[:2] == exhaustive(P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hull_matches_subset_scan(data):
+    dim = data.draw(st.integers(1, 4))
+    coord = st.fractions(-3, 3, max_denominator=2)
+    points = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                min_size=1, max_size=dim + 5))
+    if dim > 1 and data.draw(st.booleans()):  # flatten onto x_0 = x_1
+        points = [[p[1]] + p[1:] for p in points]
+    expected = hull(points)
+    if expected is None:
+        with pytest.raises(EmptyPolytope):
+            geometry.facets_from_vertices(points)
+    else:
+        assert geometry.facets_from_vertices(points) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_FILES))
+def test_edge_directions(name):
+    """At each vertex with n tight facets: n primitive directions, each
+    orthogonal to n - 1 of the tight normals and into P off the last."""
+    P = load_corpus(name)
+    n = P.dim
+    smooth = 0
+    for v in vertices(P.base):
+        normals = [a for a, r in P.base.facets if dot(a, v) == r]
+        if len(normals) != n:
+            continue
+        smooth += 1
+        dirs = _edge_directions(P, v)
+        assert len(set(dirs)) == n
+        for d in dirs:
+            assert all(isinstance(c, int) for c in d) and math.gcd(*d) == 1
+            off = [dot(a, d) for a in normals]
+            assert sorted(off)[1:] == [0] * (n - 1) and min(off) < 0
+    assert smooth > 0
+
+
+def test_edge_directions_need_a_vertex():
+    P = load_corpus("p2")
+    with pytest.raises(NonSmoothVertex):
+        _edge_directions(P, (Fraction(0), Fraction(0)))
