@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import io as tio
@@ -24,91 +23,70 @@ from .functionals import (
     j_na,
     outside_calibrated_regime,
 )
+from .geometry import show
 from .lattice import gabor_inner, weight_measure
 from .normalcone import _default_grid, normal_cone_family, verdict, verify_family
 from .twisting import TwistProblem, jna_twisted, reduce_jna
-
-
-@dataclass
-class RunConfig:
-    command: str
-    polytope_path: str
-    tc_path: str | None = None
-    k_ladder: list[int] = field(default_factory=list)
-    c_grid: list[Fraction] = field(default_factory=list)
-    digits: int = 12
-    tol: Fraction = Fraction(1, 16)
-    rho: list[Fraction] | None = None
-    vertex: str = "auto"
-    plot_path: str | None = None
-    csv_path: str | None = None
-    segment: str | None = None
-
-    def validate(self) -> None:
-        if self.k_ladder:
-            if any(k < 1 for k in self.k_ladder):
-                raise tio.ParseError("k values must be >= 1")
-            if any(b <= a for a, b in zip(self.k_ladder, self.k_ladder[1:])):
-                raise tio.ParseError("k ladder must be strictly increasing")
 
 
 def _fr(x: Fraction, digits: int) -> dict:
     return {"exact": tio.format_rational(x), "float": tio.format_float(x, digits)}
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    P = validate_fano(tio.load_polytope(cfg.polytope_path))
+def cmd_analyze(args) -> int:
+    P = validate_fano(tio.load_polytope(args.polytope))
     ext = extremal_affine(P)
     dh = dh_of_vector_field(P, ext.theta.gradient)
     out = {
         "dim": P.dim,
-        "volume": _fr(P.volume(), cfg.digits),
-        "anticanonical_degree": _fr(P.anticanonical_degree(), cfg.digits),
+        "volume": _fr(P.volume(), args.digits),
+        "anticanonical_degree": _fr(P.anticanonical_degree(), args.digits),
         "barycenter": tio.vector_to_strings(ext.b),
         "theta": tio.affine_to_dict(ext.theta),
         "vartheta": tio.format_rational(ext.vartheta),
-        "vartheta_float": tio.format_float(ext.vartheta, cfg.digits),
-        "dh_extremal": tio.dh_to_dict(dh, cfg.digits),
+        "vartheta_float": tio.format_float(ext.vartheta, args.digits),
+        "dh_extremal": tio.dh_to_dict(dh, args.digits),
     }
     sys.stdout.write(tio.dumps(out))
-    _emit_density_plot(cfg, dh)
+    _emit_density_plot(args.plot, dh)
     return 0
 
 
-def cmd_tc_eval(cfg: RunConfig) -> int:
-    P = validate_fano(tio.load_polytope(cfg.polytope_path))
-    f = tio.load_test_config(cfg.tc_path, P)
+def cmd_tc_eval(args) -> int:
+    rho = tio.parse_rational_list(args.rho) if args.rho else None
+    P = validate_fano(tio.load_polytope(args.polytope))
+    f = tio.load_test_config(args.tc, P)
     ext = extremal_affine(P)
     dh = dh_measure(f)
     out = {
-        "e_na": _fr(e_na(f), cfg.digits),
-        "j_na": _fr(j_na(f), cfg.digits),
-        "d_na": _fr(d_na(f), cfg.digits),
-        "d_z_na": _fr(d_z_na(f, ext), cfg.digits),
-        "dh": tio.dh_to_dict(dh, cfg.digits),
+        "e_na": _fr(e_na(f), args.digits),
+        "j_na": _fr(j_na(f), args.digits),
+        "d_na": _fr(d_na(f), args.digits),
+        "d_z_na": _fr(d_z_na(f, ext), args.digits),
+        "dh": tio.dh_to_dict(dh, args.digits),
         "outside_calibrated_regime": outside_calibrated_regime(f),
     }
-    if cfg.rho is not None:
-        out["inner_product_rho"] = _fr(inner_product(f, cfg.rho), cfg.digits)
+    if rho is not None:
+        out["inner_product_rho"] = _fr(inner_product(f, rho), args.digits)
     sys.stdout.write(tio.dumps(out))
-    _emit_density_plot(cfg, dh)
+    _emit_density_plot(args.plot, dh)
     return 0
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
-    P = validate_fano(tio.load_polytope(cfg.polytope_path))
-    f = tio.load_test_config(cfg.tc_path, P)
+def cmd_reduce(args) -> int:
+    P = validate_fano(tio.load_polytope(args.polytope))
+    f = tio.load_test_config(args.tc, P)
     problem = TwistProblem.from_plconcave(f)
     rho_star, j_t = reduce_jna(f, problem)
     out = {
-        "j_na": _fr(j_na(f), cfg.digits),
-        "j_t_na": _fr(j_t, cfg.digits),
+        "j_na": _fr(j_na(f), args.digits),
+        "j_t_na": _fr(j_t, args.digits),
         "rho_star": tio.vector_to_strings(rho_star),
         "candidates_used": len(problem.candidates),
     }
     sys.stdout.write(tio.dumps(out))
-    if cfg.segment and cfg.csv_path:
-        a_txt, b_txt, n_txt = cfg.segment.split(";")
+    if args.segment and args.csvout:
+        a_txt, b_txt, n_txt = args.segment.split(";")
         a = tio.parse_rational_list(a_txt)
         b = tio.parse_rational_list(b_txt)
         steps = int(n_txt)
@@ -117,21 +95,24 @@ def cmd_reduce(cfg: RunConfig) -> int:
             t = Fraction(i, steps)
             rho = [x + t * (y - x) for x, y in zip(a, b)]
             rows.append([float(t), float(jna_twisted(f, rho, problem))])
-        _save_csv(cfg.csv_path, ["t", "j_twisted"], rows)
+        _save_csv(args.csvout, ["t", "j_twisted"], rows)
     return 0
 
 
-def cmd_normal_cone(cfg: RunConfig) -> int:
-    P = validate_fano(tio.load_polytope(cfg.polytope_path))
-    if cfg.vertex == "auto":
+def cmd_normal_cone(args) -> int:
+    grid = tio.parse_rational_list(args.grid or "")
+    P = validate_fano(tio.load_polytope(args.polytope))
+    if args.vertex == "auto":
         family = normal_cone_family(P)
     else:
-        idx = int(cfg.vertex)
-        family = normal_cone_family(P, P.vertices()[idx])
-    grid = cfg.c_grid or _default_grid(family)
+        verts, idx = P.vertices(), int(args.vertex)
+        if not 0 <= idx < len(verts):
+            raise tio.ParseError(f"vertex index {idx} outside 0..{len(verts) - 1}")
+        family = normal_cone_family(P, verts[idx])
+    grid = grid or _default_grid(family)
     bad = [c for c in grid if not 0 < c < family.c_max]
     if bad:
-        raise tio.ParseError(f"c values {bad} outside (0, {family.c_max})")
+        raise tio.ParseError(f"c values {', '.join(map(show, bad))} outside (0, {family.c_max})")
     report = verify_family(family, grid)
     stability = verdict(P, grid)
     out = {
@@ -157,7 +138,7 @@ def cmd_normal_cone(cfg: RunConfig) -> int:
         "expansion_leading": tio.format_rational(report.leading_coeff),
         "expansion_leading_expected": tio.format_rational(report.leading_expected),
         "verdict": {
-            "vartheta_float": tio.format_float(stability.vartheta, cfg.digits),
+            "vartheta_float": tio.format_float(stability.vartheta, args.digits),
             "flags": stability.flags,
             "statements": stability.statements,
         },
@@ -165,20 +146,27 @@ def cmd_normal_cone(cfg: RunConfig) -> int:
     sys.stdout.write(tio.dumps(out))
     header = ["c", "j_na", "j_t_na", "d_na", "pairing_with_extremal", "d_z_na"]
     table = [[float(x) for x in (r.c, r.j, r.j_t, r.d, r.pairing, r.d_z)] for r in report.rows]
-    if cfg.csv_path:
-        _save_csv(cfg.csv_path, header, table)
-    if cfg.plot_path:
+    if args.csvout:
+        _save_csv(args.csvout, header, table)
+    if args.plot:
         # the plot data leaves out the pairing column
-        _save_csv(cfg.plot_path, header[:4] + header[5:], [row[:4] + row[5:] for row in table])
+        _save_csv(args.plot, header[:4] + header[5:], [row[:4] + row[5:] for row in table])
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    P = validate_fano(tio.load_polytope(cfg.polytope_path))
-    f = tio.load_test_config(cfg.tc_path, P)
-    if not cfg.k_ladder:
+def cmd_oracle(args) -> int:
+    ladder = [int(s) for s in args.k_ladder.split(",") if s.strip()]
+    rho = tio.parse_rational_list(args.rho) if args.rho else None
+    tol = tio.parse_rational(args.tol)
+    if any(k < 1 for k in ladder):
+        raise tio.ParseError("k values must be >= 1")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise tio.ParseError("k ladder must be strictly increasing")
+    P = validate_fano(tio.load_polytope(args.polytope))
+    f = tio.load_test_config(args.tc, P)
+    if not ladder:
         raise tio.ParseError("oracle needs a nonempty k ladder")
-    rho = cfg.rho if cfg.rho is not None else [1] + [0] * (P.dim - 1)
+    rho = [1] + [0] * (P.dim - 1) if rho is None else rho
     if any(r.denominator != 1 for r in map(Fraction, rho)):
         raise tio.ParseError("oracle rho must be integral")
     rho = [int(r) for r in rho]
@@ -187,7 +175,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     exact_second = measure.second_moment()
     exact_inner = inner_product(f, rho)
     rows = []
-    for k in cfg.k_ladder:
+    for k in ladder:
         wm = weight_measure(f, k)
         gk = gabor_inner(f, rho, k)
         rows.append(
@@ -208,20 +196,20 @@ def cmd_oracle(cfg: RunConfig) -> int:
     header = list(rows[0].keys())
     table = [[row["k"], row["N_k"]] + [float(row[h]) for h in header[2:]] for row in rows]
     _write_csv(sys.stdout, header, table)
-    if cfg.csv_path:
-        _save_csv(cfg.csv_path, header, table)
+    if args.csvout:
+        _save_csv(args.csvout, header, table)
     final = rows[-1]
-    ok = max(final["err_mean"], final["err_second"], final["err_inner"]) <= cfg.tol
+    ok = max(final["err_mean"], final["err_second"], final["err_inner"]) <= tol
     return 0 if ok else 2
 
 
-def _emit_density_plot(cfg: RunConfig, dh) -> None:
-    if not cfg.plot_path:
+def _emit_density_plot(path: str | None, dh) -> None:
+    if not path:
         return
     rows = [[float(lam), float(dens)] for lam, dens in tio.density_samples(dh)]
     rows += [[], ["atom_location", "atom_mass"]]
     rows += [[float(loc), float(mass)] for loc, mass in dh.atoms]
-    _save_csv(cfg.plot_path, ["lambda", "density"], rows)
+    _save_csv(path, ["lambda", "density"], rows)
 
 
 def _write_csv(fh, header: list, rows: list) -> None:
@@ -262,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normal-cone", help="normal-cone family report and verdict")
     p.add_argument("--polytope", required=True)
     p.add_argument("--grid", help="comma-separated c values")
-    p.add_argument("--vertex", default="auto", help="'auto' or vertex index")
+    p.add_argument("--vertex", default="auto",
+                   help="'auto' or an index into the sorted vertex list")
     p.add_argument("--csv", dest="csvout")
     p.add_argument("--emit-plot-data", dest="plot")
 
@@ -275,29 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", dest="csvout")
 
     return parser
-
-
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        polytope_path=getattr(args, "polytope", ""),
-        tc_path=getattr(args, "tc", None),
-        digits=args.digits,
-    )
-    if getattr(args, "k_ladder", None):
-        cfg.k_ladder = [int(s) for s in args.k_ladder.split(",") if s.strip()]
-    if getattr(args, "grid", None):
-        cfg.c_grid = tio.parse_rational_list(args.grid)
-    if getattr(args, "rho", None):
-        cfg.rho = tio.parse_rational_list(args.rho)
-    if getattr(args, "tol", None):
-        cfg.tol = tio.parse_rational(args.tol)
-    cfg.vertex = getattr(args, "vertex", "auto")
-    cfg.plot_path = getattr(args, "plot", None)
-    cfg.csv_path = getattr(args, "csvout", None)
-    cfg.segment = getattr(args, "segment", None)
-    cfg.validate()
-    return cfg
 
 
 _DISPATCH = {
@@ -316,8 +282,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        cfg = config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (tio.ParseError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -42,6 +42,13 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def show(x) -> str:
+    """x for a message: a rational as p/q, a point or list as (p/q, ...)."""
+    if isinstance(x, (tuple, list)):
+        return f"({', '.join(map(show, x))})"
+    return str(_frac(x))
+
+
 def _as_point(coords: Iterable) -> Point:
     return tuple(_frac(c) for c in coords)
 
@@ -256,7 +263,7 @@ def _record(P: HPolytope) -> _Record:
         d = next((y[:-1] for y in rays if y[-1] == 0), None)
         if d is not None:
             raise UnboundedPolytope(
-                "interval missing a bound" if P.dim == 1 else f"recession direction {d}")
+                "interval missing a bound" if P.dim == 1 else f"recession direction {show(d)}")
     else:
         parent = _record(P.parent)
         index = {row: i for i, row in enumerate(P.facets)}

@@ -62,13 +62,16 @@ def polytope_from_dict(data: dict) -> HPolytope:
     raise ParseError('polytope JSON needs "facets" or "vertices"')
 
 
-def load_polytope(path: str) -> HPolytope:
+def _read_json(path: str):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return polytope_from_dict(data)
+
+
+def load_polytope(path: str) -> HPolytope:
+    return polytope_from_dict(_read_json(path))
 
 
 def affine_from_dict(data: dict) -> AffineFn:
@@ -91,12 +94,7 @@ def test_config_from_dict(data: dict, domain) -> PLConcave:
 
 
 def load_test_config(path: str, domain) -> PLConcave:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return test_config_from_dict(data, domain)
+    return test_config_from_dict(_read_json(path), domain)
 
 
 def dh_to_dict(m: DHMeasure, digits: int = 12) -> dict:

@@ -18,7 +18,7 @@ from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
 from .extremal import FanoPolytope, extremal_affine
 from .functionals import DHMeasure, PLConcave, d_na, d_z_na, dh_measure, inner_product, j_na
-from .geometry import AffineFn, Point, _eliminate, _frac, _primitive, _record
+from .geometry import AffineFn, Point, _eliminate, _frac, _primitive, _record, show
 from .twisting import reduce_jna
 
 
@@ -57,7 +57,7 @@ def _edge_directions(P: FanoPolytope, v: Point) -> list[tuple[int, ...]]:
     rec = _record(P.base)
     tight = dict(zip(rec.vertices, rec.tight)).get(v)
     if tight is None or len(tight) != P.dim:
-        raise NonSmoothVertex(f"{v} is not a vertex with {P.dim} tight facets")
+        raise NonSmoothVertex(f"{show(v)} is not a vertex with {P.dim} tight facets")
     return sorted(_primitive([a - b for a, b in zip(w, v)], 0)[0]
                   for w, T in zip(rec.vertices, rec.tight) if len(T & tight) == P.dim - 1)
 
@@ -76,14 +76,14 @@ def vertex_chart(P: FanoPolytope, v: Point) -> VertexChart:
     m, _, det = _eliminate([[dirs[j][i] for j in range(n)] + unit[i] for i in range(n)])
     if abs(det) != 1:
         raise NonSmoothVertex(
-            f"edge directions at {v} span a sublattice of index {abs(det)}", determinant=det
+            f"edge directions at {show(v)} span a sublattice of index {abs(det)}", determinant=det
         )
     U = tuple(tuple(int(x) for x in row[n:]) for row in m)  # integer because |det| = 1
     grad = tuple(sum(Fraction(U[i][j]) for i in range(n)) for j in range(n))
     ord_fn = AffineFn(grad, -sum(g * c for g, c in zip(grad, v)))
     for w in P.vertices():
         if ord_fn(w) < 0:
-            raise NonSmoothVertex(f"vanishing order negative at vertex {w}")
+            raise NonSmoothVertex(f"vanishing order negative at vertex {show(w)}")
     return VertexChart(vertex=v, unimodular=U, ord=ord_fn)
 
 

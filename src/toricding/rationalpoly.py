@@ -53,16 +53,6 @@ def scale(p: Sequence[Fraction], s: Fraction) -> Poly:
     return trim(tuple(c * s for c in p))
 
 
-def shift_argument(p: Sequence[Fraction], a: Fraction) -> Poly:
-    """Coefficients of p(x + a)."""
-    out: Poly = ()
-    base: Poly = (Fraction(1),)
-    for c in p:
-        out = add(out, scale(base, c))
-        base = multiply(base, (a, Fraction(1)))
-    return out
-
-
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points."""
     xs = [x for x, _ in points]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricding import cli, lattice
+from toricding import cli, lattice, normalcone
 from toricding import io as tio
 from toricding.cli import main
 from toricding.errors import SingularGram
@@ -131,6 +131,14 @@ class TestAnalyze:
         assert out == ""
         assert err == "error: zero facet normal\n"
 
+    def test_recession_direction_message(self, capsys, tmp_path):
+        # {x <= 1, y <= 1, -x <= 1} recedes along -y
+        strip = tmp_path / "strip.json"
+        strip.write_text('{"dim": 2, "facets": [{"normal": [1, 0], "rhs": 1}, '
+                         '{"normal": [0, 1], "rhs": 1}, {"normal": [-1, 0], "rhs": 1}]}')
+        code, out, err = run(capsys, "analyze", str(strip))
+        assert (code, out, err) == (1, "", "error: recession direction (0, -1)\n")
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
         _, out2, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
@@ -241,6 +249,43 @@ class TestNormalCone:
             "5",
         )
         assert code == 1
+        assert err == "error: c values 5 outside (0, 2)\n"
+        code, _, err = run(capsys, "normal-cone", "--polytope", str(POLYTOPE_DIR / "p1.json"),
+                           "--grid", "5,1/2,-1/3")
+        assert code == 1
+        assert err == "error: c values 5, -1/3 outside (0, 2)\n"
+
+    @pytest.mark.parametrize("index", ["99", "4", "-1"])
+    def test_vertex_index_out_of_range(self, capsys, index):
+        # bl1p2 has 4 vertices; -1 is not a back-reference to the last one
+        code, out, err = run(capsys, "normal-cone", "--polytope",
+                             str(POLYTOPE_DIR / "bl1p2.json"), "--vertex", index)
+        assert (code, out) == (1, "")
+        assert err == f"error: vertex index {index} outside 0..3\n"
+
+    def test_non_unimodular_vertex_message(self, capsys):
+        code, out, err = run(capsys, "normal-cone", "--polytope",
+                             str(POLYTOPE_DIR / "stretched.json"), "--vertex", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: edge directions at (0, -1) span a sublattice of index 2\n"
+
+    def test_non_simple_vertex_message(self, capsys, tmp_path):
+        # the octahedron |x| + |y| + |z| <= 1 has 4 facets at each vertex
+        octahedron = tmp_path / "octahedron.json"
+        octahedron.write_text(json.dumps({"dim": 3, "facets": [
+            {"normal": [a, b, c], "rhs": 1} for a in (1, -1) for b in (1, -1) for c in (1, -1)]}))
+        code, out, err = run(capsys, "normal-cone", "--polytope", str(octahedron),
+                             "--vertex", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: (-1, 0, 0) is not a vertex with 3 tight facets\n"
+
+    def test_negative_order_message(self, capsys, monkeypatch):
+        # reversed edges at (-1, -1) give an order that is negative elsewhere on P2
+        monkeypatch.setattr(normalcone, "_edge_directions", lambda P, v: [(-1, 0), (0, -1)])
+        code, out, err = run(capsys, "normal-cone", "--polytope", str(POLYTOPE_DIR / "p2.json"),
+                             "--vertex", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: vanishing order negative at vertex (-1, 2)\n"
 
     def test_explicit_vertex_mismatch_exit_2(self, capsys):
         # non-maximizing vertex: expansion identity must fail with exit 2
@@ -316,6 +361,22 @@ class TestOracle:
         assert code == 1
         assert out == ""
         assert err.startswith("error: k = 40: about 66666667 lattice points")
+
+    def test_options_checked_before_files(self, capsys):
+        # order: ladder ints, rho, tol, then the ladder checks, then the files
+        code, _, err = run(capsys, "oracle", "missing.json", "missing.json",
+                           "--k-ladder", "8,4", "--rho", "x", "--tol", "y")
+        assert code == 1
+        assert err == "error: bad rational 'x': Invalid literal for Fraction: 'x'\n"
+        code, _, err = run(capsys, "oracle", "missing.json", "missing.json", "--k-ladder", "8,4")
+        assert code == 1
+        assert err == "error: k ladder must be strictly increasing\n"
+
+    def test_empty_tol_is_a_usage_error(self, capsys, tc_step):
+        code, out, err = run(capsys, "oracle", str(POLYTOPE_DIR / "p1.json"), tc_step,
+                             "--k-ladder", "2", "--tol", "")
+        assert (code, out) == (1, "")
+        assert err == "error: bad rational '': Invalid literal for Fraction: ''\n"
 
     def test_bad_ladder(self, capsys, tc_step):
         code, _, _ = run(

@@ -23,7 +23,7 @@ from toricding import (
     volume,
 )
 from toricding.errors import InputTooLarge
-from toricding.geometry import _simplex_volume
+from toricding.geometry import _simplex_volume, show
 
 from conftest import CORPUS_FILES, clip, load_corpus, pl
 
@@ -345,3 +345,10 @@ class TestFacetsFromVertices:
     def test_degenerate(self):
         with pytest.raises(EmptyPolytope):
             facets_from_vertices([(0, 0), (1, 1), (2, 2)])
+
+
+def test_show():
+    assert show(Fraction(-1, 2)) == "-1/2"
+    assert show(Fraction(5)) == "5"
+    assert show((Fraction(0), Fraction(-1), 3)) == "(0, -1, 3)"
+    assert show([Fraction(5, 3)]) == "(5/3)"

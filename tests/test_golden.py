@@ -6,8 +6,12 @@ the step configuration min(0, -x_1) where one is needed, and of analyze,
 oracle and tc-eval on the dim 3-4 polytopes in tests/golden/ (P3, P3
 blown up at a point, (P1)^3, P4, (P1)^4); there tc-eval runs on the step
 configuration and on the three-piece configuration mix{3,4}.json, whose
-gradients are rational and generic.  Any change to a number, a float
-rendering or the JSON layout fails here.
+gradients are rational and generic, and normal-cone runs with its
+defaults.  OPTIONS covers the option paths: --digits, an explicit grid
+and vertex, tc-eval without --rho, the default oracle ladder and every
+file a command writes; an argument "{out}/name" is a file in a fresh
+directory, and its contents are recorded under "files".  Any change to a
+number, a float rendering, the JSON layout or a written file fails here.
 
 Running the module records every case that has no entry yet and leaves
 the existing entries alone; to regenerate an entry when an output change
@@ -20,6 +24,8 @@ import contextlib
 import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +40,28 @@ RHO = {1: "1/2", 2: "1/2,-1/3", 3: "1/2,-1/3,1/5", 4: "1/2,-1/3,1/5,-1/7"}
 # dim 3-4 polytopes; the oracle ladder stays in tier-1 time
 HIGHER = {"p3": 3, "blp3": 3, "p1x3": 3, "p4": 4, "p1x4": 4}
 LADDER = {3: "4,8", 4: "2,4"}
+OUT = "{out}"
+OPTIONS = {
+    "analyze-digits:bl1p2": ["--digits", "5", "analyze", "polytopes/bl1p2.json"],
+    "analyze-plot:bl1p2": ["analyze", "polytopes/bl1p2.json",
+                           "--emit-plot-data", f"{OUT}/plot.csv"],
+    "tc-eval-digits:bl1p2": ["--digits", "5", "tc-eval", "polytopes/bl1p2.json",
+                             "tests/golden/step2.json", "--rho=1/2,-1/3"],
+    "tc-eval-plot-norho:bl1p2": ["tc-eval", "polytopes/bl1p2.json", "tests/golden/step2.json",
+                                 "--emit-plot-data", f"{OUT}/plot.csv"],
+    "normal-cone-digits:stretched": ["--digits", "5", "normal-cone",
+                                     "--polytope", "polytopes/stretched.json"],
+    "normal-cone-files:p2": ["normal-cone", "--polytope", "polytopes/p2.json",
+                             "--grid", "1/8,1/4", "--vertex", "1", "--csv", f"{OUT}/rows.csv",
+                             "--emit-plot-data", f"{OUT}/plot.csv"],
+    "reduce-segment:p1": ["reduce", "polytopes/p1.json", "tests/golden/step1.json",
+                          "--segment", "0;1;4", "--segment-csv", f"{OUT}/segment.csv"],
+    # the final error 1/12 passes --tol 1/8 and fails the default 1/16
+    "oracle-options:bl1p2": ["oracle", "polytopes/bl1p2.json", "tests/golden/step2.json",
+                             "--k-ladder", "1,2", "--rho", "0,1", "--tol", "1/8",
+                             "--csv", f"{OUT}/table.csv"],
+    "oracle-defaults:p1": ["oracle", "polytopes/p1.json", "tests/golden/step1.json"],
+}
 
 
 def cases() -> dict[str, list[str]]:
@@ -54,19 +82,23 @@ def cases() -> dict[str, list[str]]:
         out[f"tc-eval:{name}"] = ["tc-eval", poly, step, f"--rho={RHO[dim]}"]
         out[f"tc-eval-mix:{name}"] = ["tc-eval", poly, mix, f"--rho={RHO[dim]}"]
         out[f"oracle:{name}"] = ["oracle", poly, step, "--k-ladder", LADDER[dim]]
-    return out
+        out[f"normal-cone:{name}"] = ["normal-cone", "--polytope", poly]
+    return out | OPTIONS
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run(argv: list[str]) -> tuple[int, str, dict[str, str]]:
+    """Exit code, stdout and the files written under {out}, by name."""
     buf = io.StringIO()
     cwd = os.getcwd()
-    os.chdir(REPO)
-    try:
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
-    return code, buf.getvalue()
+    with tempfile.TemporaryDirectory() as out:
+        os.chdir(REPO)
+        try:
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                code = main([arg.replace(OUT, out) for arg in argv])
+        finally:
+            os.chdir(cwd)
+        files = {p.name: p.read_bytes().decode() for p in sorted(Path(out).iterdir())}
+    return code, buf.getvalue(), files
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +114,10 @@ def test_case_list_matches(golden):
 def test_byte_identical(golden, case):
     expected = golden[case]
     assert expected["argv"] == cases()[case]
-    code, stdout = run(expected["argv"])
+    code, stdout, files = run(expected["argv"])
     assert code == expected["exit"]
     assert stdout == expected["stdout"]
+    assert files == expected.get("files", {})
 
 
 if __name__ == "__main__":
@@ -92,7 +125,9 @@ if __name__ == "__main__":
     added = [case for case in sorted(cases()) if case not in doc]
     for case in added:
         argv = cases()[case]
-        code, stdout = run(argv)
+        code, stdout, files = run(argv)
         doc[case] = {"argv": argv, "exit": code, "stdout": stdout}
+        if files:
+            doc[case]["files"] = files
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"added {len(added)} cases to {GOLDEN}: {', '.join(added)}")
