@@ -27,6 +27,7 @@ from toricding.geometry import volume
 from conftest import (
     REPO,
     clip,
+    load_corpus,
     make_bl1p2,
     make_p1,
     make_p1xp1,
@@ -119,6 +120,47 @@ class TestDHMeasure:
         m = dh_measure(pl(cube, (1,) + (0,) * dim))
         assert m.atoms == ()
         assert m.pieces == ((-1, 1, (Fraction(1, 2),)),)
+
+
+def assert_canonical(m):
+    """The unique form DHMeasure.build gives: sorted positive atoms;
+    sorted, disjoint, nonzero pieces with no equal touching neighbours."""
+    locs = [loc for loc, _ in m.atoms]
+    assert locs == sorted(set(locs))
+    assert all(mass > 0 for _, mass in m.atoms)
+    for lo, hi, coeffs in m.pieces:
+        assert lo < hi
+        assert coeffs and coeffs == rp.trim(coeffs)
+    for (_, hi, c), (lo, _, d) in zip(m.pieces, m.pieces[1:]):
+        assert hi <= lo
+        assert hi < lo or c != d
+
+
+class TestDHCanonical:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_configurations_dims_1_3(self, data):
+        P = data.draw(st.sampled_from(SECTION_DOMAINS))
+        # half-integer entries often give vertex values inside the support
+        # where the density does not change, so neighbours must be merged
+        halves = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+        entry = data.draw(st.sampled_from([small_rational, halves]))
+        rows = data.draw(st.lists(st.tuples(*[entry] * (P.dim + 1)), min_size=1, max_size=4))
+        assert_canonical(dh_measure(pl(P, *rows)))
+
+    @pytest.mark.parametrize("name, rows, count", [("stretched", [(0, 2, 0), (1, 1, 1)], 2),
+                                                   ("p1x3", [(1, -1, 2, 2)], 3)])
+    def test_equal_neighbours_merged(self, name, rows, count):
+        m = dh_measure(pl(load_corpus(name), *rows))
+        assert_canonical(m)
+        assert len(m.pieces) == count
+
+    @pytest.mark.parametrize("config", ["mix", "step"])
+    @pytest.mark.parametrize("name", ["p3", "blp3", "p1x3", "p4", "p1x4"])
+    def test_dim_3_4_corpus(self, name, config):
+        P = golden_polytope(name)
+        path = REPO / "tests" / "golden" / f"{config}{P.dim}.json"
+        assert_canonical(dh_measure(tio.load_test_config(str(path), P)))
 
 
 def golden_polytope(name):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricding import normalcone
 from toricding import (
     COutOfRange,
     HPolytope,
@@ -192,6 +193,34 @@ class TestVerdict:
         assert any("destabilized" in s for s in rep.statements)
         # the ratio d_z/j_t approaches 1 - vartheta < 0 from above
         assert rep.ratio_value < 0
+
+    @pytest.mark.parametrize("negative_below", [Fraction(1, 32), None])
+    def test_halving_fallback(self, stretched, monkeypatch, negative_below):
+        # no grid value destabilizes, so the witness search halves grid[0]
+        # up to 60 times; g_c is min(ord - c, 0) with min -c at the vertex
+        seen = []
+
+        def fake_d_z(f, ext):
+            c = -f.min_value()
+            seen.append(c)
+            return Fraction(-1) if negative_below and c <= negative_below else Fraction(1)
+
+        monkeypatch.setattr(normalcone, "d_z_na", fake_d_z)
+        grid = [Fraction(1, 8), Fraction(1, 4)]
+        rep = verdict(stretched, grid)
+        # the first call is the d_z/j_t ratio at grid[0]
+        assert rep.ratio_c == grid[0] and rep.ratio_value > 0
+        witness = [s for s in rep.statements if "destabilized" in s]
+        if negative_below:
+            assert rep.witness_c == grid[0] / 4 == negative_below
+            assert rep.witness_d_z == -1
+            assert witness == ["destabilized: not relative Ding-semistable; "
+                               "g_c with c = 1/32 has relative Ding invariant -1 < 0"]
+            assert seen == [grid[0], *grid, grid[0] / 2, grid[0] / 4]
+        else:
+            assert rep.witness_c is None and rep.witness_d_z is None
+            assert witness == []
+            assert seen == [grid[0], *grid] + [grid[0] / 2**i for i in range(1, 61)]
 
     def test_stretched_family_identities_still_hold(self, stretched):
         fam = normal_cone_family(stretched)
