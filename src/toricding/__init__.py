@@ -41,7 +41,6 @@ from .functionals import (
     e_na,
     inner_product,
     j_na,
-    region_subdivision,
 )
 from .geometry import (
     AffineFn,
@@ -72,7 +71,7 @@ from .normalcone import (
     verify_family,
     vertex_chart,
 )
-from .twisting import TwistProblem, jna_twisted, reduce_jna, twist
+from .twisting import jna_twisted, reduce_jna, twist
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

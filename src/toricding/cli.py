@@ -26,7 +26,7 @@ from .functionals import (
 from .geometry import show
 from .lattice import gabor_inner, weight_measure
 from .normalcone import _default_grid, normal_cone_family, verdict, verify_family
-from .twisting import TwistProblem, jna_twisted, reduce_jna
+from .twisting import jna_twisted, reduce_jna
 
 
 def _fr(x: Fraction, digits: int) -> dict:
@@ -74,27 +74,34 @@ def cmd_tc_eval(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if bool(args.segment) != bool(args.csvout):
+        raise tio.ParseError("--segment and --segment-csv must be given together")
+    if args.segment:
+        parts = args.segment.split(";")
+        steps = int(parts[2]) if len(parts) == 3 and parts[2].strip().isdecimal() else 0
+        if steps < 1:
+            raise tio.ParseError(
+                f"--segment must be 'a;b;N' with an integer N >= 1, got {args.segment!r}")
+        a, b = (tio.parse_rational_list(t) for t in parts[:2])
     P = validate_fano(tio.load_polytope(args.polytope))
+    if args.segment and not len(a) == len(b) == P.dim:
+        raise tio.ParseError(
+            f"--segment endpoints must have dimension {P.dim}, got {len(a)} and {len(b)}")
     f = tio.load_test_config(args.tc, P)
-    problem = TwistProblem.from_plconcave(f)
-    rho_star, j_t = reduce_jna(f, problem)
+    rho_star, j_t = reduce_jna(f)
     out = {
         "j_na": _fr(j_na(f), args.digits),
         "j_t_na": _fr(j_t, args.digits),
         "rho_star": tio.vector_to_strings(rho_star),
-        "candidates_used": len(problem.candidates),
+        "candidates_used": len(f.subdivision_vertices()),
     }
     sys.stdout.write(tio.dumps(out))
-    if args.segment and args.csvout:
-        a_txt, b_txt, n_txt = args.segment.split(";")
-        a = tio.parse_rational_list(a_txt)
-        b = tio.parse_rational_list(b_txt)
-        steps = int(n_txt)
+    if args.segment:
         rows = []
         for i in range(steps + 1):
             t = Fraction(i, steps)
             rho = [x + t * (y - x) for x, y in zip(a, b)]
-            rows.append([float(t), float(jna_twisted(f, rho, problem))])
+            rows.append([float(t), float(jna_twisted(f, rho))])
         _save_csv(args.csvout, ["t", "j_twisted"], rows)
     return 0
 

@@ -12,7 +12,6 @@ B-splines whose knots are the values of f at the simplex vertices
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -80,11 +79,6 @@ class PLConcave:
 
     def min_value(self) -> Fraction:
         return min(self(v) for v in vertices(self.domain))
-
-
-def region_subdivision(P, f: PLConcave):
-    """Linearity regions of f on P (see geometry.region_subdivision)."""
-    return _region_subdivision(_domain_base(P), f.affines)
 
 
 @dataclass(frozen=True)
@@ -155,25 +149,26 @@ class DHMeasure:
 
 
 def _canonical_pieces(pieces):
-    """Refine on common breakpoints, sum overlaps, merge equal neighbours."""
-    pieces = [(lo, hi, rp.trim(coeffs)) for lo, hi, coeffs in pieces if rp.trim(coeffs)]
-    if not pieces:
-        return ()
-    cuts = sorted({x for lo, hi, _ in pieces for x in (lo, hi)})
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        total: tuple[Fraction, ...] = ()
-        for plo, phi, coeffs in pieces:
-            if plo <= lo and hi <= phi:
-                total = rp.add(total, coeffs)
-        if total:
-            out.append((lo, hi, total))
+    """Refine on common breakpoints, sum overlaps, merge equal neighbours.
+
+    One sweep over the breakpoints: each piece adds its coefficients at
+    lo and subtracts them at hi, and the running sum is the density.
+    """
+    delta: dict[Fraction, rp.Poly] = {}
+    for lo, hi, coeffs in pieces:
+        delta[lo] = rp.add(delta.get(lo, ()), coeffs)
+        delta[hi] = rp.add(delta.get(hi, ()), rp.scale(coeffs, -1))
+    cuts = sorted(delta)
     merged = []
-    for lo, hi, coeffs in out:
-        if merged and merged[-1][1] == lo and merged[-1][2] == coeffs:
-            merged[-1] = (merged[-1][0], hi, coeffs)
+    total: rp.Poly = ()
+    for lo, hi in zip(cuts, cuts[1:]):
+        total = rp.add(total, delta[lo])
+        if not total:
+            continue
+        if merged and merged[-1][1] == lo and merged[-1][2] == total:
+            merged[-1] = (merged[-1][0], hi, total)
         else:
-            merged.append((lo, hi, coeffs))
+            merged.append((lo, hi, total))
     return tuple(merged)
 
 
@@ -181,8 +176,7 @@ def dh_measure(f: PLConcave) -> DHMeasure:
     """Exact pushforward of Lebesgue/vol(P) under f.
 
     Each simplex s of a non-constant region R adds vol(s)/vol(P) times
-    the B-spline with knots f(vertices of s), summed on the intervals
-    between consecutive values of f at the vertices of R.
+    the B-spline with knots f(vertices of s); DHMeasure.build sums them.
     """
     vol = volume(f.domain)
     atoms = []
@@ -191,15 +185,9 @@ def dh_measure(f: PLConcave) -> DHMeasure:
         if a.is_constant:
             atoms.append((a.constant, volume(R) / vol))
             continue
-        cuts = sorted({a(v) for v in vertices(R)})
-        density: dict[int, rp.Poly] = {}
         for s, vol_s in _record(R).simplices:
-            weight = vol_s / vol
-            for lo, hi, coeffs in rp.bspline([a(w) for w in s]):
-                coeffs = rp.scale(coeffs, weight)
-                for j in range(bisect_left(cuts, lo), bisect_left(cuts, hi)):
-                    density[j] = rp.add(density.get(j, ()), coeffs)
-        pieces.extend((cuts[j], cuts[j + 1], coeffs) for j, coeffs in sorted(density.items()))
+            pieces.extend((lo, hi, rp.scale(coeffs, vol_s / vol))
+                          for lo, hi, coeffs in rp.bspline([a(w) for w in s]))
     return DHMeasure.build(atoms, pieces)
 
 

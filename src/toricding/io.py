@@ -11,9 +11,14 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
+from . import rationalpoly as rp
 from .errors import DimensionMismatch
 from .functionals import DHMeasure, PLConcave
 from .geometry import AffineFn, HPolytope, facets_from_vertices
+
+
+# density samples per DH piece in plot data
+POINTS_PER_PIECE = 16
 
 
 class ParseError(ValueError):
@@ -123,14 +128,12 @@ def parse_rational_list(text: str) -> list[Fraction]:
     return [parse_rational(s.strip()) for s in items]
 
 
-def density_samples(m: DHMeasure, points_per_piece: int = 16):
+def density_samples(m: DHMeasure):
     """(lambda, density) rows for plotting; atoms are reported separately."""
-    from . import rationalpoly as rp
-
     rows = []
     for lo, hi, coeffs in m.pieces:
-        for i in range(points_per_piece + 1):
-            lam = lo + (hi - lo) * Fraction(i, points_per_piece)
+        for i in range(POINTS_PER_PIECE + 1):
+            lam = lo + (hi - lo) * Fraction(i, POINTS_PER_PIECE)
             rows.append((lam, rp.evaluate(coeffs, lam)))
     return rows
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import rationalpoly as rp
@@ -252,35 +253,19 @@ def verdict(P: FanoPolytope, c_grid: Sequence | None = None) -> StabilityReport:
             "not uniformly relative Ding-stable: the normal-cone family has "
             "relative-Ding/reduced-J ratio tending to 1 - vartheta <= 0"
         )
-        c0 = grid[0]
-        f0 = g_c(family, c0)
-        rho_star, j_t = reduce_jna(f0)
-        dz0 = d_z_na(f0, ext)
-        report.ratio_c = c0
-        report.ratio_value = dz0 / j_t
+        f0 = g_c(family, grid[0])
+        report.ratio_c = grid[0]
+        report.ratio_value = d_z_na(f0, ext) / reduce_jna(f0)[1]
     if vt > 1:
-        witness = None
-        for c in grid:
-            f = g_c(family, c)
-            dz = d_z_na(f, ext)
+        for c in chain(grid, (grid[0] / 2**i for i in range(1, 61))):
+            dz = d_z_na(g_c(family, c), ext)
             if dz < 0:
-                witness = (c, dz)
+                report.witness_c, report.witness_d_z = c, dz
+                statements.append(
+                    f"destabilized: not relative Ding-semistable; "
+                    f"g_c with c = {c} has relative Ding invariant {dz} < 0"
+                )
                 break
-        if witness is None:
-            c = grid[0]
-            for _ in range(60):
-                c = c / 2
-                f = g_c(family, c)
-                dz = d_z_na(f, ext)
-                if dz < 0:
-                    witness = (c, dz)
-                    break
-        if witness is not None:
-            report.witness_c, report.witness_d_z = witness
-            statements.append(
-                f"destabilized: not relative Ding-semistable; "
-                f"g_c with c = {witness[0]} has relative Ding invariant {witness[1]} < 0"
-            )
     return report
 
 

@@ -14,30 +14,12 @@ smallest point of that hull is one of its generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch
 from .functionals import PLConcave, e_na
-from .geometry import Point, _dot, _frac, barycenter
-
-
-@dataclass(frozen=True)
-class TwistProblem:
-    f: PLConcave
-    candidates: tuple[Point, ...]
-    mean_f: Fraction
-    b: Point
-
-    @staticmethod
-    def from_plconcave(f: PLConcave) -> "TwistProblem":
-        return TwistProblem(
-            f=f,
-            candidates=f.subdivision_vertices(),
-            mean_f=e_na(f),
-            b=barycenter(f.domain),
-        )
+from .geometry import _dot, _frac, barycenter, vertices
 
 
 def twist(f: PLConcave, rho: Sequence) -> PLConcave:
@@ -47,27 +29,24 @@ def twist(f: PLConcave, rho: Sequence) -> PLConcave:
     return PLConcave(tuple(a.shift(rho) for a in f.affines), f.domain)
 
 
-def jna_twisted(f: PLConcave, rho: Sequence, problem: TwistProblem | None = None) -> Fraction:
+def jna_twisted(f: PLConcave, rho: Sequence) -> Fraction:
     """J of the twisted configuration, evaluated on the untwisted subdivision.
 
     Tilting every piece equally keeps the linearity regions, so the max
-    of f + <rho, .> is attained at a subdivision vertex of f.
+    of f + <rho, .> is attained at a vertex of a region R, where f is
+    R's affine.
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
-    p = problem if problem is not None else TwistProblem.from_plconcave(f)
     rho = tuple(_frac(r) for r in rho)
-    peak = max(f(v) + _dot(rho, v) for v in p.candidates)
-    return peak - (p.mean_f + _dot(rho, p.b))
+    peak = max(a(v) + _dot(rho, v) for R, a in f.regions() for v in vertices(R))
+    return peak - (e_na(f) + _dot(rho, barycenter(f.domain)))
 
 
-def reduce_jna(f: PLConcave, problem: TwistProblem | None = None):
+def reduce_jna(f: PLConcave):
     """(rho_star, j_t): the lexicographically smallest minimizer of the
     twisted J and its minimum, f(b) - mean(f)."""
-    if problem is not None:
-        b, mean_f = problem.b, problem.mean_f
-    else:
-        b, mean_f = barycenter(f.domain), e_na(f)
+    b = barycenter(f.domain)
     top = f(b)
     rho_star = min(tuple(-g for g in a.gradient) for a in f.affines if a(b) == top)
-    return rho_star, top - mean_f
+    return rho_star, top - e_na(f)

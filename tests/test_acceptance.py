@@ -10,7 +10,6 @@ from fractions import Fraction
 from toricding import (
     AffineFn,
     PLConcave,
-    TwistProblem,
     covariance,
     d_na,
     d_z_na,
@@ -169,16 +168,15 @@ def test_criterion_08_convexity_suite():
             for _ in range(rng.randint(1, 3))
         ]
         f = pl(P, *rows)
-        problem = TwistProblem.from_plconcave(f)
         r1, r2 = rand_rho(), rand_rho()
         mid = [(a + b) / 2 for a, b in zip(r1, r2)]
-        lhs = jna_twisted(f, mid, problem)
-        rhs = (jna_twisted(f, r1, problem) + jna_twisted(f, r2, problem)) / 2
+        lhs = jna_twisted(f, mid)
+        rhs = (jna_twisted(f, r1) + jna_twisted(f, r2)) / 2
         assert lhs <= rhs, (i, rows, r1, r2)
-        _, j_t = reduce_jna(f, problem)
+        _, j_t = reduce_jna(f)
         for _ in range(20):
             rho = rand_rho()
-            assert j_t <= jna_twisted(f, rho, problem), (i, rows, rho)
+            assert j_t <= jna_twisted(f, rho), (i, rows, rho)
         if i % 25 == 0:
             track(dh_measure(f), e_na(f))
     ok(8, "midpoint convexity and reduced J <= twisted J hold exactly on 100 random instances")

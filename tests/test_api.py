@@ -10,14 +10,14 @@ PUBLIC = [
     "AffineFn", "COutOfRange", "DHMeasure", "DimensionMismatch", "EmptyPolytope",
     "ExtremalData", "FanoPolytope", "HPolytope", "InputTooLarge", "InternalError",
     "MismatchReport", "NonSmoothVertex", "NormalConeFamily", "NotCanonicalFano",
-    "OriginNotInterior", "PLConcave", "SingularGram", "ToricDingError", "TwistProblem",
+    "OriginNotInterior", "PLConcave", "SingularGram", "ToricDingError",
     "UnboundedPolytope", "VertexChart", "WeightMeasure", "ZeroFacetNormal",
     "barycenter", "covariance", "d_na", "d_z_na", "dh_closed_form", "dh_measure",
     "dh_of_vector_field", "e_na", "errors", "extremal", "extremal_affine",
     "facets_from_vertices", "functionals", "futaki_pairing", "g_c", "gabor_inner",
     "geometry", "inner_product", "integrate_product", "j_na", "jna_twisted",
     "jump_weights", "lattice", "lattice_points", "normal_cone_family", "normalcone",
-    "rationalpoly", "reduce_jna", "region_subdivision", "select_vertex", "triangulate",
+    "rationalpoly", "reduce_jna", "select_vertex", "triangulate",
     "twist", "twisting", "validate_fano", "verdict", "verify_family", "vertex_chart",
     "vertices", "vol_distribution", "volume", "weight_measure",
 ]

@@ -218,6 +218,30 @@ class TestReduce:
         assert rows[0] == "t,j_twisted"
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("segment, message", [
+        ("0;1;0", "--segment must be 'a;b;N' with an integer N >= 1, got '0;1;0'"),
+        ("0;1", "--segment must be 'a;b;N' with an integer N >= 1, got '0;1'"),
+        ("0;1;-2", "--segment must be 'a;b;N' with an integer N >= 1, got '0;1;-2'"),
+        ("0,0;1;2", "--segment endpoints must have dimension 1, got 2 and 1"),
+        ("0;x;2", "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    ], ids=["zero-steps", "two-parts", "negative-steps", "extra-coordinate", "bad-rational"])
+    def test_bad_segment_before_output(self, capsys, tc_step, tmp_path, segment, message):
+        csv_path = tmp_path / "seg.csv"
+        code, out, err = run(capsys, "reduce", str(POLYTOPE_DIR / "p1.json"), tc_step,
+                             "--segment", segment, "--segment-csv", str(csv_path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("option", ["--segment", "--segment-csv"])
+    def test_segment_options_go_together(self, capsys, tmp_path, option):
+        # checked before any file is read
+        value = "0;1;4" if option == "--segment" else str(tmp_path / "seg.csv")
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "reduce", missing, missing, option, value)
+        assert (code, out) == (1, "")
+        assert err == "error: --segment and --segment-csv must be given together\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNormalCone:
     def test_bl1p2_report(self, capsys, tmp_path):

@@ -17,7 +17,6 @@ from toricding import (
     dh_measure,
     facets_from_vertices,
     integrate_product,
-    region_subdivision,
     triangulate,
     vertices,
     volume,
@@ -291,7 +290,7 @@ class TestIntegrateProduct:
 
 class TestRegionSubdivision:
     def test_step_on_interval(self, p1, step_p1):
-        regions = region_subdivision(p1, step_p1)
+        regions = step_p1.regions()
         assert len(regions) == 2
         zero_region, zero_fn = regions[0]
         assert zero_fn.is_constant and zero_fn.constant == 0
@@ -302,31 +301,31 @@ class TestRegionSubdivision:
 
     def test_single_affine_is_identity(self, p2):
         f = pl(p2, (1, 2, Fraction(1, 3)))
-        regions = region_subdivision(p2, f)
+        regions = f.regions()
         assert regions == [(p2.base, f.affines[0])]
 
     def test_corner_cut_volumes(self, p2):
         # min{x1 + x2 + 2 - c, 0}: corner simplex c^2/2 at the vertex chart
         for c in (Fraction(1, 2), Fraction(1), Fraction(5, 2)):
             f = pl(p2, (1, 1, 2 - c), (0, 0, 0))
-            vols = {volume(R) for R, _ in region_subdivision(p2, f)}
+            vols = {volume(R) for R, _ in f.regions()}
             assert vols == {c**2 / 2, Fraction(9, 2) - c**2 / 2}
 
     def test_volumes_sum_and_values_match(self, bl1p2):
         f = pl(bl1p2, (1, 0, 1), (0, 1, 1), (0, 0, Fraction(3, 2)))
-        regions = region_subdivision(bl1p2, f)
+        regions = f.regions()
         assert sum(volume(R) for R, _ in regions) == volume(bl1p2.base)
         for R, a in regions:
             assert f(barycenter(R)) == a(barycenter(R))
 
     def test_duplicate_affines_pruned(self, p1):
         f = pl(p1, (0, 0), (0, 0), (-1, 0))
-        assert len(region_subdivision(p1, f)) == 2
+        assert len(f.regions()) == 2
 
     def test_parallel_dominated_affine_pruned(self, p2):
         # equal gradients, larger constant: never the minimum
         f = pl(p2, (1, 1, 0), (1, 1, 1))
-        regions = region_subdivision(p2, f)
+        regions = f.regions()
         assert len(regions) == 1
         assert regions[0][1].constant == 0
         assert volume(regions[0][0]) == volume(p2.base)

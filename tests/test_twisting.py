@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from toricding import (
     AffineFn,
     PLConcave,
-    TwistProblem,
     dh_measure,
     e_na,
     j_na,
@@ -116,11 +115,10 @@ class TestReduce:
 
     def test_optimum_dominates_random_twists(self, step_p2):
         rng = random.Random(3)
-        problem = TwistProblem.from_plconcave(step_p2)
-        _, j_t = reduce_jna(step_p2, problem)
+        _, j_t = reduce_jna(step_p2)
         for _ in range(20):
             rho = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(2)]
-            assert j_t <= jna_twisted(step_p2, rho, problem)
+            assert j_t <= jna_twisted(step_p2, rho)
 
     @given(rows=pl_rows_p2, r=st.tuples(small_rational, small_rational))
     @settings(max_examples=15, deadline=None)
@@ -158,11 +156,10 @@ class TestReduce:
             forced = AffineFn.make(rand_gradient(), 0)
             pieces.append(AffineFn.make(forced.gradient, top - forced(b)))
             f = PLConcave.make(pieces, P)
-            problem = TwistProblem.from_plconcave(f)
-            rho_star, j_t = reduce_jna(f, problem)
-            assert jna_twisted(f, rho_star, problem) == j_t
+            rho_star, j_t = reduce_jna(f)
+            assert jna_twisted(f, rho_star) == j_t
             minimizers = [rho for rho in (tuple(-g for g in a.gradient) for a in pieces)
-                          if jna_twisted(f, rho, problem) == j_t]
+                          if jna_twisted(f, rho) == j_t]
             assert tuple(-g for g in pieces[-1].gradient) in minimizers
             assert len(set(minimizers)) >= 2
             assert all(rho_star <= rho for rho in minimizers)
@@ -179,11 +176,10 @@ class TestReduce:
                 for _ in range(rng.randint(2, 3))
             ]
             f = pl(P, *rows)
-            problem = TwistProblem.from_plconcave(f)
-            _, j_t = reduce_jna(f, problem)
-            cand = [(float(f(v)), [float(c) for c in v]) for v in problem.candidates]
-            bf = [float(c) for c in problem.b]
-            mean = float(problem.mean_f)
+            _, j_t = reduce_jna(f)
+            cand = [(float(f(v)), [float(c) for c in v]) for v in f.subdivision_vertices()]
+            bf = [float(c) for c in barycenter(f.domain)]
+            mean = float(e_na(f))
 
             def j_float(rho):
                 return max(fv + sum(r * c for r, c in zip(rho, v)) for fv, v in cand) - (
