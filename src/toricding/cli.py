@@ -143,7 +143,7 @@ def cmd_normal_cone(args) -> int:
         ],
         "expansion_coeffs": [tio.format_rational(c) for c in report.expansion_coeffs],
         "expansion_leading": tio.format_rational(report.leading_coeff),
-        "expansion_leading_expected": tio.format_rational(report.leading_expected),
+        "expansion_leading_expected": tio.format_rational(report.leading_coeff),
         "verdict": {
             "vartheta_float": tio.format_float(stability.vartheta, args.digits),
             "flags": stability.flags,

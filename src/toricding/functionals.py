@@ -185,9 +185,10 @@ def dh_measure(f: PLConcave) -> DHMeasure:
         if a.is_constant:
             atoms.append((a.constant, volume(R) / vol))
             continue
+        value = {w: a(w) for w in vertices(R)}
         for s, vol_s in _record(R).simplices:
             pieces.extend((lo, hi, rp.scale(coeffs, vol_s / vol))
-                          for lo, hi, coeffs in rp.bspline([a(w) for w in s]))
+                          for lo, hi, coeffs in rp.bspline([value[w] for w in s]))
     return DHMeasure.build(atoms, pieces)
 
 

@@ -6,6 +6,21 @@ g_c = min(ord - c, 0) where ord is the vanishing-order coordinate of a
 unimodular chart at the vertex.  On (0, c_max) every invariant of g_c
 has a closed form; comparing those against the generic code paths is
 the strongest end-to-end audit this library has.
+
+The closed forms come from the corner simplex.  For c < c_max, {ord <= c}
+is x = v + sum_i y_i e_i with y >= 0 and S = sum_i y_i <= c, where the
+e_i are the primitive edge directions at v, a lattice basis, so dx = dy
+and g_c = S - c there.  As vol(P) = L^n/n!, int (S - c) dy =
+-c^{n+1}/((n+1) n!) and int (S - c) y_i dy = -c^{n+2}/((n+1)(n+2) n!),
+and theta = theta(v) + sum_i y_i <grad theta, e_i> there, so with
+s = sum_i <grad theta, e_i> the reduced J f(b) - mean and the relative
+Ding invariant D_Z = f(0) - (1/vol) int f (1 - theta) of g_c are
+
+    J_T(g_c) = g_c(b) + c^{n+1} / ((n+1) L^n),
+    D_Z(g_c) = g_c(0) + [(1 - theta(v)) c^{n+1} - s c^{n+2}/(n+2)] / ((n+1) L^n),
+
+where theta(v) = vartheta at a theta-maximizing vertex, and g_c(0) and
+g_c(b) vanish while c <= ord(0) and c <= ord(b).
 """
 
 from __future__ import annotations
@@ -19,16 +34,16 @@ from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
 from .extremal import FanoPolytope, extremal_affine
 from .functionals import DHMeasure, PLConcave, d_na, d_z_na, dh_measure, inner_product, j_na
-from .geometry import AffineFn, Point, _eliminate, _frac, _primitive, _record, show
+from .geometry import AffineFn, Point, _dot, _eliminate, _frac, _primitive, _record, show
 from .twisting import reduce_jna
 
 
 @dataclass(frozen=True)
 class VertexChart:
-    """Unimodular coordinates at a smooth vertex; ord = sum of chart coords."""
+    """A smooth vertex, its primitive edge directions and ord = their coordinate sum."""
 
     vertex: Point
-    unimodular: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, ...], ...]
     ord: AffineFn
 
 
@@ -69,23 +84,20 @@ def vertex_chart(P: FanoPolytope, v: Point) -> VertexChart:
     Requires the primitive edge directions at v to form a lattice basis;
     ord(x) is the coordinate sum, i.e. the vanishing order at the vertex.
     """
-    n = P.dim
     v = tuple(_frac(c) for c in v)
-    dirs = _edge_directions(P, v)
-    # reduce [E | I] with E's columns the edge directions: the right half becomes E^{-1}
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    m, _, det = _eliminate([[dirs[j][i] for j in range(n)] + unit[i] for i in range(n)])
+    edges = tuple(_edge_directions(P, v))
+    # the gradient of ord solves <grad, e_i> = 1 for every edge direction e_i
+    m, _, det = _eliminate([e + (1,) for e in edges])
     if abs(det) != 1:
         raise NonSmoothVertex(
             f"edge directions at {show(v)} span a sublattice of index {abs(det)}", determinant=det
         )
-    U = tuple(tuple(int(x) for x in row[n:]) for row in m)  # integer because |det| = 1
-    grad = tuple(sum(Fraction(U[i][j]) for i in range(n)) for j in range(n))
+    grad = tuple(row[-1] for row in m)
     ord_fn = AffineFn(grad, -sum(g * c for g, c in zip(grad, v)))
     for w in P.vertices():
         if ord_fn(w) < 0:
             raise NonSmoothVertex(f"vanishing order negative at vertex {show(w)}")
-    return VertexChart(vertex=v, unimodular=U, ord=ord_fn)
+    return VertexChart(vertex=v, edges=edges, ord=ord_fn)
 
 
 def normal_cone_family(P: FanoPolytope, v: Point | None = None) -> NormalConeFamily:
@@ -104,6 +116,27 @@ def g_c(family: NormalConeFamily, c) -> PLConcave:
     shifted = AffineFn(family.chart.ord.gradient, family.chart.ord.constant - c)
     zero = AffineFn((Fraction(0),) * n, Fraction(0))
     return PLConcave((shifted, zero), family.P.base)
+
+
+def _d_z_expansion(family: NormalConeFamily) -> rp.Poly:
+    """D_Z(g_c) - g_c(0) as a polynomial in c (module docstring)."""
+    P, ext = family.P, extremal_affine(family.P)
+    k = (P.dim + 1) * P.anticanonical_degree()
+    s = sum(_dot(ext.theta.gradient, e) for e in family.chart.edges)
+    return rp.trim((Fraction(0),) * (P.dim + 1) + ((1 - ext.vartheta) / k, -s / ((P.dim + 2) * k)))
+
+
+def _d_z(family: NormalConeFamily, c) -> Fraction:
+    """D_Z(g_c) in closed form; raises COutOfRange outside (0, c_max)."""
+    f = g_c(family, c)
+    return f((Fraction(0),) * family.P.dim) + rp.evaluate(_d_z_expansion(family), _frac(c))
+
+
+def _j_t(family: NormalConeFamily, c) -> Fraction:
+    """J_T(g_c) in closed form; raises COutOfRange outside (0, c_max)."""
+    P = family.P
+    return g_c(family, c)(P.barycenter()) + _frac(c) ** (P.dim + 1) / (
+        (P.dim + 1) * P.anticanonical_degree())
 
 
 def dh_closed_form(n: int, Ln, c) -> DHMeasure:
@@ -139,81 +172,44 @@ class FamilyReport:
     ord: AffineFn
     c_max: Fraction
     vartheta: Fraction
+    expansion_coeffs: tuple[Fraction, ...]
+    leading_coeff: Fraction
     rows: list[FamilyRow] = field(default_factory=list)
-    expansion_nodes: list[tuple[Fraction, Fraction]] = field(default_factory=list)
-    expansion_coeffs: tuple[Fraction, ...] = ()
-    leading_coeff: Fraction = Fraction(0)
-    leading_expected: Fraction = Fraction(0)
-    held_out: tuple[Fraction, Fraction, Fraction] | None = None
 
 
 def verify_family(family: NormalConeFamily, c_grid: Sequence) -> FamilyReport:
-    """Check every closed-form identity of the family on the given grid.
-
-    Raises MismatchReport listing both sides of each failed identity.
-    """
+    """Check every closed-form identity of the family on the grid, and D_Z at n + 4
+    more points of (0, grid_cap]; MismatchReport lists both sides of each failure."""
     P = family.P
     n = P.dim
     Ln = P.anticanonical_degree()
     ext = extremal_affine(P)
-    report = FamilyReport(
-        n=n,
-        Ln=Ln,
-        vertex=family.chart.vertex,
-        ord=family.chart.ord,
-        c_max=family.c_max,
-        vartheta=ext.vartheta,
-    )
-    failures = []
-    for c in c_grid:
-        c = _frac(c)
+    ord_fn = family.chart.ord
+    report = FamilyReport(n, Ln, family.chart.vertex, ord_fn, family.c_max, ext.vartheta,
+                          _d_z_expansion(family), (1 - ext.vartheta) / ((n + 1) * Ln))
+    origin, neg_ord = (Fraction(0),) * n, tuple(-g for g in ord_fn.gradient)
+    b = P.barycenter()
+    checks = []
+    for c in map(_frac, c_grid):
         f = g_c(family, c)
-        measure = dh_measure(f)
-        expected_measure = dh_closed_form(n, Ln, c)
-        jv = j_na(f)
+        measure, expected_measure = dh_measure(f), dh_closed_form(n, Ln, c)
         dv = d_na(f)
         pairing = inner_product(f, ext.theta.gradient)
         rho_star, j_t = reduce_jna(f)
-        target = c ** (n + 1) / ((n + 1) * Ln)
-        row = FamilyRow(
-            c=c, j=jv, j_t=j_t, rho_star=rho_star, d=dv,
-            pairing=pairing, d_z=dv + pairing,
-            dh_matches=(measure == expected_measure),
-        )
+        row = FamilyRow(c=c, j=j_na(f), j_t=j_t, rho_star=rho_star, d=dv, pairing=pairing,
+                        d_z=dv + pairing, dh_matches=measure == expected_measure)
         report.rows.append(row)
-        if not row.dh_matches:
-            failures.append((f"dh_measure(c={c})", measure, expected_measure))
-        if jv != target:
-            failures.append((f"j_na(c={c})", jv, target))
-        if dv != target:
-            failures.append((f"d_na(c={c})", dv, target))
-        if any(r != 0 for r in rho_star):
-            failures.append((f"rho_star(c={c})", rho_star, (Fraction(0),) * n))
-        if j_t != jv:
-            failures.append((f"j_t(c={c})", j_t, jv))
-    # exact expansion of the relative Ding invariant in c
-    origin = (Fraction(0),) * n
-    cap = min(family.grid_cap(), family.chart.ord(origin) / 2)
-    nodes = []
-    for i in range(1, n + 4):
-        ci = cap * Fraction(i, n + 3)
-        fi = g_c(family, ci)
-        nodes.append((ci, d_z_na(fi, ext)))
-    coeffs = rp.lagrange_interpolate(nodes)
-    report.expansion_nodes = nodes
-    report.expansion_coeffs = coeffs
-    report.leading_coeff = coeffs[n + 1] if len(coeffs) > n + 1 else Fraction(0)
-    report.leading_expected = (1 - ext.vartheta) / ((n + 1) * Ln)
-    c_h = cap * Fraction(2 * (n + 3) - 1, 2 * (n + 3))
-    fh = g_c(family, c_h)
-    dz_h = d_z_na(fh, ext)
-    report.held_out = (c_h, dz_h, rp.evaluate(coeffs, c_h))
-    if rp.evaluate(coeffs, c_h) != dz_h:
-        failures.append(("expansion held-out value", rp.evaluate(coeffs, c_h), dz_h))
-    if report.leading_coeff != report.leading_expected:
-        failures.append(
-            ("expansion leading coefficient", report.leading_coeff, report.leading_expected)
-        )
+        target = c ** (n + 1) / ((n + 1) * Ln)
+        # the pieces active at b: 0 while c <= ord(b), ord - c once c >= ord(b)
+        active = [origin] * (c <= ord_fn(b)) + [neg_ord] * (c >= ord_fn(b))
+        checks += [(f"dh_measure(c={c})", measure, expected_measure),
+                   (f"j_na(c={c})", row.j, target), (f"d_na(c={c})", dv, f(origin) + target),
+                   (f"rho_star(c={c})", rho_star, min(active)), (f"j_t(c={c})", j_t, f(b) + target),
+                   (f"d_z_na(c={c})", row.d_z, _d_z(family, c))]
+    cap = family.grid_cap()
+    for c in (cap * Fraction(i, n + 4) for i in range(1, n + 5)):
+        checks.append((f"d_z_na(c={c})", d_z_na(g_c(family, c), ext), _d_z(family, c)))
+    failures = [check for check in checks if check[1] != check[2]]
     if failures:
         raise MismatchReport(failures)
     return report
@@ -253,13 +249,15 @@ def verdict(P: FanoPolytope, c_grid: Sequence | None = None) -> StabilityReport:
             "not uniformly relative Ding-stable: the normal-cone family has "
             "relative-Ding/reduced-J ratio tending to 1 - vartheta <= 0"
         )
-        f0 = g_c(family, grid[0])
         report.ratio_c = grid[0]
-        report.ratio_value = d_z_na(f0, ext) / reduce_jna(f0)[1]
+        report.ratio_value = _d_z(family, grid[0]) / _j_t(family, grid[0])
     if vt > 1:
         for c in chain(grid, (grid[0] / 2**i for i in range(1, 61))):
-            dz = d_z_na(g_c(family, c), ext)
-            if dz < 0:
+            closed = _d_z(family, c)
+            if closed < 0:
+                dz = d_z_na(g_c(family, c), ext)
+                if dz != closed:
+                    raise MismatchReport([(f"d_z_na(c={c})", dz, closed)])
                 report.witness_c, report.witness_d_z = c, dz
                 statements.append(
                     f"destabilized: not relative Ding-semistable; "

@@ -279,6 +279,17 @@ class TestNormalCone:
         assert code == 1
         assert err == "error: c values 5, -1/3 outside (0, 2)\n"
 
+    def test_grid_above_order_at_origin(self, capsys):
+        # on p1, ord(0) = ord(b) = 1 < c_max = 2: at c = 3/2, g_c(0) = g_c(b) = -1/2,
+        # and at c = 1 both pieces are active at b
+        code, out, err = run(capsys, "normal-cone", "--polytope", str(POLYTOPE_DIR / "p1.json"),
+                             "--grid", "1,3/2")
+        assert (code, err) == (0, "")
+        rows = [(r["c"], r["j_na"], r["d_na"], r["j_t_na"], r["rho_star"], r["d_z_na"])
+                for r in json.loads(out)["rows"]]
+        assert rows == [("1", "1/4", "1/4", "1/4", ["-1"], "1/4"),
+                        ("3/2", "9/16", "1/16", "1/16", ["-1"], "1/16")]
+
     @pytest.mark.parametrize("index", ["99", "4", "-1"])
     def test_vertex_index_out_of_range(self, capsys, index):
         # bl1p2 has 4 vertices; -1 is not a back-reference to the last one

@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 
 from toricding import normalcone
+from toricding import rationalpoly as rp
 from toricding import (
     COutOfRange,
     HPolytope,
     MismatchReport,
     NonSmoothVertex,
+    d_z_na,
     dh_closed_form,
     extremal_affine,
     g_c,
     normal_cone_family,
+    reduce_jna,
     select_vertex,
     validate_fano,
     verdict,
@@ -20,7 +23,19 @@ from toricding import (
     volume,
 )
 
-from conftest import clip
+from conftest import CORPUS_FILES, clip, load_corpus
+
+# polygons with vartheta > 1 whose destabilizing range (0, c*) ends below c_max = 2,
+# c* = 4 (vartheta - 1) / |s|: 165/284 and 11/10
+THETA_ABOVE_ONE = {
+    "kite": validate_fano(HPolytope.from_inequalities(
+        2, [([1, 0], 1), ([0, 1], 1), ([-1, -1], 1), ([-1, -2], 1)])),
+    "pentagon": validate_fano(HPolytope.from_inequalities(
+        2, [([1, 0], 1), ([0, 1], 1), ([-1, 0], 1), ([-1, -1], 1), ([-1, -2], 1)])),
+}
+
+RATIO_STATEMENT = ("not uniformly relative Ding-stable: the normal-cone family has "
+                   "relative-Ding/reduced-J ratio tending to 1 - vartheta <= 0")
 
 
 class TestSelectVertex:
@@ -137,6 +152,36 @@ class TestClosedForm:
             dh_closed_form(2, 4, 2)
 
 
+class TestInvariantClosedForms:
+    """D_Z and J_T of g_c in closed form against the generic functionals, at every
+    smooth vertex and on c across (0, c_max), past ord(0) and ord(b) where they are
+    below c_max; off the theta-maximizers, theta(v) takes the place of vartheta."""
+
+    @pytest.mark.parametrize("name", [*CORPUS_FILES, *THETA_ABOVE_ONE])
+    def test_every_smooth_vertex(self, name):
+        P = THETA_ABOVE_ONE[name] if name in THETA_ABOVE_ONE else load_corpus(name)
+        n, Ln = P.dim, P.anticanonical_degree()
+        ext = extremal_affine(P)
+        kinks = [(Fraction(0),) * n, P.barycenter()]
+        checked = 0
+        for v in P.vertices():
+            try:
+                fam = normal_cone_family(P, v)
+            except NonSmoothVertex:
+                continue
+            # five even steps, and each of ord(0), ord(b) with a point above it
+            cs = {fam.c_max * Fraction(i, 6) for i in range(1, 6)}
+            for o in map(fam.chart.ord, kinks):
+                cs |= {c for c in (o, (o + fam.c_max) / 2) if c < fam.c_max}
+            for c in sorted(cs):
+                f = g_c(fam, c)
+                off_max = (ext.vartheta - ext.theta(v)) * c ** (n + 1) / ((n + 1) * Ln)
+                assert d_z_na(f, ext) == normalcone._d_z(fam, c) + off_max, (v, c)
+                assert reduce_jna(f)[1] == normalcone._j_t(fam, c), (v, c)
+                checked += 1
+        assert checked >= 9
+
+
 class TestVerifyFamily:
     def test_p1(self, p1):
         report = verify_family(normal_cone_family(p1), [Fraction(1, 4), Fraction(1, 2)])
@@ -157,19 +202,39 @@ class TestVerifyFamily:
         assert report.leading_coeff == (1 - Fraction(5, 11)) / 24
         assert report.expansion_coeffs[:3] == (0, 0, 0)
 
-    def test_held_out_point_reproduced(self, bl1p2):
-        report = verify_family(normal_cone_family(bl1p2), [Fraction(1, 4)])
-        c_h, exact, interpolated = report.held_out
-        assert exact == interpolated
+    def test_held_out_point_reproduced(self, bl1p2, monkeypatch):
+        # the generic D_Z is checked at n + 4 nodes of (0, grid_cap], which pins
+        # every coefficient: a point off the nodes is reproduced as well
+        fam = normal_cone_family(bl1p2)
+        ext = extremal_affine(bl1p2)
+        nodes = []
+
+        def spy(f, ext):
+            value = d_z_na(f, ext)
+            nodes.append((-f.min_value(), value))
+            return value
+
+        monkeypatch.setattr(normalcone, "d_z_na", spy)
+        report = verify_family(fam, [Fraction(1, 4)])
+        cap = fam.grid_cap()
+        assert [c for c, _ in nodes] == [cap * Fraction(i, 6) for i in range(1, 7)]
+        for c, value in nodes:
+            assert value == rp.evaluate(report.expansion_coeffs, c)
+        c_h = cap * Fraction(11, 12)
+        assert d_z_na(g_c(fam, c_h), ext) == rp.evaluate(report.expansion_coeffs, c_h)
 
     def test_mismatch_reported_with_both_sides(self, bl1p2):
         # a vertex that does not maximize theta: per-c identities hold but
-        # the expansion coefficient sees theta(v) instead of vartheta
+        # D_Z sees theta(v) instead of vartheta, at the grid row and every node
         fam = normal_cone_family(bl1p2, (1, 0))
+        ext = extremal_affine(bl1p2)
         with pytest.raises(MismatchReport) as exc:
             verify_family(fam, [Fraction(1, 4)])
-        names = [name for name, _, _ in exc.value.failures]
-        assert any("leading" in n for n in names)
+        failures = exc.value.failures
+        cs = [Fraction(1, 4)] + [fam.grid_cap() * Fraction(i, 6) for i in range(1, 7)]
+        assert [name for name, _, _ in failures] == [f"d_z_na(c={c})" for c in cs]
+        for (_, generic, closed), c in zip(failures, cs):
+            assert generic - closed == (ext.vartheta - ext.theta((1, 0))) * c**3 / (3 * 8)
 
 
 class TestVerdict:
@@ -197,30 +262,67 @@ class TestVerdict:
     @pytest.mark.parametrize("negative_below", [Fraction(1, 32), None])
     def test_halving_fallback(self, stretched, monkeypatch, negative_below):
         # no grid value destabilizes, so the witness search halves grid[0]
-        # up to 60 times; g_c is min(ord - c, 0) with min -c at the vertex
+        # up to 60 times; below negative_below the closed form is the true one
         seen = []
+        closed_form = normalcone._d_z
 
-        def fake_d_z(f, ext):
-            c = -f.min_value()
+        def fake_d_z(family, c):
             seen.append(c)
-            return Fraction(-1) if negative_below and c <= negative_below else Fraction(1)
+            return closed_form(family, c) if negative_below and c <= negative_below else Fraction(1)
 
-        monkeypatch.setattr(normalcone, "d_z_na", fake_d_z)
+        monkeypatch.setattr(normalcone, "_d_z", fake_d_z)
         grid = [Fraction(1, 8), Fraction(1, 4)]
         rep = verdict(stretched, grid)
         # the first call is the d_z/j_t ratio at grid[0]
         assert rep.ratio_c == grid[0] and rep.ratio_value > 0
         witness = [s for s in rep.statements if "destabilized" in s]
         if negative_below:
+            fam = normal_cone_family(stretched)
             assert rep.witness_c == grid[0] / 4 == negative_below
-            assert rep.witness_d_z == -1
+            assert rep.witness_d_z == d_z_na(g_c(fam, negative_below), extremal_affine(stretched))
+            assert rep.witness_d_z == Fraction(-31, 24117248)
             assert witness == ["destabilized: not relative Ding-semistable; "
-                               "g_c with c = 1/32 has relative Ding invariant -1 < 0"]
+                               "g_c with c = 1/32 has relative Ding invariant -31/24117248 < 0"]
             assert seen == [grid[0], *grid, grid[0] / 2, grid[0] / 4]
         else:
             assert rep.witness_c is None and rep.witness_d_z is None
             assert witness == []
             assert seen == [grid[0], *grid] + [grid[0] / 2**i for i in range(1, 61)]
+
+    # (polytope, grid, witness c, witness D_Z, ratio D_Z/J_T at grid[0])
+    @pytest.mark.parametrize("name, grid, witness_c, witness_d_z, ratio", [
+        ("stretched", None, "1/8", "-7/94208", "-105/184"),
+        ("stretched", ["1/8", "1/4"], "1/8", "-7/94208", "-105/184"),
+        ("stretched", ["9/10"], "9/10", "-729/230000", "-3/46"),
+        ("stretched", ["1/2", "3/4"], "1/2", "-1/368", "-15/46"),
+        ("kite", None, "1/8", "-37/2163712", "-777/4226"),
+        ("kite", ["1", "3/2"], "1/2", "-23/118328", "357/2113"),
+        ("kite", ["19/10"], "19/40", "-294937/1352320000", "676153/919155"),
+        ("pentagon", None, "1/8", "-1/20480", "-9/20"),
+        ("pentagon", ["3/2"], "3/4", "-63/16640", "12/65"),
+        ("pentagon", ["1/2"], "1/2", "-1/520", "-18/65"),
+    ])
+    def test_pinned_witness(self, stretched, name, grid, witness_c, witness_d_z, ratio):
+        P = stretched if name == "stretched" else THETA_ABOVE_ONE[name]
+        grid = grid and [Fraction(c) for c in grid]
+        rep = verdict(P, grid)
+        assert rep.vartheta > 1
+        assert (rep.witness_c, rep.witness_d_z) == (Fraction(witness_c), Fraction(witness_d_z))
+        assert rep.ratio_c == (grid[0] if grid else Fraction(1, 8))
+        assert rep.ratio_value == Fraction(ratio)
+        assert rep.statements == [
+            RATIO_STATEMENT,
+            f"destabilized: not relative Ding-semistable; g_c with c = {witness_c} "
+            f"has relative Ding invariant {witness_d_z} < 0",
+        ]
+
+    def test_witness_confirmed_by_generic_value(self, stretched, monkeypatch):
+        # the printed witness D_Z is generic; one that disagrees with the closed form
+        # is an identity violation, never a "< 0" statement
+        monkeypatch.setattr(normalcone, "d_z_na", lambda f, ext: Fraction(-1))
+        with pytest.raises(MismatchReport) as exc:
+            verdict(stretched)
+        assert exc.value.failures == [("d_z_na(c=1/8)", Fraction(-1), Fraction(-7, 94208))]
 
     def test_stretched_family_identities_still_hold(self, stretched):
         fam = normal_cone_family(stretched)
