@@ -185,18 +185,19 @@ def cmd_oracle(args) -> int:
     for k in ladder:
         wm = weight_measure(f, k)
         gk = gabor_inner(f, rho, k)
+        mean, second = wm.mean(), wm.second_moment()
         rows.append(
             {
                 "k": k,
                 "N_k": wm.N_k,
-                "mean": wm.mean(),
-                "second_moment": wm.second_moment(),
+                "mean": mean,
+                "second_moment": second,
                 "gabor_inner": gk,
                 "exact_mean": exact_mean,
                 "exact_second_moment": exact_second,
                 "exact_inner": exact_inner,
-                "err_mean": abs(wm.mean() - exact_mean),
-                "err_second": abs(wm.second_moment() - exact_second),
+                "err_mean": abs(mean - exact_mean),
+                "err_second": abs(second - exact_second),
                 "err_inner": abs(gk - exact_inner),
             }
         )

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import mul
+from operator import floordiv, mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, InputTooLarge
@@ -91,14 +92,34 @@ def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
     return [(p, xs) for p in prefixes if (xs := interval(p, upper, lower))]
 
 
-def jump_weights(f: PLConcave, k: int) -> dict[tuple[int, ...], int]:
-    """u -> floor(k * f(u/k)) over the lattice points of the dilated domain."""
-    points, weights = _jump_weights(f, k)
-    return dict(zip(points, weights))
+class _Level(Mapping):
+    """Read-only u -> weight mapping of one level, stored per fiber as
+    (prefix, xs, weights): the points prefix + (x,), x in xs, in
+    lexicographic order."""
+
+    def __init__(self, fibers) -> None:
+        self.fibers = fibers
+        self._len = sum(len(xs) for _, xs, _ in fibers)
+        self._by_prefix = {prefix: (xs, ws) for prefix, xs, ws in fibers}
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for prefix, xs, _ in self.fibers:
+            yield from zip(*map(repeat, prefix), xs)
+
+    def __getitem__(self, u):
+        xs, ws = self._by_prefix.get(tuple(u[:-1]), ((), ()))
+        if not u or u[-1] not in xs:
+            raise KeyError(u)
+        return ws[xs.index(u[-1])]
 
 
 @lru_cache(maxsize=1)
-def _jump_weights(f: PLConcave, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
+    """u -> floor(k * f(u/k)) over the lattice points of the dilated domain,
+    as a read-only mapping in lexicographic order, stored per fiber."""
     # k f(u/k) = min_j (<g_j, u> + k c_j) = min_j (<G_j, u> + C_j) / D over
     # one common denominator D, so the floor is an integer division.  Along
     # a fiber, piece j runs through the progression <G_j, prefix> + C_j +
@@ -108,17 +129,16 @@ def _jump_weights(f: PLConcave, k: int) -> tuple[list[tuple[int, ...]], list[int
                  *(c.denominator for c in consts))
     pieces = [(tuple(int(g * D) for g in a.gradient), int(c * D))
               for a, c in zip(f.affines, consts)]
-    points: list[tuple[int, ...]] = []
-    weights: list[int] = []
+    fibers = []
     for prefix, xs in _fibers(f.domain, k):
-        points.extend(zip(*map(repeat, prefix), xs))
         lines = []
         for G, C in pieces:
             at0, s = sum(map(mul, G, prefix)) + C, G[-1]
             lines.append(range(at0 + s * xs.start, at0 + s * xs.stop, s) if s
                          else repeat(at0, len(xs)))
-        weights.extend(w // D for w in (map(min, *lines) if len(lines) > 1 else lines[0]))
-    return points, weights
+        ws = map(min, *lines) if len(lines) > 1 else lines[0]
+        fibers.append((prefix, xs, tuple(map(floordiv, ws, repeat(D)) if D > 1 else ws)))
+    return _Level(tuple(fibers))
 
 
 @dataclass(frozen=True)
@@ -133,7 +153,9 @@ class WeightMeasure:
         return Fraction(sum(m for _, m in self.entries), self.N_k)
 
     def moment(self, d: int) -> Fraction:
-        return sum((Fraction(m) * loc**d for loc, m in self.entries), Fraction(0)) / self.N_k
+        q = math.lcm(*(loc.denominator for loc, _ in self.entries))
+        total = sum(m * (loc.numerator * (q // loc.denominator)) ** d for loc, m in self.entries)
+        return Fraction(total, self.N_k * q**d)
 
     def mean(self) -> Fraction:
         return self.moment(1)
@@ -146,10 +168,12 @@ class WeightMeasure:
 
 
 def weight_measure(f: PLConcave, k: int) -> WeightMeasure:
-    weights = jump_weights(f, k)
-    counts = Counter(weights.values())
+    level = jump_weights(f, k)
+    counts: Counter[int] = Counter()
+    for _, _, ws in level.fibers:
+        counts.update(ws)
     entries = tuple((Fraction(mu, k), m) for mu, m in sorted(counts.items()))
-    return WeightMeasure(k=k, entries=entries, N_k=len(weights))
+    return WeightMeasure(k=k, entries=entries, N_k=len(level))
 
 
 def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
@@ -162,17 +186,16 @@ def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
         raise DimensionMismatch("rho length does not match domain dimension")
     if any(int(r) != _frac(r) for r in rho):
         raise ValueError("gabor_inner needs an integer direction rho")
-    rho = [int(r) for r in rho]
-    weights = jump_weights(f, k)
-    N = len(weights)
-    s_mu = 0
-    s_nu = 0
-    s_cross = 0
-    for u, mu in weights.items():
-        nu = sum(map(mul, rho, u))
-        s_mu += mu
-        s_nu += nu
-        s_cross += mu * nu
+    *head, last = (int(r) for r in rho)
+    level = jump_weights(f, k)
+    N = len(level)
+    s_mu = s_nu = s_cross = 0
+    for prefix, xs, ws in level.fibers:
+        # <rho, u> = <head, prefix> + last x; a fiber's xs sum to n (first + last) / 2
+        at0, n, w = sum(map(mul, head, prefix)), len(xs), sum(ws)
+        s_mu += w
+        s_nu += n * at0 + last * n * (xs.start + xs[-1]) // 2
+        s_cross += at0 * w + last * sum(map(mul, xs, ws))
     return Fraction(s_cross, k * k * N) - Fraction(s_mu * s_nu, k * k * N * N)
 
 
@@ -180,6 +203,6 @@ def vol_distribution(f: PLConcave, k: int, lam) -> Fraction:
     """(1/N_k) #{u : mu(u) >= ceil(k lam)}: the discrete distribution function."""
     lam = _frac(lam)
     cut = math.ceil(k * lam)
-    weights = jump_weights(f, k)
-    hits = sum(1 for mu in weights.values() if mu >= cut)
-    return Fraction(hits, len(weights))
+    level = jump_weights(f, k)
+    hits = sum(w >= cut for _, _, ws in level.fibers for w in ws)
+    return Fraction(hits, len(level))

@@ -18,7 +18,7 @@ def caches():
 def test_every_cache_is_bounded():
     found = dict(caches())
     assert {"geometry._record", "geometry.vertices", "extremal.covariance",
-            "lattice._fiber_rows"} <= set(found)
+            "lattice._fiber_rows", "lattice.jump_weights"} <= set(found)
     assert [name for name, fn in found.items() if fn.cache_info().maxsize is None] == []
 
 

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricding import (
@@ -172,6 +173,54 @@ class TestJumpWeights:
             for u in box_scan(P, k)
         }
         assert jump_weights(f, k) == expected
+
+
+    def test_read_only_mapping_in_lattice_order(self, step_p2):
+        P, k = step_p2.domain, 4
+        w = jump_weights(step_p2, k)
+        assert list(w) == lattice_points(P, k)
+        assert len(w) == weight_measure(step_p2, k).N_k == len(lattice_points(P, k))
+        assert (0, 0) in w and w[(0, 0)] == 0
+        outside = (k + 1, 0)
+        assert outside not in w
+        with pytest.raises(KeyError):
+            w[outside]
+        with pytest.raises(TypeError):
+            w[(0, 0)] = 1
+
+
+@given(
+    st.sampled_from(["p1", "p2", "bl1p2", "stretched", "p3"]),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6),
+             min_size=8, max_size=12),
+    st.integers(1, 5),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+    st.integers(1, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_level_sums_match_per_point_fractions(name, coeffs, k, head, last, lam):
+    """Every level sum equals the per-point Fraction formula over box_scan."""
+    assume(any(c.denominator > 1 for c in coeffs))
+    P = corpus(name)
+    row = P.dim + 1
+    f = pl(P, *(tuple(coeffs[i:i + row]) for i in range(0, len(coeffs) - row + 1, row)))
+    rho = [*head[:P.dim - 1], last]
+    points = box_scan(P, k)
+    mu = [math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
+                         for a in f.affines)) for u in points]
+    nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
+    N = len(points)
+    wm = weight_measure(f, k)
+    assert wm.N_k == N
+    assert wm.entries == tuple((Fraction(m, k), c) for m, c in sorted(Counter(mu).items()))
+    assert wm.mean() == sum(Fraction(m, k) for m in mu) / N
+    assert wm.second_moment() == sum(Fraction(m, k) ** 2 for m in mu) / N
+    assert gabor_inner(f, rho, k) == (
+        Fraction(sum(m * n for m, n in zip(mu, nu)), k * k * N)
+        - Fraction(sum(mu) * sum(nu), k * k * N * N))
+    assert vol_distribution(f, k, lam) == Fraction(
+        sum(m >= math.ceil(k * lam) for m in mu), N)
 
 
 class TestWeightMeasure:
