@@ -7,7 +7,8 @@ oracle and tc-eval on the dim 3-4 polytopes in tests/golden/ (P3, P3
 blown up at a point, (P1)^3, P4, (P1)^4); there tc-eval runs on the step
 configuration and on the three-piece configuration mix{3,4}.json, whose
 gradients are rational and generic, and normal-cone runs with its
-defaults.  OPTIONS covers the option paths: --digits, an explicit grid
+defaults; and of analyze and normal-cone on the dim 5 polytopes there
+(P5, P5 blown up at a point, (P1)^5).  OPTIONS covers the option paths: --digits, an explicit grid
 and vertex, tc-eval without --rho, the default oracle ladder and every
 file a command writes; an argument "{out}/name" is a file in a fresh
 directory, and its contents are recorded under "files".  Any change to a
@@ -40,6 +41,8 @@ RHO = {1: "1/2", 2: "1/2,-1/3", 3: "1/2,-1/3,1/5", 4: "1/2,-1/3,1/5,-1/7"}
 # dim 3-4 polytopes; the oracle ladder stays in tier-1 time
 HIGHER = {"p3": 3, "blp3": 3, "p1x3": 3, "p4": 4, "p1x4": 4}
 LADDER = {3: "4,8", 4: "2,4"}
+# dim 5 polytopes: the kernel's largest dimension, analyze and normal-cone only
+DIM5 = ["p5", "blp5", "p1x5"]
 OUT = "{out}"
 OPTIONS = {
     "analyze-digits:bl1p2": ["--digits", "5", "analyze", "polytopes/bl1p2.json"],
@@ -82,6 +85,10 @@ def cases() -> dict[str, list[str]]:
         out[f"tc-eval:{name}"] = ["tc-eval", poly, step, f"--rho={RHO[dim]}"]
         out[f"tc-eval-mix:{name}"] = ["tc-eval", poly, mix, f"--rho={RHO[dim]}"]
         out[f"oracle:{name}"] = ["oracle", poly, step, "--k-ladder", LADDER[dim]]
+        out[f"normal-cone:{name}"] = ["normal-cone", "--polytope", poly]
+    for name in DIM5:
+        poly = f"tests/golden/{name}.json"
+        out[f"analyze:{name}"] = ["analyze", poly]
         out[f"normal-cone:{name}"] = ["normal-cone", "--polytope", poly]
     return out | OPTIONS
 
