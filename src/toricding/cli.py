@@ -165,6 +165,8 @@ def cmd_oracle(args) -> int:
     ladder = [int(s) for s in args.k_ladder.split(",") if s.strip()]
     rho = tio.parse_rational_list(args.rho) if args.rho else None
     tol = tio.parse_rational(args.tol)
+    if tol < 0:
+        raise tio.ParseError(f"--tol must be >= 0, got {args.tol}")
     if any(k < 1 for k in ladder):
         raise tio.ParseError("k values must be >= 1")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -290,6 +292,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
+        if args.digits < 0:
+            raise tio.ParseError(f"--digits must be >= 0, got {args.digits}")
         return _DISPATCH[args.command](args)
     except (tio.ParseError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

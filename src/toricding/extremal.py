@@ -22,9 +22,9 @@ from .geometry import (
     HPolytope,
     Point,
     _frac,
+    _record,
     _solve,
     barycenter,
-    integrate_product,
     vertices,
     volume,
 )
@@ -79,16 +79,19 @@ class ExtremalData:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx, exact."""
-    b = P.barycenter()
-    centered = [_coordinate_affine(P.dim, i, -bi) for i, bi in enumerate(b)]
-    return tuple(tuple(integrate_product(P.base, xi, xj) for xj in centered) for xi in centered)
-
-
-def _coordinate_affine(n: int, i: int, shift: Fraction) -> AffineFn:
-    grad = [Fraction(0)] * n
-    grad[i] = Fraction(1)
-    return AffineFn(tuple(grad), shift)
+    """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx, exact, in one sweep over P's simplices s:
+    int_s x x^T = vol(s) (sum_w w w^T + sigma sigma^T) / ((n+1)(n+2)) for s with vertices w
+    summing to sigma, and int_P x = vol(P) b, so cov = sum_s int_s x x^T - vol(P) b b^T."""
+    n, b = P.dim, P.barycenter()
+    moment = [[Fraction(0)] * n for _ in range(n)]
+    for s, vol in _record(P.base).simplices:
+        sigma = [sum(c) for c in zip(*s)]
+        for i, row in enumerate(moment):
+            for j in range(n):
+                row[j] += vol * (sum(w[i] * w[j] for w in s) + sigma[i] * sigma[j])
+    scale, vol = (n + 1) * (n + 2), P.volume()
+    return tuple(tuple(m / scale - vol * bi * bj for m, bj in zip(row, b))
+                 for row, bi in zip(moment, b))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -7,11 +7,12 @@ vertex set, boundedness check and hull is one double-description
 computation (Motzkin et al. 1953, Fukuda-Prodon 1996): the extreme rays
 of a cone {y : <h, y> <= 0}, cut by one row at a time.  Each polytope
 has one record, computed once: its vertices with their tight facets,
-and its simplices with their volumes.  Building a polytope from outside
-(HPolytope.from_inequalities) computes the record, which checks
-boundedness; a linearity region cuts its parent's vertices and needs no
-check.  All arithmetic is over fractions.Fraction; floats never enter this
-module.  Intended for desk-scale dimensions (n <= 5).
+and its simplices, pulled over faces read off those tight sets, with
+their volumes; integrands are evaluated once per vertex.  Building a
+polytope from outside (HPolytope.from_inequalities) computes the record,
+which checks boundedness; a linearity region cuts its parent's vertices
+and needs no check.  All arithmetic is over fractions.Fraction; floats
+never enter this module.  Intended for desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
@@ -304,39 +305,35 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
 
 
 def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int]]):
-    """The simplices of triangulate(P) from P's vertices and their tight sets."""
+    """The simplices of triangulate(P) from P's vertices and their tight sets.
+
+    The facets of a face F are the maximal sets F & on[i] over the rows i of
+    P not tight on all of F (Ziegler, Lectures on Polytopes, 2.2)."""
     if not verts or _affine_rank(verts) < P.dim:
         return ()
     on = [frozenset(k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
 
-    def pull(face: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    def pull(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
         if k == 0:
-            return [face]
-        apex = face[0]
-        seen: set[tuple[int, ...]] = set()
-        simplices = []
-        for on_facet in on:
-            if apex in on_facet:
-                continue
-            sub = tuple(i for i in face if i in on_facet)
-            if sub in seen:
-                continue
-            seen.add(sub)
-            if len(sub) >= k and _affine_rank([verts[i] for i in sub]) == k - 1:
-                simplices.extend((apex,) + s for s in pull(sub, k - 1))
-        return simplices
+            return [tuple(face)]
+        apex = min(face)
+        cuts = list(dict.fromkeys(face & on_facet for on_facet in on if not face <= on_facet))
+        return [(apex,) + s for sub in cuts
+                if apex not in sub and not any(sub < other for other in cuts)
+                for s in pull(sub, k - 1)]
 
-    return [tuple(verts[i] for i in s) for s in pull(tuple(range(len(verts))), P.dim)]
+    return [tuple(verts[i] for i in s) for s in pull(frozenset(range(len(verts))), P.dim)]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
     """Pulling triangulation over the vertex-facet incidence of P.
 
-    A face is the tuple of its vertices.  The facets of a k-face are its
-    vertex subsets tight at one more facet of P whose affine rank is
-    k - 1.  The lexicographically-first vertex of the face is coned over
-    the triangulations of the facets that miss it.  Every simplex is
+    A face is the set of its vertices.  Its facets, its maximal proper
+    faces, are the inclusion-maximal sets among its intersections with
+    the rows of P not tight on all of it, redundant rows included; no
+    elimination is needed.  The lexicographically-first vertex of the
+    face is coned over the triangulations of the facets that miss it.  Every simplex is
     full-dimensional; a lower-dimensional P yields the empty
     triangulation.
     """
@@ -361,15 +358,16 @@ def barycenter(P: HPolytope) -> Point:
 
 
 def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
-    """Exact integral of a(x) b(x) over P from the values at simplex vertices.
+    """Exact integral of a(x) b(x) over P from a and b at P's vertices, each taken once.
 
     Over a simplex with vertices w_0..w_n (barycentric Dirichlet moments):
       int a b = vol * (sum_w a(w) b(w) + sum_w a(w) * sum_w b(w)) / ((n+1)(n+2))
     """
+    rec = _nonempty(P)
+    value = {w: (a(w), b(w)) for w in rec.vertices}
     total = Fraction(0)
-    for s, vol in _nonempty(P).simplices:
-        va = [a(w) for w in s]
-        vb = [b(w) for w in s]
+    for s, vol in rec.simplices:
+        va, vb = zip(*(value[w] for w in s))
         total += vol * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
     return total / ((P.dim + 1) * (P.dim + 2))
 

@@ -413,11 +413,37 @@ class TestOracle:
         assert (code, out) == (1, "")
         assert err == "error: bad rational '': Invalid literal for Fraction: ''\n"
 
+    def test_negative_tol_is_a_usage_error(self, capsys, monkeypatch, tc_step):
+        # checked before the polytope is read, so no level is computed
+        monkeypatch.setattr(tio, "load_polytope", lambda path: pytest.fail("polytope read"))
+        code, out, err = run(capsys, "oracle", str(POLYTOPE_DIR / "p1.json"), tc_step,
+                             "--k-ladder", "2", "--tol", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --tol must be >= 0, got -1\n"
+
     def test_bad_ladder(self, capsys, tc_step):
         code, _, _ = run(
             capsys, "oracle", str(POLYTOPE_DIR / "p1.json"), tc_step, "--k-ladder", "8,4"
         )
         assert code == 1
+
+
+class TestDigits:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "polytopes/p2.json"],
+        ["normal-cone", "--polytope", "polytopes/p2.json"],
+    ])
+    def test_negative_digits_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # checked before any command runs
+        monkeypatch.setattr(tio, "load_polytope", lambda path: pytest.fail("polytope read"))
+        code, out, err = run(capsys, "--digits", "-3", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: --digits must be >= 0, got -3\n"
+
+    def test_zero_digits_accepted(self, capsys):
+        code, out, _ = run(capsys, "--digits", "0", "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
+        assert code == 0
+        assert json.loads(out)["volume"] == {"exact": "4", "float": 4.0}
 
 
 class TestPlotData:

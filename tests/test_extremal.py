@@ -15,7 +15,11 @@ from toricding import (
     lattice_points,
     validate_fano,
 )
+from toricding import io as tio
 from toricding.errors import DimensionMismatch
+from toricding.geometry import AffineFn, integrate_product
+
+from conftest import CORPUS_FILES, REPO, load_corpus
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -56,6 +60,19 @@ class TestCovariance:
         assert cov[0][1] == cov[1][0]
         assert cov[0][0] == cov[1][1]
         assert cov == ((Fraction(71, 36), Fraction(-49, 36)), (Fraction(-49, 36), Fraction(71, 36)))
+
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES) + ["p5", "blp5"])
+    def test_equals_centered_product_integrals(self, name):
+        # the n^2 integrals of (x_i - b_i)(x_j - b_j) that the one sweep replaced
+        if name in CORPUS_FILES:
+            P = load_corpus(name)
+        else:
+            P = validate_fano(tio.load_polytope(str(REPO / "tests" / "golden" / f"{name}.json")))
+        centered = [AffineFn.make([int(t == i) for t in range(P.dim)], -bi)
+                    for i, bi in enumerate(P.barycenter())]
+        assert covariance(P) == tuple(tuple(integrate_product(P.base, xi, xj) for xj in centered)
+                                      for xi in centered)
 
 
 class TestExtremalAffine:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricding import (
@@ -22,7 +22,7 @@ from toricding import (
     volume,
 )
 from toricding.errors import InputTooLarge
-from toricding.geometry import _simplex_volume, show
+from toricding.geometry import _affine_rank, _record, _simplex_volume, show
 
 from conftest import CORPUS_FILES, clip, load_corpus, pl
 
@@ -286,6 +286,104 @@ class TestIntegrateProduct:
         a = data.draw(affines(P.dim))
         second = dh_measure(PLConcave((a,), P)).second_moment()
         assert integrate_product(P, a, a) / volume(P) == second
+
+
+def reference_triangulation(P):
+    """The pulling triangulation with the facets of a k-face found by rank:
+    its vertex sets tight at one more row of P whose affine rank is k - 1."""
+    rec = _record(P)
+    verts = rec.vertices
+    if not verts or _affine_rank(verts) < P.dim:
+        return ()
+    on = [frozenset(k for k, T in enumerate(rec.tight) if i in T) for i in range(len(P.facets))]
+
+    def pull(face, k):
+        if k == 0:
+            return [face]
+        apex, seen, simplices = face[0], set(), []
+        for on_facet in on:
+            sub = tuple(i for i in face if i in on_facet)
+            if apex in on_facet or sub in seen:
+                continue
+            seen.add(sub)
+            if len(sub) >= k and _affine_rank([verts[i] for i in sub]) == k - 1:
+                simplices.extend((apex,) + s for s in pull(sub, k - 1))
+        return simplices
+
+    return tuple(tuple(verts[i] for i in s) for s in pull(tuple(range(len(verts))), P.dim))
+
+
+def reference_integral(P, a, b):
+    """int_P a b summed simplex by simplex, each affine evaluated at each simplex vertex."""
+    n = P.dim
+    total = Fraction(0)
+    for s in triangulate(P):
+        va, vb = [a(w) for w in s], [b(w) for w in s]
+        total += _simplex_volume(s) * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
+    return total / ((n + 1) * (n + 2))
+
+
+def pyramid_over_square():
+    return facets_from_vertices([(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)])
+
+
+@st.composite
+def lattice_hulls(draw):
+    """Full-dimensional hulls of 4-10 lattice points in [-2, 2]^n, n in 2..4."""
+    dim = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim + 1,
+                           max_size=dim + 6, unique=True))
+    try:
+        return facets_from_vertices(points)
+    except EmptyPolytope:
+        assume(False)
+
+
+@st.composite
+def corpus_regions(draw):
+    """The linearity regions of 2-4 random affine pieces on a corpus polytope."""
+    P = load_corpus(draw(st.sampled_from(sorted(CORPUS_FILES))))
+    f = PLConcave.make(draw(st.lists(affines(P.dim), min_size=2, max_size=4)), P)
+    return [R for R, _ in f.regions()]
+
+
+class TestReferenceFormulas:
+    """The kernel against the per-candidate rank test and per-simplex evaluation it replaced."""
+
+    @pytest.mark.parametrize("P", [
+        pytest.param(cross_polytope(3), id="octahedron"),
+        pytest.param(cross_polytope(4), id="4-cross-polytope"),
+        pytest.param(pyramid_over_square(), id="pyramid over a square"),
+        pytest.param(clip(cube(4), (1, 1, 0, 0), 2), id="redundant row"),
+        pytest.param(clip(cube(3), (1, 0, 0), -1), id="lower-dimensional"),
+        pytest.param(cube(5), id="(P1)^5"),
+    ])
+    def test_non_simple_and_degenerate(self, P):
+        assert triangulate(P) == reference_triangulation(P)
+
+    @given(P=lattice_hulls())
+    @settings(max_examples=60, deadline=None)
+    def test_triangulation_on_lattice_hulls(self, P):
+        assert triangulate(P) == reference_triangulation(P)
+
+    @given(regions=corpus_regions())
+    @settings(max_examples=30, deadline=None)
+    def test_triangulation_on_corpus_regions(self, regions):
+        for R in regions:
+            assert triangulate(R) == reference_triangulation(R)
+
+    @given(P=lattice_hulls(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_integral_on_lattice_hulls(self, P, data):
+        a, b = data.draw(affines(P.dim)), data.draw(affines(P.dim))
+        assert integrate_product(P, a, b) == reference_integral(P, a, b)
+
+    @given(regions=corpus_regions(), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_integral_on_corpus_regions(self, regions, data):
+        for R in regions:
+            a, b = data.draw(affines(R.dim)), data.draw(affines(R.dim))
+            assert integrate_product(R, a, b) == reference_integral(R, a, b)
 
 
 class TestRegionSubdivision:
