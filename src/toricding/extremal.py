@@ -84,11 +84,11 @@ def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
     summing to sigma, and int_P x = vol(P) b, so cov = sum_s int_s x x^T - vol(P) b b^T."""
     n, b = P.dim, P.barycenter()
     moment = [[Fraction(0)] * n for _ in range(n)]
-    for s, vol in _record(P.base).simplices:
+    for s, vol_s in _record(P.base).simplices:
         sigma = [sum(c) for c in zip(*s)]
         for i, row in enumerate(moment):
             for j in range(n):
-                row[j] += vol * (sum(w[i] * w[j] for w in s) + sigma[i] * sigma[j])
+                row[j] += vol_s * (sum(w[i] * w[j] for w in s) + sigma[i] * sigma[j])
     scale, vol = (n + 1) * (n + 2), P.volume()
     return tuple(tuple(m / scale - vol * bi * bj for m, bj in zip(row, b))
                  for row, bi in zip(moment, b))

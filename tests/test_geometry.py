@@ -329,7 +329,7 @@ def pyramid_over_square():
 
 @st.composite
 def lattice_hulls(draw):
-    """Full-dimensional hulls of 4-10 lattice points in [-2, 2]^n, n in 2..4."""
+    """Full-dimensional hulls of n + 1 to n + 6 lattice points in [-2, 2]^n, n in 2..4."""
     dim = draw(st.integers(2, 4))
     points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim + 1,
                            max_size=dim + 6, unique=True))
