@@ -210,6 +210,45 @@ class TestBarycenter:
         assert b == (Fraction(-1, 12), Fraction(-1, 12))
 
 
+class TestAccessorContract:
+    """What vertices, triangulate, volume and barycenter return or raise."""
+
+    @pytest.mark.parametrize("accessor", [vertices, triangulate, volume, barycenter])
+    def test_empty_system(self, accessor):
+        with pytest.raises(EmptyPolytope, match="^no feasible vertex$"):
+            accessor(hp(2, (1, 0, -1), (-1, 0, -1), (0, 1, 1), (0, -1, 1)))
+
+    @pytest.mark.parametrize("P, verts", [
+        pytest.param(hp(2, (1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)),
+                     ((0, -1), (0, 1)), id="segment"),
+        pytest.param(clip(cube(3), (1, 0, 0), -1),
+                     ((-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1)), id="cube face"),
+    ])
+    def test_lower_dimensional(self, P, verts):
+        assert vertices(P) == verts
+        assert triangulate(P) == ()
+        assert volume(P) == 0
+        with pytest.raises(EmptyPolytope, match="^barycenter of a degenerate polytope$"):
+            barycenter(P)
+
+    @pytest.mark.parametrize("name, vol, b", [
+        ("p1", 2, (0,)),
+        ("p2", Fraction(9, 2), (0, 0)),
+        ("bl1p2", 4, (Fraction(-1, 12),) * 2),
+        ("p1xp1", 4, (0, 0)),
+        ("stretched", Fraction(5, 2), (Fraction(-11, 30), 0)),
+        ("p3", Fraction(32, 3), (0,) * 3),
+        ("blp3", Fraction(28, 3), (Fraction(1, 14),) * 3),
+        ("p1x3", 8, (0,) * 3),
+        ("p4", Fraction(625, 24), (0,) * 4),
+        ("p1x4", 16, (0,) * 4),
+    ])
+    def test_corpus(self, name, vol, b):
+        P = load_corpus(name).base
+        assert volume(P) == vol
+        assert barycenter(P) == b
+
+
 def coordinate(dim, i):
     """The affine function x -> x_i."""
     return AffineFn.make([int(t == i) for t in range(dim)])
