@@ -77,7 +77,6 @@ class ExtremalData:
     vartheta: Fraction
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx, exact, in one sweep over P's simplices s:
     int_s x x^T = vol(s) (sum_w w w^T + sigma sigma^T) / ((n+1)(n+2)) for s with vertices w

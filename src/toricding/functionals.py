@@ -26,7 +26,6 @@ from .geometry import (
     _frac,
     _record,
     barycenter,
-    integrate_affine,
     integrate_product,
     region_subdivision as _region_subdivision,
     vertices,
@@ -196,7 +195,7 @@ def e_na(f: PLConcave) -> Fraction:
     """Monge-Ampere energy: the mean (1/vol) int_P f dx."""
     total = Fraction(0)
     for R, a in f.regions():
-        total += integrate_affine(R, a)
+        total += volume(R) * a(barycenter(R))
     return total / volume(f.domain)
 
 

@@ -1,18 +1,19 @@
 """Exact rational polytope kernel.
 
 Vertex enumeration, pulling triangulation, volumes, barycenters and
-exact integrals of an affine function or of a product of two affine
-functions over bounded rational H-polytopes, and convex hulls.  Every
-vertex set, boundedness check and hull is one double-description
-computation (Motzkin et al. 1953, Fukuda-Prodon 1996): the extreme rays
-of a cone {y : <h, y> <= 0}, cut by one row at a time.  Each polytope
-has one record, computed once: its vertices with their tight facets,
-and its simplices, pulled over faces read off those tight sets, with
-their volumes; integrands are evaluated once per vertex.  Building a
-polytope from outside (HPolytope.from_inequalities) computes the record,
-which checks boundedness; a linearity region cuts its parent's vertices
-and needs no check.  All arithmetic is over fractions.Fraction; floats
-never enter this module.  Intended for desk-scale dimensions (n <= 5).
+exact integrals of a product of two affine functions over bounded
+rational H-polytopes, and convex hulls.  Every vertex set, boundedness
+check and hull is one double-description computation (Motzkin et al.
+1953, Fukuda-Prodon 1996): the extreme rays of a cone {y : <h, y> <= 0},
+cut by one row at a time.  Each polytope has one cached record: its
+vertices with their tight facets, its simplices, pulled over faces read
+off those tight sets, with their volumes, and its volume and barycenter,
+which vertices, triangulate, volume and barycenter read.  Integrands are
+evaluated once per vertex.  Building a polytope from outside
+(HPolytope.from_inequalities) computes the record, which checks
+boundedness; a linearity region cuts its parent's vertices and needs no
+check.  All arithmetic is over fractions.Fraction; floats never enter
+this module.  Intended for desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
@@ -179,18 +180,14 @@ def _solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     return None if det == 0 else [row[-1] for row in m]
 
 
-def _affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull of a nonempty point set."""
-    base = points[0]
-    return len(_eliminate([[p[t] - base[t] for t in range(len(base))] for p in points[1:]])[1])
-
-
 class _Record(NamedTuple):
     """What the kernel knows of one polytope; vertices are () when it is empty."""
 
     vertices: tuple[Point, ...]  # sorted lexicographically
     tight: tuple[frozenset[int], ...]  # per vertex, indices of the facets tight there
     simplices: tuple[tuple[tuple[Point, ...], Fraction], ...]  # (simplex, its volume)
+    volume: Fraction
+    barycenter: Point | None  # None when the volume is 0
 
 
 def _scaled(y: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -275,8 +272,11 @@ def _record(P: HPolytope) -> _Record:
                             if i not in of_P))
     verts, tight = zip(*sorted((y[:-1], frozenset(j for j in T if j < m))
                                for y, T in zip(rays, tight))) if rays else ((), ())
-    simplices = _pulling(P, verts, tight)
-    return _Record(verts, tight, tuple((s, _simplex_volume(s)) for s in simplices))
+    simplices = tuple((s, _simplex_volume(s)) for s in _pulling(P, verts, tight))
+    vol = sum((v for _, v in simplices), Fraction(0))
+    bary = tuple(sum(v * sum(w[t] for w in s) for s, v in simplices) / (vol * (P.dim + 1))
+                 for t in range(P.dim)) if vol else None
+    return _Record(verts, tight, simplices, vol, bary)
 
 
 def _nonempty(P: HPolytope) -> _Record:
@@ -286,14 +286,9 @@ def _nonempty(P: HPolytope) -> _Record:
     return rec
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def vertices(P: HPolytope) -> tuple[Point, ...]:
-    """All points where >= dim facets are tight and every facet holds.
-
-    Cut from the parent's vertices for a linearity region (P.parent set),
-    else the extreme rays of P's homogenized cone.  Sorted
-    lexicographically; raises EmptyPolytope when empty.
-    """
+    """All points where >= dim facets are tight and every facet holds, sorted
+    lexicographically; raises EmptyPolytope when empty."""
     return _nonempty(P).vertices
 
 
@@ -307,9 +302,12 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
 def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int]]):
     """The simplices of triangulate(P) from P's vertices and their tight sets.
 
-    The facets of a face F are the maximal sets F & on[i] over the rows i of
-    P not tight on all of F (Ziegler, Lectures on Polytopes, 2.2)."""
-    if not verts or _affine_rank(verts) < P.dim:
+    A face F is the set of its vertices.  Its facets, its maximal proper faces,
+    are the maximal sets F & on[i] over the rows i of P not tight on all of F,
+    redundant rows included (Ziegler, Lectures on Polytopes, 2.2); no
+    elimination is needed.  A nonempty P is lower-dimensional iff some row is
+    tight at every vertex (Schrijver, Theory of Linear and Integer Programming, 8.2)."""
+    if not verts or frozenset.intersection(*tight):
         return ()
     on = [frozenset(k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
 
@@ -325,36 +323,26 @@ def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int
     return [tuple(verts[i] for i in s) for s in pull(frozenset(range(len(verts))), P.dim)]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
-    """Pulling triangulation over the vertex-facet incidence of P.
-
-    A face is the set of its vertices.  Its facets, its maximal proper
-    faces, are the inclusion-maximal sets among its intersections with
-    the rows of P not tight on all of it, redundant rows included; no
-    elimination is needed.  The lexicographically-first vertex of the
-    face is coned over the triangulations of the facets that miss it.  Every simplex is
-    full-dimensional; a lower-dimensional P yields the empty
-    triangulation.
+    """Pulling triangulation over the vertex-facet incidence of P: the
+    lexicographically-first vertex of each face is coned over the
+    triangulations of its facets that miss it.  Every simplex is
+    full-dimensional; a lower-dimensional P yields the empty triangulation.
     """
     return tuple(s for s, _ in _nonempty(P).simplices)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def volume(P: HPolytope) -> Fraction:
     """Exact Lebesgue volume; 0 for lower-dimensional polytopes."""
-    return sum((vol for _, vol in _nonempty(P).simplices), Fraction(0))
+    return _nonempty(P).volume
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def barycenter(P: HPolytope) -> Point:
     """Exact centroid: volume-weighted average of simplex centroids."""
-    total = volume(P)
-    if total == 0:
+    b = _nonempty(P).barycenter
+    if b is None:
         raise EmptyPolytope("barycenter of a degenerate polytope")
-    simplices = _record(P).simplices
-    return tuple(sum(vol * sum(v[t] for v in s) for s, vol in simplices) / (total * (P.dim + 1))
-                 for t in range(P.dim))
+    return b
 
 
 def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
@@ -370,14 +358,6 @@ def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
         va, vb = zip(*(value[w] for w in s))
         total += vol * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
     return total / ((P.dim + 1) * (P.dim + 2))
-
-
-def integrate_affine(P: HPolytope, a: AffineFn) -> Fraction:
-    """Exact integral of an affine function: volume times value at centroid."""
-    vol = volume(P)
-    if vol == 0:
-        return Fraction(0)
-    return vol * a(barycenter(P))
 
 
 def region_subdivision(P: HPolytope, affines: Sequence[AffineFn]):

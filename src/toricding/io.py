@@ -47,22 +47,37 @@ def format_float(x, digits: int) -> float:
     return float(f"{float(x):.{digits}g}")
 
 
-def polytope_from_dict(data: dict) -> HPolytope:
-    if "facets" in data:
-        if "dim" not in data:
-            raise ParseError('polytope JSON with "facets" needs "dim"')
-        dim = int(data["dim"])
+def _expect(value, kind: type, where: str):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        raise ParseError(f"{where}: expected {name}, got {json.dumps(value)}")
+    return value
+
+
+def _field(obj, key: str, where: str):
+    if key not in _expect(obj, dict, where):
+        raise ParseError(f'{where}: missing key "{key}"')
+    return obj[key]
+
+
+def polytope_from_dict(data: dict, source: str = "polytope") -> HPolytope:
+    """The polytope of a parsed polytope file; source names the file in messages."""
+    if "facets" in _expect(data, dict, source):
+        dim = _expect(_field(data, "dim", source), int, f"{source}: dim")
         rows = []
-        for fac in data["facets"]:
-            normal = [parse_rational(a) for a in fac["normal"]]
+        for i, fac in enumerate(_expect(data["facets"], list, f"{source}: facets")):
+            where = f"{source}: facets[{i}]"
+            normal = [parse_rational(a)
+                      for a in _expect(_field(fac, "normal", where), list, f"{where}.normal")]
             if any(a.denominator != 1 for a in normal):
                 raise ParseError(f'facet normal {fac["normal"]} must be integral')
             if len(normal) != dim:
                 raise DimensionMismatch("facet normal has wrong length")
-            rows.append((normal, parse_rational(fac["rhs"])))
+            rows.append((normal, parse_rational(_field(fac, "rhs", where))))
         return HPolytope.from_inequalities(dim, rows)
     if "vertices" in data:
-        pts = [[parse_rational(c) for c in p] for p in data["vertices"]]
+        pts = [[parse_rational(c) for c in _expect(p, list, f"{source}: vertices[{i}]")]
+               for i, p in enumerate(_expect(data["vertices"], list, f"{source}: vertices"))]
         return facets_from_vertices(pts)
     raise ParseError('polytope JSON needs "facets" or "vertices"')
 
@@ -76,11 +91,12 @@ def _read_json(path: str):
 
 
 def load_polytope(path: str) -> HPolytope:
-    return polytope_from_dict(_read_json(path))
+    return polytope_from_dict(_read_json(path), path)
 
 
-def affine_from_dict(data: dict) -> AffineFn:
-    grad = tuple(parse_rational(g) for g in data["gradient"])
+def affine_from_dict(data: dict, where: str = "affine") -> AffineFn:
+    grad = tuple(parse_rational(g)
+                 for g in _expect(_field(data, "gradient", where), list, f"{where}.gradient"))
     return AffineFn(grad, parse_rational(data.get("constant", 0)))
 
 
@@ -91,15 +107,17 @@ def affine_to_dict(a: AffineFn) -> dict:
     }
 
 
-def test_config_from_dict(data: dict, domain) -> PLConcave:
-    affines = [affine_from_dict(a) for a in data["affines"]]
+def test_config_from_dict(data: dict, domain, source: str = "test-configuration") -> PLConcave:
+    """The configuration of a parsed file on domain; source names the file in messages."""
+    items = _expect(_field(data, "affines", source), list, f"{source}: affines")
+    affines = [affine_from_dict(a, f"{source}: affines[{i}]") for i, a in enumerate(items)]
     if not affines:
         raise ParseError("test-configuration needs at least one affine")
     return PLConcave.make(affines, domain)
 
 
 def load_test_config(path: str, domain) -> PLConcave:
-    return test_config_from_dict(_read_json(path), domain)
+    return test_config_from_dict(_read_json(path), domain, path)
 
 
 def dh_to_dict(m: DHMeasure, digits: int = 12) -> dict:

@@ -84,6 +84,41 @@ class TestPolytopeIngestion:
         assert vertices(P) == ((-1,), (Fraction(1, 3),))
 
 
+class TestMalformedFiles:
+    """A missing key or a wrong type in an input file is a parse error naming the file."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dim": 1, "facets": [{"normal": [1]}, {"normal": [-1], "rhs": 1}]},
+         'facets[0]: missing key "rhs"'),
+        ({"dim": 1, "facets": [{"normal": 1, "rhs": 1}, {"normal": [-1], "rhs": 1}]},
+         "facets[0].normal: expected a list, got 1"),
+        ({"dim": 1, "facets": [3]}, "facets[0]: expected an object, got 3"),
+        ({"dim": 1, "facets": 3}, "facets: expected a list, got 3"),
+        ({"dim": None, "facets": []}, "dim: expected an integer, got null"),
+        ({"vertices": [[0], 1]}, "vertices[1]: expected a list, got 1"),
+        (5, "expected an object, got 5"),
+    ], ids=["no-rhs", "normal-not-list", "facet-not-object", "facets-not-list", "dim-null",
+            "point-not-list", "not-object"])
+    def test_polytope(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "analyze", str(bad)) == (1, "", f"error: {bad}: {message}\n")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"affines": [{"constant": 1}]}, 'affines[0]: missing key "gradient"'),
+        ({"affine": []}, 'missing key "affines"'),
+        ({"affines": {"a": 1}}, 'affines: expected a list, got {"a": 1}'),
+        ({"affines": [3]}, "affines[0]: expected an object, got 3"),
+        ({"affines": [{"gradient": "1"}]}, 'affines[0].gradient: expected a list, got "1"'),
+    ], ids=["no-gradient", "no-affines", "affines-not-list", "affine-not-object",
+            "gradient-not-list"])
+    def test_test_configuration(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "tc.json"
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "tc-eval", str(POLYTOPE_DIR / "p1.json"), str(bad)) == (
+            1, "", f"error: {bad}: {message}\n")
+
+
 class TestAnalyze:
     def test_p2(self, capsys):
         code, out, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "p2.json"))

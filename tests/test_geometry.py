@@ -22,7 +22,7 @@ from toricding import (
     volume,
 )
 from toricding.errors import InputTooLarge
-from toricding.geometry import _affine_rank, _record, _simplex_volume, show
+from toricding.geometry import _eliminate, _record, _simplex_volume, show
 
 from conftest import CORPUS_FILES, clip, load_corpus, pl
 
@@ -327,12 +327,18 @@ class TestIntegrateProduct:
         assert integrate_product(P, a, a) / volume(P) == second
 
 
+def affine_rank(points):
+    """Dimension of the affine hull of a nonempty point set."""
+    base = points[0]
+    return len(_eliminate([[p[t] - base[t] for t in range(len(base))] for p in points[1:]])[1])
+
+
 def reference_triangulation(P):
     """The pulling triangulation with the facets of a k-face found by rank:
     its vertex sets tight at one more row of P whose affine rank is k - 1."""
     rec = _record(P)
     verts = rec.vertices
-    if not verts or _affine_rank(verts) < P.dim:
+    if not verts or affine_rank(verts) < P.dim:
         return ()
     on = [frozenset(k for k, T in enumerate(rec.tight) if i in T) for i in range(len(P.facets))]
 
@@ -345,7 +351,7 @@ def reference_triangulation(P):
             if apex in on_facet or sub in seen:
                 continue
             seen.add(sub)
-            if len(sub) >= k and _affine_rank([verts[i] for i in sub]) == k - 1:
+            if len(sub) >= k and affine_rank([verts[i] for i in sub]) == k - 1:
                 simplices.extend((apex,) + s for s in pull(sub, k - 1))
         return simplices
 
