@@ -121,7 +121,8 @@ def cmd_normal_cone(args) -> int:
     if bad:
         raise tio.ParseError(f"c values {', '.join(map(show, bad))} outside (0, {family.c_max})")
     report = verify_family(family, grid)
-    stability = verdict(P, grid)
+    # verdict reads the family at the theta-maximizing vertex, the one auto picks
+    stability = verdict(P, grid, family if args.vertex == "auto" else None)
     out = {
         "vertex": tio.vector_to_strings(report.vertex),
         "ord": tio.affine_to_dict(report.ord),

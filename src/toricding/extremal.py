@@ -83,7 +83,9 @@ def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
     summing to sigma, and int_P x = vol(P) b, so cov = sum_s int_s x x^T - vol(P) b b^T."""
     n, b = P.dim, P.barycenter()
     moment = [[Fraction(0)] * n for _ in range(n)]
-    for s, vol_s in _record(P.base).simplices:
+    rec = _record(P.base)
+    for simplex, vol_s in rec.simplices:
+        s = [rec.vertices[k] for k in simplex]
         sigma = [sum(c) for c in zip(*s)]
         for i, row in enumerate(moment):
             for j in range(n):

@@ -12,8 +12,10 @@ which vertices, triangulate, volume and barycenter read.  Integrands are
 evaluated once per vertex.  Building a polytope from outside
 (HPolytope.from_inequalities) computes the record, which checks
 boundedness; a linearity region cuts its parent's vertices and needs no
-check.  All arithmetic is over fractions.Fraction; floats never enter
-this module.  Intended for desk-scale dimensions (n <= 5).
+check.  Rays are primitive integer vectors and simplex determinants are
+integer (Bareiss 1968, fraction-free); points, volumes and integrals are
+fractions.Fraction.  Floats never enter this module.  Intended for
+desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -185,27 +188,30 @@ class _Record(NamedTuple):
 
     vertices: tuple[Point, ...]  # sorted lexicographically
     tight: tuple[frozenset[int], ...]  # per vertex, indices of the facets tight there
-    simplices: tuple[tuple[tuple[Point, ...], Fraction], ...]  # (simplex, its volume)
+    simplices: tuple[tuple[tuple[int, ...], Fraction], ...]  # (vertex indices, volume)
     volume: Fraction
     barycenter: Point | None  # None when the volume is 0
 
 
-def _scaled(y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The ray y = (x, t) scaled so that |t| = 1, or as it is when t = 0."""
-    return tuple(c / abs(y[-1]) for c in y) if y[-1] else tuple(y)
+def _lift(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, the integer rows (D v, D) of the points v) for D their least common
+    denominator; the row of a single point is a primitive ray."""
+    D = lcm(*(c.denominator for v in points for c in v))
+    return D, [tuple(c.numerator * (D // c.denominator) for c in v) + (D,) for v in points]
 
 
 def _cut(rays: list, tight: list, rows: Iterable[tuple[int, Sequence]]) -> tuple[list, list]:
     """Cut the cone spanned by rays with <h, y> <= 0 for each (i, h) of rows.
 
-    tight[k] holds the indices of the rows already cut by that are tight
-    at rays[k].  A row keeps the rays on its side, adding i to the tight
-    sets of those on it, and adds the ray where it crosses each edge of
-    the cone.  Two rays span an edge iff no other ray is tight at every
-    row both are (the double-description step).
+    Rays and rows are integer vectors; a row is used as it comes and each
+    ray it adds is primitive.  tight[k] holds the indices of the rows
+    already cut by that are tight at rays[k].  A row keeps the rays on its
+    side, adding i to the tight sets of those on it, and adds the ray where
+    it crosses each edge of the cone.  Two rays span an edge iff no other
+    ray is tight at every row both are (the double-description step).
     """
     for i, h in rows:
-        slack = [sum(a * c for a, c in zip(h, y)) for y in rays]
+        slack = [sum(map(mul, h, y)) for y in rays]
         out = [w for w, s in enumerate(slack) if s > 0]
         cut = [(y, T | {i} if s == 0 else T) for y, T, s in zip(rays, tight, slack) if s <= 0]
         for u, su in enumerate(slack if out else ()):
@@ -216,27 +222,31 @@ def _cut(rays: list, tight: list, rows: Iterable[tuple[int, Sequence]]) -> tuple
                 if len(Z) >= len(h) - 2 and not any(
                         Z <= T for k, T in enumerate(tight) if k != u and k != w):
                     sw = slack[w]
-                    cut.append((_scaled([sw * a - su * b for a, b in zip(rays[u], rays[w])]),
-                                Z | {i}))
+                    y = [sw * a - su * b for a, b in zip(rays[u], rays[w])]
+                    g = gcd(*y)
+                    cut.append((tuple(c // g for c in y), Z | {i}))
         rays, tight = [y for y, _ in cut], [T for _, T in cut]
     return rays, tight
 
 
 def _extreme_rays(rows: Sequence[Sequence]) -> tuple[list, list] | None:
-    """Extreme rays of {y : <h, y> <= 0 for h in rows}, with tight sets
-    indexing rows; None when the rows do not span, so the cone is not pointed.
+    """Extreme rays of {y : <h, y> <= 0 for h in rows}, as primitive integer
+    vectors with tight sets indexing rows; None when the rows do not span,
+    so the cone is not pointed.
 
-    The first independent rows B make a simplicial cone whose rays are the
-    negated columns of H_B^{-1}, ray j tight at every row of B but its
-    j-th; the remaining rows cut it.
+    Each rational row is scaled to a primitive integer one.  The first
+    independent rows B make a simplicial cone whose rays are the negated
+    columns of H_B^{-1}, ray j tight at every row of B but its j-th; the
+    remaining rows cut it.
     """
     d = len(rows[0])
+    rows = [_primitive(h, 0)[0] for h in rows]
     basis = _eliminate(list(zip(*rows)))[1]
     if len(basis) < d:
         return None
     # reduce [H_B | I]: the right half becomes H_B^{-1}
     m = _eliminate([list(rows[b]) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)])[0]
-    rays = [_scaled([-row[d + j] for row in m]) for j in range(d)]
+    rays = [_primitive([-row[d + j] for row in m], 0)[0] for j in range(d)]
     tight = [frozenset(basis) - {b} for b in basis]
     return _cut(rays, tight, ((i, h) for i, h in enumerate(rows) if i not in basis))
 
@@ -266,16 +276,23 @@ def _record(P: HPolytope) -> _Record:
         parent = _record(P.parent)
         index = {row: i for i, row in enumerate(P.facets)}
         of_P = [index.get(row, m + k) for k, row in enumerate(P.parent.facets)]
-        rays, tight = _cut([v + (Fraction(1),) for v in parent.vertices],
+        rays, tight = _cut([_lift([v])[1][0] for v in parent.vertices],
                            [frozenset(of_P[k] for k in T) for T in parent.tight],
-                           ((i, n + (-r,)) for i, (n, r) in enumerate(P.facets)
+                           ((i, _primitive(n + (-r,), 0)[0]) for i, (n, r) in enumerate(P.facets)
                             if i not in of_P))
-    verts, tight = zip(*sorted((y[:-1], frozenset(j for j in T if j < m))
+    verts, tight = zip(*sorted((tuple(Fraction(c, y[-1]) for c in y[:-1]),
+                                frozenset(j for j in T if j < m))
                                for y, T in zip(rays, tight))) if rays else ((), ())
-    simplices = tuple((s, _simplex_volume(s)) for s in _pulling(P, verts, tight))
-    vol = sum((v for _, v in simplices), Fraction(0))
-    bary = tuple(sum(v * sum(w[t] for w in s) for s, v in simplices) / (vol * (P.dim + 1))
-                 for t in range(P.dim)) if vol else None
+    # the simplex on the lifted rows S has volume |det S| / (n! D^{n+1}), so
+    # the volume and the barycenter are sums of integers
+    D, rows = _lift(verts)
+    dets = [(s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight)]
+    unit = factorial(P.dim) * D ** (P.dim + 1)
+    simplices = tuple((s, Fraction(det, unit)) for s, det in dets)
+    total = sum(det for _, det in dets)
+    vol = Fraction(total, unit)
+    bary = tuple(Fraction(sum(det * sum(rows[k][t] for k in s) for s, det in dets),
+                          D * (P.dim + 1) * total) for t in range(P.dim)) if total else None
     return _Record(verts, tight, simplices, vol, bary)
 
 
@@ -292,22 +309,38 @@ def vertices(P: HPolytope) -> tuple[Point, ...]:
     return _nonempty(P).vertices
 
 
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact."""
+    m, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(m) - 1):
+        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        pk, rest = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(a * pk - row[k] * b) // prev for a, b in zip(row[k + 1:], rest)]
+        prev = pk
+    return sign * m[-1][-1]
+
+
 def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
-    n = len(simplex) - 1
-    v0 = simplex[0]
-    det = _eliminate([[w[t] - v0[t] for t in range(n)] for w in simplex[1:]])[2]
-    return abs(det) / factorial(n)
+    D, rows = _lift([_as_point(v) for v in simplex])
+    return Fraction(abs(_bareiss(rows)), factorial(len(rows) - 1) * D ** len(rows))
 
 
-def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int]]):
-    """The simplices of triangulate(P) from P's vertices and their tight sets.
+def _pulling(P: HPolytope, tight: Sequence[frozenset[int]]):
+    """The simplices of triangulate(P), as vertex indices, from the tight
+    sets of P's vertices.
 
     A face F is the set of its vertices.  Its facets, its maximal proper faces,
     are the maximal sets F & on[i] over the rows i of P not tight on all of F,
     redundant rows included (Ziegler, Lectures on Polytopes, 2.2); no
     elimination is needed.  A nonempty P is lower-dimensional iff some row is
     tight at every vertex (Schrijver, Theory of Linear and Integer Programming, 8.2)."""
-    if not verts or frozenset.intersection(*tight):
+    if not tight or frozenset.intersection(*tight):
         return ()
     on = [frozenset(k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
 
@@ -320,7 +353,7 @@ def _pulling(P: HPolytope, verts: Sequence[Point], tight: Sequence[frozenset[int
                 if apex not in sub and not any(sub < other for other in cuts)
                 for s in pull(sub, k - 1)]
 
-    return [tuple(verts[i] for i in s) for s in pull(frozenset(range(len(verts))), P.dim)]
+    return pull(frozenset(range(len(tight))), P.dim)
 
 
 def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
@@ -329,7 +362,8 @@ def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
     triangulations of its facets that miss it.  Every simplex is
     full-dimensional; a lower-dimensional P yields the empty triangulation.
     """
-    return tuple(s for s, _ in _nonempty(P).simplices)
+    rec = _nonempty(P)
+    return tuple(tuple(rec.vertices[k] for k in s) for s, _ in rec.simplices)
 
 
 def volume(P: HPolytope) -> Fraction:
@@ -352,10 +386,10 @@ def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
       int a b = vol * (sum_w a(w) b(w) + sum_w a(w) * sum_w b(w)) / ((n+1)(n+2))
     """
     rec = _nonempty(P)
-    value = {w: (a(w), b(w)) for w in rec.vertices}
+    value = [(a(w), b(w)) for w in rec.vertices]
     total = Fraction(0)
     for s, vol in rec.simplices:
-        va, vb = zip(*(value[w] for w in s))
+        va, vb = zip(*(value[k] for k in s))
         total += vol * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
     return total / ((P.dim + 1) * (P.dim + 2))
 

@@ -83,11 +83,14 @@ def polytope_from_dict(data: dict, source: str = "polytope") -> HPolytope:
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        try:
+    """The JSON document at path; an unreadable path or bad JSON is a ParseError."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
 def load_polytope(path: str) -> HPolytope:

@@ -227,8 +227,10 @@ class StabilityReport:
     chart_note: str | None = None
 
 
-def verdict(P: FanoPolytope, c_grid: Sequence | None = None) -> StabilityReport:
-    """Obstruction verdict from vartheta, witnessed by the normal-cone family."""
+def verdict(P: FanoPolytope, c_grid: Sequence | None = None,
+            family: NormalConeFamily | None = None) -> StabilityReport:
+    """Obstruction verdict from vartheta, witnessed by the normal-cone family at
+    select_vertex(P); pass that family when it is already built."""
     ext = extremal_affine(P)
     vt = ext.vartheta
     flags = {"vartheta<1": vt < 1, "vartheta=1": vt == 1, "vartheta>1": vt > 1}
@@ -239,7 +241,7 @@ def verdict(P: FanoPolytope, c_grid: Sequence | None = None) -> StabilityReport:
     elif vt < 1:
         statements.append("necessary condition satisfied: vartheta < 1")
     try:
-        family = normal_cone_family(P)
+        family = normal_cone_family(P) if family is None else family
     except NonSmoothVertex as exc:
         report.chart_note = f"no unimodular chart at the selected vertex: {exc}"
         return report

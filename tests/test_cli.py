@@ -119,6 +119,11 @@ class TestMalformedFiles:
             1, "", f"error: {bad}: {message}\n")
 
 
+    def test_unreadable_path_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", str(POLYTOPE_DIR))
+        assert (code, out, err) == (1, "", f"error: [Errno 21] Is a directory: '{POLYTOPE_DIR}'\n")
+
+
 class TestAnalyze:
     def test_p2(self, capsys):
         code, out, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "p2.json"))
@@ -173,6 +178,14 @@ class TestAnalyze:
                          '{"normal": [0, 1], "rhs": 1}, {"normal": [-1, 0], "rhs": 1}]}')
         code, out, err = run(capsys, "analyze", str(strip))
         assert (code, out, err) == (1, "", "error: recession direction (0, -1)\n")
+
+    def test_recession_direction_is_primitive(self, capsys, tmp_path):
+        # {3y <= 2, x - 2y <= 1, 2x <= 1/3} recedes along -(2, 1)
+        wedge = tmp_path / "wedge.json"
+        wedge.write_text('{"dim": 2, "facets": [{"normal": [0, 3], "rhs": 2}, '
+                         '{"normal": [1, -2], "rhs": 1}, {"normal": [2, 0], "rhs": "1/3"}]}')
+        code, out, err = run(capsys, "analyze", str(wedge))
+        assert (code, out, err) == (1, "", "error: recession direction (-2, -1)\n")
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
@@ -371,6 +384,20 @@ class TestNormalCone:
         )
         assert code == 2
         assert "identity violation" in err
+
+    @pytest.mark.parametrize("vertex, charts", [("auto", 1), ("2", 2)])
+    def test_family_built_once_for_auto(self, capsys, monkeypatch, vertex, charts):
+        # verdict reuses the auto family; an explicit vertex builds its own
+        # family and verdict still builds the one at the theta-maximizing vertex
+        built = []
+        chart = normalcone.vertex_chart
+        monkeypatch.setattr(normalcone, "vertex_chart", lambda P, v: built.append(v) or chart(P, v))
+        code, out, _ = run(capsys, "normal-cone", "--polytope",
+                           str(POLYTOPE_DIR / "bl1p2.json"), "--vertex", vertex)
+        assert code == 0
+        assert len(built) == charts
+        assert built[-1] == normalcone.select_vertex(cli.validate_fano(
+            tio.load_polytope(str(POLYTOPE_DIR / "bl1p2.json"))))
 
     def test_stretched_verdict(self, capsys):
         code, out, _ = run(

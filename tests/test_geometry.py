@@ -1,6 +1,7 @@
+import hashlib
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,10 +22,22 @@ from toricding import (
     vertices,
     volume,
 )
+from toricding import io as tio
+from toricding import validate_fano
 from toricding.errors import InputTooLarge
-from toricding.geometry import _eliminate, _record, _simplex_volume, show
+from toricding.geometry import (
+    _bareiss,
+    _cut,
+    _eliminate,
+    _extreme_rays,
+    _lift,
+    _record,
+    _simplex_volume,
+    show,
+)
+from toricding.normalcone import _default_grid, g_c, normal_cone_family
 
-from conftest import CORPUS_FILES, clip, load_corpus, pl
+from conftest import CORPUS_FILES, REPO, clip, load_corpus, pl
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -429,6 +442,108 @@ class TestReferenceFormulas:
         for R in regions:
             a, b = data.draw(affines(R.dim)), data.draw(affines(R.dim))
             assert integrate_product(R, a, b) == reference_integral(R, a, b)
+
+
+def reference_simplex_volume(simplex):
+    """|det| of the edge rows v_i - v_0 by Gauss-Jordan elimination over fractions, over n!."""
+    n, v0 = len(simplex) - 1, simplex[0]
+    return abs(_eliminate([[w[t] - v0[t] for t in range(n)] for w in simplex[1:]])[2]) / factorial(n)
+
+
+@st.composite
+def rational_simplices(draw):
+    """(n + 1 rational points in dims 1-5, whether the last is an affine
+    combination of the others, which makes the simplex degenerate)."""
+    n = draw(st.integers(1, 5))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 1))
+    degenerate = draw(st.booleans())
+    if degenerate:
+        lam = draw(st.lists(coord, min_size=n - 1, max_size=n - 1))
+        lam = [1 - sum(lam)] + lam
+        points[-1] = tuple(sum(l * p[t] for l, p in zip(lam, points)) for t in range(n))
+    return points, degenerate
+
+
+def primitive_integral(rays):
+    return all(type(c) is int for y in rays for c in y) and all(gcd(*y) == 1 for y in rays)
+
+
+def canon(x):
+    """A nested tuple of rationals as text, each number written as a reduced fraction."""
+    if isinstance(x, (tuple, list)):
+        return "(" + ",".join(map(canon, x)) + ")"
+    return str(Fraction(x))
+
+
+# sha256 (first 32 hex digits) of canon([triangulate(P)] + [triangulate(R) for
+# the regions R of g_c at the first default c]), recorded with the kernel that
+# eliminated over fractions; the integer kernel must give the same point tuples
+TRIANGULATION_DIGESTS = {
+    "bl1p2": "660d8f8b8fc572385f3df21e143a3443",
+    "blp3": "cb645441dfb4f0c3f1aad110f9284c33",
+    "blp5": "88ddcd3c987eb648de2856a49c2fda77",
+    "p1": "d41c6b7c6a1beaef10f3fb98e70083aa",
+    "p1x3": "551edd9072c9ae728913c1f568c8c17b",
+    "p1x4": "725a5d5e045067949597fc0dc8f45625",
+    "p1x5": "d18ec67a2953bfb88f9f519848a0ca96",
+    "p1xp1": "2f67ca651cfb95ec5e9e6aed8834d5cc",
+    "p2": "7cdaf5596ac81a68538b21fe6d806d64",
+    "p3": "6c03efcada7922e41ad597933c766611",
+    "p4": "b192b3a92cd7e591548a3afb1334d901",
+    "p5": "b968e8d33d71f74c08a8e56ec9559a9e",
+    "stretched": "963b5c5b9d51cf1e054b94cf0cc3ae83",
+}
+
+
+class TestIntegerKernel:
+    """Integer rays and fraction-free determinants against the fraction routes."""
+
+    @given(case=rational_simplices())
+    @settings(max_examples=200, deadline=None)
+    def test_simplex_volume_matches_gauss_jordan(self, case):
+        simplex, degenerate = case
+        assert _simplex_volume(simplex) == reference_simplex_volume(simplex)
+        rows = _lift(simplex)[1]
+        assert _bareiss(rows) == _eliminate(rows)[2]
+        if degenerate:
+            assert _simplex_volume(simplex) == 0
+
+    @given(dim=st.integers(1, 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_rays_are_primitive(self, dim, data):
+        rows = data.draw(st.lists(st.tuples(*[rational] * (dim + 1)), min_size=dim + 1,
+                                  max_size=dim + 5))
+        assume(all(any(h) for h in rows))
+        cone = _extreme_rays(rows)
+        assume(cone is not None)
+        rays, tight = cone
+        assert primitive_integral(rays)
+        for y, T in zip(rays, tight):
+            slack = [sum(a * c for a, c in zip(h, y)) for h in rows]
+            assert all(v <= 0 for v in slack)
+            assert T == {i for i, v in enumerate(slack) if v == 0}
+
+    @given(name=st.sampled_from(sorted(CORPUS_FILES)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cut_rays_are_primitive(self, name, data):
+        rec = _record(load_corpus(name).base)
+        dim = len(rec.vertices[0])
+        rows = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * (dim + 1)), min_size=1,
+                                  max_size=3))
+        rays, _ = _cut([_lift([v])[1][0] for v in rec.vertices], list(rec.tight),
+                       ((100 + i, h) for i, h in enumerate(rows)))
+        assert primitive_integral(rays)
+        assert all(y[-1] > 0 for y in rays)
+
+    @pytest.mark.parametrize("name", sorted(TRIANGULATION_DIGESTS))
+    def test_triangulations_unchanged(self, name):
+        path = CORPUS_FILES.get(name, REPO / "tests" / "golden" / f"{name}.json")
+        P = validate_fano(tio.load_polytope(str(path)))
+        family = normal_cone_family(P)
+        regions = g_c(family, _default_grid(family)[0]).regions()
+        tris = [triangulate(P.base)] + [triangulate(R) for R, _ in regions]
+        assert hashlib.sha256(canon(tris).encode()).hexdigest()[:32] == TRIANGULATION_DIGESTS[name]
 
 
 class TestRegionSubdivision:
