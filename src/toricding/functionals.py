@@ -184,9 +184,8 @@ def dh_measure(f: PLConcave) -> DHMeasure:
         if a.is_constant:
             atoms.append((a.constant, volume(R) / vol))
             continue
-        rec = _record(R)
-        value = [a(w) for w in rec.vertices]
-        for s, vol_s in rec.simplices:
+        value = [a(w) for w in vertices(R)]
+        for s, vol_s in _record(R).simplices:
             pieces.extend((lo, hi, rp.scale(coeffs, vol_s / vol))
                           for lo, hi, coeffs in rp.bspline([value[k] for k in s]))
     return DHMeasure.build(atoms, pieces)

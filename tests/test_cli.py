@@ -10,7 +10,7 @@ from toricding import io as tio
 from toricding.cli import main
 from toricding.errors import SingularGram
 
-from conftest import POLYTOPE_DIR, REPO
+from conftest import POLYTOPE_DIR, REPO, load_corpus
 
 GOLDEN_DIR = REPO / "tests" / "golden"
 
@@ -396,8 +396,7 @@ class TestNormalCone:
                            str(POLYTOPE_DIR / "bl1p2.json"), "--vertex", vertex)
         assert code == 0
         assert len(built) == charts
-        assert built[-1] == normalcone.select_vertex(cli.validate_fano(
-            tio.load_polytope(str(POLYTOPE_DIR / "bl1p2.json"))))
+        assert built[-1] == normalcone.select_vertex(load_corpus("bl1p2"))
 
     def test_stretched_verdict(self, capsys):
         code, out, _ = run(
