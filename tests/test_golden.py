@@ -3,12 +3,13 @@
 tests/golden/cli_outputs.json records stdout and exit code of analyze,
 normal-cone, tc-eval, reduce and oracle on each bundled polytope, with
 the step configuration min(0, -x_1) where one is needed, and of analyze,
-oracle and tc-eval on the dim 3-4 polytopes in tests/golden/ (P3, P3
-blown up at a point, (P1)^3, P4, (P1)^4); there tc-eval runs on the step
-configuration and on the three-piece configuration mix{3,4}.json, whose
-gradients are rational and generic, and normal-cone runs with its
-defaults; and of analyze and normal-cone on the dim 5 polytopes there
-(P5, P5 blown up at a point, (P1)^5).  OPTIONS covers the option paths: --digits, an explicit grid
+oracle, tc-eval and reduce on the dim 3-4 polytopes in tests/golden/ (P3,
+P3 blown up at a point, (P1)^3, P4, (P1)^4); there tc-eval and reduce run
+on the step configuration and on the three-piece configuration
+mix{3,4}.json, whose gradients are rational and generic, and normal-cone
+runs with its defaults; and of analyze, normal-cone and tc-eval on
+mix5.json on the dim 5 polytopes there (P5, P5 blown up at a point,
+(P1)^5).  OPTIONS covers the option paths: --digits, an explicit grid
 and vertex, tc-eval without --rho, the default oracle ladder and every
 file a command writes; an argument "{out}/name" is a file in a fresh
 directory, and its contents are recorded under "files".  Any change to a
@@ -37,7 +38,8 @@ from toricding.cli import main
 GOLDEN = REPO / "tests" / "golden" / "cli_outputs.json"
 POLYTOPES = ["p1", "p2", "bl1p2", "p1xp1", "stretched"]
 DIMS = {"p1": 1, "p2": 2, "bl1p2": 2, "p1xp1": 2, "stretched": 2}
-RHO = {1: "1/2", 2: "1/2,-1/3", 3: "1/2,-1/3,1/5", 4: "1/2,-1/3,1/5,-1/7"}
+RHO = {1: "1/2", 2: "1/2,-1/3", 3: "1/2,-1/3,1/5", 4: "1/2,-1/3,1/5,-1/7",
+       5: "1/2,-1/3,1/5,-1/7,1/11"}
 # dim 3-4 polytopes; the oracle ladder stays in tier-1 time
 HIGHER = {"p3": 3, "blp3": 3, "p1x3": 3, "p4": 4, "p1x4": 4}
 LADDER = {3: "4,8", 4: "2,4"}
@@ -84,12 +86,16 @@ def cases() -> dict[str, list[str]]:
         out[f"analyze:{name}"] = ["analyze", poly]
         out[f"tc-eval:{name}"] = ["tc-eval", poly, step, f"--rho={RHO[dim]}"]
         out[f"tc-eval-mix:{name}"] = ["tc-eval", poly, mix, f"--rho={RHO[dim]}"]
+        out[f"reduce:{name}"] = ["reduce", poly, step]
+        out[f"reduce-mix:{name}"] = ["reduce", poly, mix]
         out[f"oracle:{name}"] = ["oracle", poly, step, "--k-ladder", LADDER[dim]]
         out[f"normal-cone:{name}"] = ["normal-cone", "--polytope", poly]
     for name in DIM5:
         poly = f"tests/golden/{name}.json"
         out[f"analyze:{name}"] = ["analyze", poly]
         out[f"normal-cone:{name}"] = ["normal-cone", "--polytope", poly]
+        out[f"tc-eval-mix:{name}"] = ["tc-eval", poly, "tests/golden/mix5.json",
+                                      f"--rho={RHO[5]}"]
     return out | OPTIONS
 
 
