@@ -286,10 +286,15 @@ _DISPATCH = {
 }
 
 
+# built on the first main() call, not at import, and kept for the process
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

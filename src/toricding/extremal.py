@@ -80,18 +80,19 @@ class ExtremalData:
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx, exact, in one sweep over P's simplices s:
     int_s x x^T = vol(s) (sum_w w w^T + sigma sigma^T) / ((n+1)(n+2)) for s with vertices w
-    summing to sigma, and int_P x = vol(P) b, so cov = sum_s int_s x x^T - vol(P) b b^T."""
+    summing to sigma, and int_P x = vol(P) b, so cov = sum_s int_s x x^T - vol(P) b b^T.
+    The sum runs in integers over the lifted rows r = (D w, D): vol(s) = det / unit."""
     n, b = P.dim, P.barycenter()
-    moment = [[Fraction(0)] * n for _ in range(n)]
+    moment = [[0] * n for _ in range(n)]
     rec = _record(P.base)
-    for simplex, vol_s in rec.simplices:
-        s = [rec.vertices[k] for k in simplex]
+    for simplex, det in rec.simplices:
+        s = [rec.rows[k] for k in simplex]
         sigma = [sum(c) for c in zip(*s)]
         for i, row in enumerate(moment):
             for j in range(n):
-                row[j] += vol_s * (sum(w[i] * w[j] for w in s) + sigma[i] * sigma[j])
-    scale, vol = (n + 1) * (n + 2), P.volume()
-    return tuple(tuple(m / scale - vol * bi * bj for m, bj in zip(row, b))
+                row[j] += det * (sum(r[i] * r[j] for r in s) + sigma[i] * sigma[j])
+    scale, vol = rec.unit * rec.rows[0][-1] ** 2 * (n + 1) * (n + 2), P.volume()
+    return tuple(tuple(Fraction(m, scale) - vol * bi * bj for m, bj in zip(row, b))
                  for row, bi in zip(moment, b))
 
 

@@ -185,8 +185,9 @@ def dh_measure(f: PLConcave) -> DHMeasure:
             atoms.append((a.constant, volume(R) / vol))
             continue
         value = [a(w) for w in vertices(R)]
-        for s, vol_s in _record(R).simplices:
-            pieces.extend((lo, hi, rp.scale(coeffs, vol_s / vol))
+        rec = _record(R)
+        for s, det in rec.simplices:
+            pieces.extend((lo, hi, rp.scale(coeffs, Fraction(det, rec.unit) / vol))
                           for lo, hi, coeffs in rp.bspline([value[k] for k in s]))
     return DHMeasure.build(atoms, pieces)
 

@@ -6,16 +6,16 @@ rational H-polytopes, and convex hulls.  Every vertex set, boundedness
 check and hull is one double-description computation (Motzkin et al.
 1953, Fukuda-Prodon 1996): the extreme rays of a cone {y : <h, y> <= 0},
 cut by one row at a time.  Each polytope has one cached record: its
-vertices with their tight facets, its simplices, pulled over faces read
-off those tight sets, with their volumes, and its volume and barycenter,
-which vertices, triangulate, volume and barycenter read.  Integrands are
-evaluated once per vertex.  Building a polytope from outside
-(HPolytope.from_inequalities) computes the record, which checks
-boundedness; a linearity region cuts its parent's vertices and needs no
-check.  Rays are primitive integer vectors and simplex determinants are
-integer (Bareiss 1968, fraction-free); points, volumes and integrals are
-fractions.Fraction.  Floats never enter this module.  Intended for
-desk-scale dimensions (n <= 5).
+vertices with their tight facets and lifted integer rows (D v, D), its
+simplices, pulled over faces read off those tight sets, with their
+integer determinants, and its volume and barycenter.  Building a polytope
+from outside (HPolytope.from_inequalities) computes the record, which
+checks boundedness; a linearity region cuts its parent's vertices and
+needs no check.  Rays are primitive integer vectors and simplex
+determinants are integer (Bareiss 1968, fraction-free); an integral
+clears its integrands to integers and is one integer sum over the lifted
+rows.  Points, volumes and integrals are fractions.Fraction.  Floats
+never enter this module.  Intended for desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class HPolytope:
 
 def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]],
                 parent: HPolytope | None = None) -> HPolytope:
-    """Primitive normals with the tightest rhs each; boundedness unchecked."""
-    tight: dict[tuple[int, ...], Fraction] = {}
+    """Primitive normals with the tightest rhs each, the rows added to the
+    parent's facets, which are primitive already; boundedness unchecked."""
+    tight = dict(parent.facets) if parent else {}
     for normal, rhs in rows:
         if len(normal) != dim:
             raise DimensionMismatch("facet normal has wrong length")
@@ -188,7 +189,9 @@ class _Record(NamedTuple):
 
     vertices: tuple[Point, ...]  # sorted lexicographically
     tight: tuple[frozenset[int], ...]  # per vertex, indices of the facets tight there
-    simplices: tuple[tuple[tuple[int, ...], Fraction], ...]  # (vertex indices, volume)
+    rows: tuple[tuple[int, ...], ...]  # per vertex v, the lifted row (D v, D)
+    simplices: tuple[tuple[tuple[int, ...], int], ...]  # (vertex indices, |det| of their rows)
+    unit: int  # n! D^(n+1): a simplex has volume det / unit
     volume: Fraction
     barycenter: Point | None  # None when the volume is 0
 
@@ -286,14 +289,12 @@ def _record(P: HPolytope) -> _Record:
     # the simplex on the lifted rows S has volume |det S| / (n! D^{n+1}), so
     # the volume and the barycenter are sums of integers
     D, rows = _lift(verts)
-    dets = [(s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight)]
+    simplices = tuple((s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight))
     unit = factorial(P.dim) * D ** (P.dim + 1)
-    simplices = tuple((s, Fraction(det, unit)) for s, det in dets)
-    total = sum(det for _, det in dets)
-    vol = Fraction(total, unit)
-    bary = tuple(Fraction(sum(det * sum(rows[k][t] for k in s) for s, det in dets),
+    total = sum(det for _, det in simplices)
+    bary = tuple(Fraction(sum(det * sum(rows[k][t] for k in s) for s, det in simplices),
                           D * (P.dim + 1) * total) for t in range(P.dim)) if total else None
-    return _Record(verts, tight, simplices, vol, bary)
+    return _Record(verts, tight, tuple(rows), simplices, unit, Fraction(total, unit), bary)
 
 
 def _nonempty(P: HPolytope) -> _Record:
@@ -324,11 +325,6 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> int:
             row[k + 1:] = [(a * pk - row[k] * b) // prev for a, b in zip(row[k + 1:], rest)]
         prev = pk
     return sign * m[-1][-1]
-
-
-def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
-    D, rows = _lift([_as_point(v) for v in simplex])
-    return Fraction(abs(_bareiss(rows)), factorial(len(rows) - 1) * D ** len(rows))
 
 
 def _pulling(P: HPolytope, tight: Sequence[frozenset[int]]):
@@ -379,19 +375,29 @@ def barycenter(P: HPolytope) -> Point:
     return b
 
 
+def _cleared(a: AffineFn, dim: int) -> tuple[tuple[int, ...], int]:
+    """(q (g, c), q) for a = <g, x> + c and q the lcm of its denominators."""
+    if len(a.gradient) != dim:
+        raise DimensionMismatch(f"affine has dim {len(a.gradient)}, polytope has dim {dim}")
+    q, (row,) = _lift([a.gradient + (a.constant,)])
+    return row[:-1], q
+
+
 def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
     """Exact integral of a(x) b(x) over P from a and b at P's vertices, each taken once.
 
     Over a simplex with vertices w_0..w_n (barycentric Dirichlet moments):
       int a b = vol * (sum_w a(w) b(w) + sum_w a(w) * sum_w b(w)) / ((n+1)(n+2))
+    summed in integers: vol = det / unit and a(w) = <q (g, c), (D w, D)> / (q D).
     """
-    rec = _nonempty(P)
-    value = [(a(w), b(w)) for w in rec.vertices]
-    total = Fraction(0)
-    for s, vol in rec.simplices:
+    rec, n = _nonempty(P), P.dim
+    (ga, qa), (gb, qb) = _cleared(a, n), _cleared(b, n)
+    value = [(sum(map(mul, ga, r)), sum(map(mul, gb, r))) for r in rec.rows]
+    total = 0
+    for s, det in rec.simplices:
         va, vb = zip(*(value[k] for k in s))
-        total += vol * (sum(x * y for x, y in zip(va, vb)) + sum(va) * sum(vb))
-    return total / ((P.dim + 1) * (P.dim + 2))
+        total += det * (sum(map(mul, va, vb)) + sum(va) * sum(vb))
+    return Fraction(total, rec.unit * rec.rows[0][-1] ** 2 * qa * qb * (n + 1) * (n + 2))
 
 
 def region_subdivision(P: HPolytope, affines: Sequence[AffineFn]):
@@ -429,7 +435,7 @@ def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytop
                 return None
             continue
         rows.append((diff, ai.constant - aj.constant))
-    return _normalized(P.dim, P.facets + tuple(rows), P)
+    return _normalized(P.dim, rows, P)
 
 
 def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:

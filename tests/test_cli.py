@@ -193,6 +193,30 @@ class TestAnalyze:
         assert out1 == out2
 
 
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        # a usage error, two analyze runs and a reduce run share one parser
+        # and print what a fresh parser and the golden outputs print
+        golden = json.loads((GOLDEN_DIR / "cli_outputs.json").read_text())
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        bad = run(capsys, "analyze")
+        runs = {case: run(capsys, *argv) for case, argv in [
+            ("analyze:bl1p2", ["analyze", str(POLYTOPE_DIR / "bl1p2.json")]),
+            ("analyze:bl1p2 again", ["analyze", str(POLYTOPE_DIR / "bl1p2.json")]),
+            ("reduce:p1", ["reduce", str(POLYTOPE_DIR / "p1.json"), str(GOLDEN_DIR / "step1.json")]),
+        ]}
+        assert len(built) == 1
+        for case, (code, out, _) in runs.items():
+            expected = golden[case.split()[0]]
+            assert (code, out) == (expected["exit"], expected["stdout"])
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert bad[0] == 1
+        assert bad == run(capsys, "analyze")
+        assert len(built) == 2
+
+
 class TestTcEval:
     def test_step_values(self, capsys, tc_step):
         code, out, _ = run(capsys, "tc-eval", str(POLYTOPE_DIR / "p1.json"), tc_step)

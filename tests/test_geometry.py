@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +25,7 @@ from toricding import (
 from toricding import io as tio
 from toricding import validate_fano
 from toricding.errors import InputTooLarge
+from toricding.extremal import FanoPolytope, covariance
 from toricding.geometry import (
     _bareiss,
     _cut,
@@ -32,7 +33,6 @@ from toricding.geometry import (
     _extreme_rays,
     _lift,
     _record,
-    _simplex_volume,
     show,
 )
 from toricding.normalcone import _default_grid, g_c, normal_cone_family
@@ -44,6 +44,12 @@ rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 def hp(dim, *rows):
     return HPolytope.from_inequalities(dim, [(r[:-1], r[-1]) for r in rows])
+
+
+def _simplex_volume(simplex):
+    """|det| of the lifted rows (D v, D) over n! D^(n+1), the points taken one by one."""
+    D, rows = _lift([tuple(map(Fraction, v)) for v in simplex])
+    return Fraction(abs(_bareiss(rows)), factorial(len(rows) - 1) * D ** len(rows))
 
 
 class TestVertices:
@@ -544,6 +550,101 @@ class TestIntegerKernel:
         regions = g_c(family, _default_grid(family)[0]).regions()
         tris = [triangulate(P.base)] + [triangulate(R) for R, _ in regions]
         assert hashlib.sha256(canon(tris).encode()).hexdigest()[:32] == TRIANGULATION_DIGESTS[name]
+
+
+def reference_covariance(P):
+    """cov over the simplices of triangulate(P), in fractions, each volume by _simplex_volume."""
+    n, b = P.dim, barycenter(P)
+    moment = [[Fraction(0)] * n for _ in range(n)]
+    for s in triangulate(P):
+        vol_s, sigma = _simplex_volume(s), [sum(c) for c in zip(*s)]
+        for i, row in enumerate(moment):
+            for j in range(n):
+                row[j] += vol_s * (sum(w[i] * w[j] for w in s) + sigma[i] * sigma[j])
+    return tuple(tuple(m / ((n + 1) * (n + 2)) - volume(P) * bi * bj for m, bj in zip(row, b))
+                 for row, bi in zip(moment, b))
+
+
+DIM5 = ("p5", "blp5", "p1x5")
+
+
+def load_fano(name):
+    path = CORPUS_FILES.get(name, REPO / "tests" / "golden" / f"{name}.json")
+    return validate_fano(tio.load_polytope(str(path)))
+
+
+def denominator(R):
+    return lcm(*(c.denominator for v in vertices(R) for c in v))
+
+
+# rationals with denominators up to 12; zero and constant affines drawn on purpose
+twelfths = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def cleared_affines(dim):
+    return st.one_of(
+        st.just(AffineFn.const(0, dim)),
+        twelfths.map(lambda c: AffineFn.const(c, dim)),
+        st.builds(AffineFn.make, st.lists(twelfths, min_size=dim, max_size=dim), twelfths))
+
+
+@st.composite
+def fano_regions(draw):
+    """The linearity regions of 1-4 affine pieces with denominators up to 12
+    on a corpus or dim 5 polytope."""
+    P = load_fano(draw(st.sampled_from(sorted(CORPUS_FILES) + list(DIM5))))
+    f = PLConcave.make(draw(st.lists(cleared_affines(P.dim), min_size=1, max_size=4)), P.base)
+    return [R for R, _ in f.regions()]
+
+
+class TestIntegerMoments:
+    """integrate_product and covariance, one integer sum each, against the fraction formulas."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES) + list(DIM5))
+    def test_record_invariants(self, name):
+        P = load_fano(name).base
+        rec = _record(P)
+        D = denominator(P)
+        assert rec.rows == tuple(tuple(D * c for c in v) + (D,) for v in rec.vertices)
+        assert rec.unit == factorial(P.dim) * D ** (P.dim + 1)
+        assert all(det > 0 for _, det in rec.simplices)
+        assert sum(det for _, det in rec.simplices) == volume(P) * rec.unit
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES) + list(DIM5))
+    def test_covariance_on_corpus(self, name):
+        P = load_fano(name)
+        assert covariance(P) == reference_covariance(P.base)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES) + list(DIM5))
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_integral_on_corpus(self, name, data):
+        P = load_fano(name).base
+        a, b = data.draw(cleared_affines(P.dim)), data.draw(cleared_affines(P.dim))
+        assert integrate_product(P, a, b) == reference_integral(P, a, b)
+
+    @given(regions=fano_regions(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_on_regions(self, regions, data):
+        for R in regions:
+            a, b = data.draw(cleared_affines(R.dim)), data.draw(cleared_affines(R.dim))
+            assert integrate_product(R, a, b) == reference_integral(R, a, b)
+            assert covariance(FanoPolytope(R)) == reference_covariance(R)
+            rec = _record(R)
+            assert sum(det for _, det in rec.simplices) == volume(R) * rec.unit
+
+    @pytest.mark.parametrize("name", ["blp3", "p4", "blp5"])
+    def test_regions_with_common_denominator(self, name):
+        # the three-piece configuration of the goldens cuts regions whose
+        # vertices have a common denominator D > 1
+        P = load_fano(name)
+        f = tio.load_test_config(str(REPO / "tests" / "golden" / f"mix{P.dim}.json"), P)
+        regions = f.regions()
+        assert any(denominator(R) > 1 for R, _ in regions)
+        rho = AffineFn.make([Fraction(1, 2 + t) for t in range(P.dim)], Fraction(-1, 7))
+        for R, a in regions:
+            assert integrate_product(R, a, rho) == reference_integral(R, a, rho)
+            assert covariance(FanoPolytope(R)) == reference_covariance(R)
 
 
 class TestRegionSubdivision:
