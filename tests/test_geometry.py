@@ -52,6 +52,15 @@ def _simplex_volume(simplex):
     return Fraction(abs(_bareiss(rows)), factorial(len(rows) - 1) * D ** len(rows))
 
 
+DIM5 = ("p5", "blp5", "p1x5")
+
+
+def load_fano(name):
+    """A corpus polytope, or one of the dim 5 polytopes kept with the golden outputs."""
+    path = CORPUS_FILES.get(name, REPO / "tests" / "golden" / f"{name}.json")
+    return validate_fano(tio.load_polytope(str(path)))
+
+
 class TestVertices:
     def test_interval(self):
         P = hp(1, (1, 1), (-1, 1))
@@ -544,8 +553,7 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("name", sorted(TRIANGULATION_DIGESTS))
     def test_triangulations_unchanged(self, name):
-        path = CORPUS_FILES.get(name, REPO / "tests" / "golden" / f"{name}.json")
-        P = validate_fano(tio.load_polytope(str(path)))
+        P = load_fano(name)
         family = normal_cone_family(P)
         regions = g_c(family, _default_grid(family)[0]).regions()
         tris = [triangulate(P.base)] + [triangulate(R) for R, _ in regions]
@@ -563,14 +571,6 @@ def reference_covariance(P):
                 row[j] += vol_s * (sum(w[i] * w[j] for w in s) + sigma[i] * sigma[j])
     return tuple(tuple(m / ((n + 1) * (n + 2)) - volume(P) * bi * bj for m, bj in zip(row, b))
                  for row, bi in zip(moment, b))
-
-
-DIM5 = ("p5", "blp5", "p1x5")
-
-
-def load_fano(name):
-    path = CORPUS_FILES.get(name, REPO / "tests" / "golden" / f"{name}.json")
-    return validate_fano(tio.load_polytope(str(path)))
 
 
 def denominator(R):
