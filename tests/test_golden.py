@@ -4,16 +4,19 @@ tests/golden/cli_outputs.json records stdout and exit code of analyze,
 normal-cone, tc-eval, reduce and oracle on each bundled polytope, with
 the step configuration min(0, -x_1) where one is needed, and of analyze,
 oracle, tc-eval and reduce on the dim 3-4 polytopes in tests/golden/ (P3,
-P3 blown up at a point, (P1)^3, P4, (P1)^4); there tc-eval and reduce run
-on the step configuration and on the three-piece configuration
-mix{3,4}.json, whose gradients are rational and generic, and normal-cone
-runs with its defaults; and of analyze, normal-cone and tc-eval on
-mix5.json on the dim 5 polytopes there (P5, P5 blown up at a point,
-(P1)^5).  OPTIONS covers the option paths: --digits, an explicit grid
-and vertex, tc-eval without --rho, the default oracle ladder and every
-file a command writes; an argument "{out}/name" is a file in a fresh
-directory, and its contents are recorded under "files".  Any change to a
-number, a float rendering, the JSON layout or a written file fails here.
+P3 blown up at a point, (P1)^3, P4, (P1)^4); there tc-eval, reduce and
+oracle run on the step configuration and on the three-piece configuration
+mix{3,4}.json, whose gradients are rational and generic (oracle with an
+integer --rho; the jumping numbers then have a common denominator D > 1
+and many fibers cross several pieces), and normal-cone runs with its
+defaults; and of analyze, normal-cone and tc-eval on mix5.json on the
+dim 5 polytopes there (P5, P5 blown up at a point, (P1)^5).  OPTIONS
+covers the option paths: --digits, an explicit grid and vertex, tc-eval
+without --rho, the default oracle ladder, oracle on the three-piece
+configuration mix2.json on Bl_pt P2, and every file a command writes; an
+argument "{out}/name" is a file in a fresh directory, and its contents
+are recorded under "files".  Any change to a number, a float rendering,
+the JSON layout or a written file fails here.
 
 Running the module records every case that has no entry yet and leaves
 the existing entries alone; to regenerate an entry when an output change
@@ -43,6 +46,8 @@ RHO = {1: "1/2", 2: "1/2,-1/3", 3: "1/2,-1/3,1/5", 4: "1/2,-1/3,1/5,-1/7",
 # dim 3-4 polytopes; the oracle ladder stays in tier-1 time
 HIGHER = {"p3": 3, "blp3": 3, "p1x3": 3, "p4": 4, "p1x4": 4}
 LADDER = {3: "4,8", 4: "2,4"}
+# oracle directions must be integral
+ORACLE_RHO = {3: "1,-2,3", 4: "1,-2,3,-1"}
 # dim 5 polytopes: the kernel's largest dimension, analyze and normal-cone only
 DIM5 = ["p5", "blp5", "p1x5"]
 OUT = "{out}"
@@ -66,6 +71,8 @@ OPTIONS = {
                              "--k-ladder", "1,2", "--rho", "0,1", "--tol", "1/8",
                              "--csv", f"{OUT}/table.csv"],
     "oracle-defaults:p1": ["oracle", "polytopes/p1.json", "tests/golden/step1.json"],
+    "oracle-mix:bl1p2": ["oracle", "polytopes/bl1p2.json", "tests/golden/mix2.json",
+                         "--k-ladder", "3,8,16", "--rho=1,-2"],
 }
 
 
@@ -89,6 +96,8 @@ def cases() -> dict[str, list[str]]:
         out[f"reduce:{name}"] = ["reduce", poly, step]
         out[f"reduce-mix:{name}"] = ["reduce", poly, mix]
         out[f"oracle:{name}"] = ["oracle", poly, step, "--k-ladder", LADDER[dim]]
+        out[f"oracle-mix:{name}"] = ["oracle", poly, mix, "--k-ladder", LADDER[dim],
+                                     f"--rho={ORACLE_RHO[dim]}"]
         out[f"normal-cone:{name}"] = ["normal-cone", "--polytope", poly]
     for name in DIM5:
         poly = f"tests/golden/{name}.json"
