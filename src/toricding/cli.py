@@ -24,7 +24,7 @@ from .functionals import (
     outside_calibrated_regime,
 )
 from .geometry import show
-from .lattice import gabor_inner, weight_measure
+from .lattice import _level_moments, gabor_inner
 from .normalcone import _default_grid, normal_cone_family, verdict, verify_family
 from .twisting import jna_twisted, reduce_jna
 
@@ -186,13 +186,12 @@ def cmd_oracle(args) -> int:
     exact_inner = inner_product(f, rho)
     rows = []
     for k in ladder:
-        wm = weight_measure(f, k)
+        N_k, mean, second = _level_moments(f, k)
         gk = gabor_inner(f, rho, k)
-        mean, second = wm.mean(), wm.second_moment()
         rows.append(
             {
                 "k": k,
-                "N_k": wm.N_k,
+                "N_k": N_k,
                 "mean": mean,
                 "second_moment": second,
                 "gabor_inner": gk,

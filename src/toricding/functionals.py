@@ -208,10 +208,10 @@ def j_na(f: PLConcave) -> Fraction:
 def d_na(f: PLConcave) -> Fraction:
     """Ding invariant f(0) - mean; the origin must be interior."""
     P = f.domain
-    origin = (Fraction(0),) * P.dim
-    if not P.strictly_contains(origin):
+    # <n, 0> = 0 < r on every facet
+    if not all(r > 0 for _, r in P.facets):
         raise ValueError("Ding invariant needs the origin interior to the domain")
-    return f(origin) - e_na(f)
+    return f((Fraction(0),) * P.dim) - e_na(f)
 
 
 def inner_product(f: PLConcave, rho: Sequence) -> Fraction:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -121,13 +121,17 @@ class HPolytope:
         _record(P)
         return P
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.facets))
+
+    def __hash__(self) -> int:
+        # the fields that take part in equality, hashed once per instance
+        return self._hash
+
     def contains(self, x: Sequence) -> bool:
         x = _as_point(x)
         return all(_dot(n, x) <= r for n, r in self.facets)
-
-    def strictly_contains(self, x: Sequence) -> bool:
-        x = _as_point(x)
-        return all(_dot(n, x) < r for n, r in self.facets)
 
 
 def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]],

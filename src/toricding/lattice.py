@@ -24,8 +24,10 @@ from .errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 from .functionals import PLConcave, _domain_base
 from .geometry import HPolytope, _frac, facets_from_vertices, vertices, volume
 
-# Refuse a level whose estimated point count vol(P) k^n exceeds this; its
-# points and weights alone would take about 2 GB.
+# Refuse a level whose estimated point count vol(P) k^n exceeds this.  A
+# level stores no weight per point, only runs and sums per fiber, but
+# lattice_points still lists every point; the bound stays, as raising it
+# would change which inputs are refused.
 MAX_LATTICE_POINTS = 10**7
 
 
@@ -66,7 +68,9 @@ def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
 
     The prefixes come in lexicographic order.  Each coordinate runs over
     the integers that the rows of its level allow, in integer arithmetic:
-    d <a, u> <= k num.
+    d <a, u> <= k num.  Along the previous coordinate each row's bound is
+    an integer progression, so a level's bounds cost one map per row and
+    parent fiber.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -80,40 +84,113 @@ def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
             f"k = {k}: about {round(estimate)} lattice points in kP, "
             f"above the limit of {MAX_LATTICE_POINTS}")
 
-    def interval(prefix, upper, lower) -> range:
-        hi = min((k * num - sum(map(mul, pre, prefix))) // c for pre, c, num in upper)
-        lo = max(-((k * num - sum(map(mul, pre, prefix))) // c) for pre, c, num in lower)
-        return range(lo, hi + 1)
+    def bounds(rows, q, ys):
+        # min over rows of (k num - <pre, q + (y,)>) // c, for y in ys
+        its = []
+        for (*pre, t), c, num in rows:
+            v = k * num - sum(map(mul, pre, q)) - t * ys.start
+            its.append(map(floordiv, range(v, v - t * len(ys), -t), repeat(c)) if t
+                       else repeat(v // c, len(ys)))
+        return map(min, *its) if len(its) > 1 else its[0]
 
-    *outer, (upper, lower) = _fiber_rows(base)
-    prefixes: list[tuple[int, ...]] = [()]
-    for up, low in outer:
-        prefixes = [p + (x,) for p in prefixes for x in interval(p, up, low)]
-    return [(p, xs) for p in prefixes if (xs := interval(p, upper, lower))]
+    (upper, lower), *inner = _fiber_rows(base)
+    fibers = [((), range(-min(k * num // c for _, c, num in lower),
+                         min(k * num // c for _, c, num in upper) + 1))]
+    for upper, lower in inner:
+        fibers = [(q + (y,), range(-lo, hi + 1)) for q, ys in fibers
+                  for y, lo, hi in zip(ys, bounds(lower, q, ys), bounds(upper, q, ys))]
+    return [(p, xs) for p, xs in fibers if xs]
+
+
+def _floor_sums(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(sum y_i, sum i y_i, sum y_i^2) over i in range(n), y_i = (a i + b) // c.
+
+    Any integers a, b and c > 0.  Writing a = qa c + a', b = qb c + b'
+    with 0 <= a', b' < c splits off y_i = qa i + qb + (a' i + b') // c;
+    the rest counts, for each j below its largest value m, the i with
+    a' i + b' >= c (j + 1), which is the same sum with a' and c swapped
+    (AtCoder Library's floor_sum, extended to the two second moments).
+    """
+    if n <= 0:
+        return 0, 0, 0
+    qa, a = divmod(a, c)
+    qb, b = divmod(b, c)
+    m = (a * (n - 1) + b) // c
+    f = g = h = 0
+    if m:
+        # y_i = #{j < m : i > t_j}, t_j = (c j + c - b - 1) // a
+        tf, tg, th = _floor_sums(m, c, c - b - 1, a)
+        f = (n - 1) * m - tf
+        g = (m * n * (n - 1) - th - tf) // 2
+        h = (n - 1) * m * m - 2 * tg - tf
+    s1 = n * (n - 1) // 2
+    s2 = s1 * (2 * n - 1) // 3
+    return (f + qa * s1 + qb * n,
+            g + qa * s2 + qb * s1,
+            h + 2 * qa * g + 2 * qb * f + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n)
+
+
+def _envelope(lines, lo: int, hi: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Runs (A, s, x0, x1) of the lower envelope of the lines A + s x, of
+    distinct slopes s in increasing order, over the integers lo..hi: they
+    partition lo..hi in order, and on x0..x1 the minimum is A + s x.
+
+    At lo the run takes the smallest line, of the smallest slope among
+    ties, and ends at the last x before a line of smaller slope crosses
+    below it; only those lines are left for the next run.
+    """
+    runs = []
+    while len(lines) > 1:
+        _, i = min((A + s * lo, i) for i, (A, s) in enumerate(lines))
+        A, s = lines[i]
+        end = min([(B - A) // (s - t) for B, t in lines[:i]], default=hi)
+        if end >= hi:
+            return (*runs, (A, s, lo, hi))
+        runs.append((A, s, lo, end))
+        lines, lo = lines[:i], end + 1
+    return (*runs, (*lines[0], lo, hi))
 
 
 class _Level(Mapping):
     """Read-only u -> weight mapping of one level, stored per fiber as
-    (prefix, xs, weights): the points prefix + (x,), x in xs, in
-    lexicographic order."""
+    (prefix, xs, runs, sums): the points prefix + (x,), x in xs, in
+    lexicographic order; the runs (A, s, x0, x1) on which the weight is
+    (A + s x) // D; and the fiber's sums of mu, x mu and mu^2."""
 
-    def __init__(self, fibers) -> None:
+    def __init__(self, D: int, fibers) -> None:
+        self.D = D
         self.fibers = fibers
-        self._len = sum(len(xs) for _, xs, _ in fibers)
-        self._by_prefix = {prefix: (xs, ws) for prefix, xs, ws in fibers}
+        self._len = sum(len(xs) for _, xs, _, _ in fibers)
+        self._by_prefix = None
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
-        for prefix, xs, _ in self.fibers:
+        for prefix, xs, _, _ in self.fibers:
             yield from zip(*map(repeat, prefix), xs)
 
     def __getitem__(self, u):
-        xs, ws = self._by_prefix.get(tuple(u[:-1]), ((), ()))
+        if self._by_prefix is None:
+            self._by_prefix = {prefix: (xs, runs) for prefix, xs, runs, _ in self.fibers}
+        xs, runs = self._by_prefix.get(tuple(u[:-1]), ((), ()))
         if not u or u[-1] not in xs:
             raise KeyError(u)
-        return ws[xs.index(u[-1])]
+        x = u[-1]
+        A, s = next((A, s) for A, s, x0, x1 in runs if x0 <= x <= x1)
+        return (A + s * x) // self.D
+
+    def counts(self) -> Counter:
+        """mu -> number of points of weight mu, counted run by run."""
+        counts: Counter[int] = Counter()
+        for _, _, runs, _ in self.fibers:
+            for A, s, x0, x1 in runs:
+                if s:
+                    counts.update(map(floordiv, range(A + s * x0, A + s * (x1 + 1), s),
+                                      repeat(self.D)))
+                else:
+                    counts[A // self.D] += x1 - x0 + 1
+        return counts
 
 
 @lru_cache(maxsize=1)
@@ -121,24 +198,31 @@ def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
     """u -> floor(k * f(u/k)) over the lattice points of the dilated domain,
     as a read-only mapping in lexicographic order, stored per fiber."""
     # k f(u/k) = min_j (<g_j, u> + k c_j) = min_j (<G_j, u> + C_j) / D over
-    # one common denominator D, so the floor is an integer division.  Along
-    # a fiber, piece j runs through the progression <G_j, prefix> + C_j +
-    # G_j[-1] x.
+    # one common denominator D, and floor(min) = min(floor) as floor is
+    # monotone.  Along a fiber, piece j is the line <G_j, prefix> + C_j +
+    # G_j[-1] x; each run of their lower envelope is one floor sum.
     consts = [k * a.constant for a in f.affines]
     D = math.lcm(*(g.denominator for a in f.affines for g in a.gradient),
                  *(c.denominator for c in consts))
-    pieces = [(tuple(int(g * D) for g in a.gradient), int(c * D))
-              for a, c in zip(f.affines, consts)]
+    # pieces of one slope G_j[-1] make lines of one slope: only the lowest counts
+    by_slope: dict[int, list] = {}
+    for a, c in zip(f.affines, consts):
+        by_slope.setdefault(int(a.gradient[-1] * D), []).append(
+            (tuple(int(g * D) for g in a.gradient[:-1]), int(c * D)))
+    slopes = sorted(by_slope.items())
     fibers = []
     for prefix, xs in _fibers(f.domain, k):
-        lines = []
-        for G, C in pieces:
-            at0, s = sum(map(mul, G, prefix)) + C, G[-1]
-            lines.append(range(at0 + s * xs.start, at0 + s * xs.stop, s) if s
-                         else repeat(at0, len(xs)))
-        ws = map(min, *lines) if len(lines) > 1 else lines[0]
-        fibers.append((prefix, xs, tuple(map(floordiv, ws, repeat(D)) if D > 1 else ws)))
-    return _Level(tuple(fibers))
+        lines = [(min([sum(map(mul, G, prefix)) + C for G, C in pieces]), s)
+                 for s, pieces in slopes]
+        runs = _envelope(lines, xs.start, xs.stop - 1)
+        s_mu = s_xmu = s_mu2 = 0
+        for A, s, x0, x1 in runs:
+            f1, fx, f2 = _floor_sums(x1 - x0 + 1, s, A + s * x0, D)
+            s_mu += f1
+            s_xmu += x0 * f1 + fx
+            s_mu2 += f2
+        fibers.append((prefix, xs, runs, (s_mu, s_xmu, s_mu2)))
+    return _Level(D, tuple(fibers))
 
 
 @dataclass(frozen=True)
@@ -169,11 +253,18 @@ class WeightMeasure:
 
 def weight_measure(f: PLConcave, k: int) -> WeightMeasure:
     level = jump_weights(f, k)
-    counts: Counter[int] = Counter()
-    for _, _, ws in level.fibers:
-        counts.update(ws)
-    entries = tuple((Fraction(mu, k), m) for mu, m in sorted(counts.items()))
+    entries = tuple((Fraction(mu, k), m) for mu, m in sorted(level.counts().items()))
     return WeightMeasure(k=k, entries=entries, N_k=len(level))
+
+
+def _level_moments(f: PLConcave, k: int) -> tuple[int, Fraction, Fraction]:
+    """N_k and the mean and second moment of weight_measure(f, k), from the
+    per-fiber sums: sum mu / (k N_k) and sum mu^2 / (k^2 N_k)."""
+    level = jump_weights(f, k)
+    N = len(level)
+    s_mu = sum(sums[0] for *_, sums in level.fibers)
+    s_mu2 = sum(sums[2] for *_, sums in level.fibers)
+    return N, Fraction(s_mu, k * N), Fraction(s_mu2, k * k * N)
 
 
 def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
@@ -190,12 +281,12 @@ def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
     level = jump_weights(f, k)
     N = len(level)
     s_mu = s_nu = s_cross = 0
-    for prefix, xs, ws in level.fibers:
+    for prefix, xs, _, (w, wx, _) in level.fibers:
         # <rho, u> = <head, prefix> + last x; a fiber's xs sum to n (first + last) / 2
-        at0, n, w = sum(map(mul, head, prefix)), len(xs), sum(ws)
+        at0, n = sum(map(mul, head, prefix)), len(xs)
         s_mu += w
         s_nu += n * at0 + last * n * (xs.start + xs[-1]) // 2
-        s_cross += at0 * w + last * sum(map(mul, xs, ws))
+        s_cross += at0 * w + last * wx
     return Fraction(s_cross, k * k * N) - Fraction(s_mu * s_nu, k * k * N * N)
 
 
@@ -204,5 +295,5 @@ def vol_distribution(f: PLConcave, k: int, lam) -> Fraction:
     lam = _frac(lam)
     cut = math.ceil(k * lam)
     level = jump_weights(f, k)
-    hits = sum(w >= cut for _, _, ws in level.fibers for w in ws)
+    hits = sum(m for mu, m in level.counts().items() if mu >= cut)
     return Fraction(hits, len(level))

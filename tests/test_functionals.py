@@ -285,6 +285,15 @@ class TestDingInvariant:
         c = Fraction(1, 2)
         assert d_na(g_c(fam, c)) == c**2 / 4
 
+    @pytest.mark.parametrize("rows", [
+        pytest.param([((1, 0), 0), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)], id="on a facet"),
+        pytest.param([((1, 0), 2), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 1)], id="outside"),
+    ])
+    def test_origin_not_interior(self, rows):
+        f = pl(HPolytope.from_inequalities(2, rows), (1, 0, 0))
+        with pytest.raises(ValueError, match="^Ding invariant needs the origin interior"):
+            d_na(f)
+
 
 class TestInnerProduct:
     def test_constant_vanishes(self, p2):

@@ -277,6 +277,27 @@ class TestAccessorContract:
         assert barycenter(P) == b
 
 
+class TestHash:
+    ROWS = [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]
+
+    def test_equal_descriptions_hash_equal(self):
+        P = HPolytope.from_inequalities(2, self.ROWS)
+        Q = HPolytope.from_inequalities(2, [((0, 3), 3), ((-2, -2), 2), ((1, 0), 1)])
+        R = HPolytope(2, P.facets, parent=Q)  # the parent takes no part in equality
+        assert P == Q == R and len({id(P), id(Q), id(R)}) == 3
+        assert hash(P) == hash(Q) == hash(R) == hash((2, P.facets))
+        assert hash(P) != hash(clip(P, (1, 0), 0))
+
+    def test_record_cache_hits_unchanged(self):
+        P = HPolytope.from_inequalities(2, self.ROWS)
+        Q = HPolytope(2, P.facets)
+        before = _record.cache_info()
+        assert _record(Q) is _record(P)
+        assert volume(Q) == volume(P) == Fraction(9, 2)
+        after = _record.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 4, before.misses)
+
+
 def coordinate(dim, i):
     """The affine function x -> x_i."""
     return AffineFn.make([int(t == i) for t in range(dim)])

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -20,10 +21,13 @@ from toricding import (
     vol_distribution,
     weight_measure,
 )
+from toricding import io as tio
 from toricding import lattice
 from toricding.errors import DimensionMismatch, EmptyPolytope, InputTooLarge
+from toricding.lattice import _envelope, _floor_sums, _level_moments
 
-from conftest import CORPUS_FILES, load_corpus as corpus, pl
+from conftest import CORPUS_FILES, REPO, load_corpus as corpus, pl
+from test_golden import GOLDEN, run
 
 
 def box_scan(P, k):
@@ -216,6 +220,8 @@ def test_level_sums_match_per_point_fractions(name, coeffs, k, head, last, lam):
     assert wm.entries == tuple((Fraction(m, k), c) for m, c in sorted(Counter(mu).items()))
     assert wm.mean() == sum(Fraction(m, k) for m in mu) / N
     assert wm.second_moment() == sum(Fraction(m, k) ** 2 for m in mu) / N
+    assert _level_moments(f, k) == (N, wm.mean(), wm.second_moment())
+    assert_fibers_match(jump_weights(f, k), dict(zip(points, mu)))
     assert gabor_inner(f, rho, k) == (
         Fraction(sum(m * n for m, n in zip(mu, nu)), k * k * N)
         - Fraction(sum(mu) * sum(nu), k * k * N * N))
@@ -306,3 +312,104 @@ class TestVolDistribution:
         lam = Fraction(-1, 2)
         discrete = vol_distribution(step_p2, 64, lam)
         assert abs(discrete - m.upper_mass(lam)) <= Fraction(1, 16)
+
+
+class TestFloorSums:
+    @given(st.integers(0, 40), st.integers(-50, 50), st.integers(-200, 200), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, n, a, b, c):
+        ys = [(a * i + b) // c for i in range(n)]
+        assert _floor_sums(n, a, b, c) == (
+            sum(ys), sum(i * y for i, y in enumerate(ys)), sum(y * y for y in ys))
+
+    @pytest.mark.parametrize("n, a, b, c, sums", [
+        (0, 3, 5, 7, (0, 0, 0)),
+        (1, -5, -3, 2, (-2, 0, 4)),  # one point: (-3) // 2
+        (4, 0, -7, 3, (-12, -18, 36)),  # s = 0: the constant -3
+        (3, -1, 0, 1, (-3, -5, 5)),  # 0, -1, -2
+        (5, 7, 2, 12, (4, 13, 6)),  # 0, 0, 1, 1, 2
+    ])
+    def test_cases(self, n, a, b, c, sums):
+        assert _floor_sums(n, a, b, c) == sums
+
+
+def envelope_min(lines, x):
+    return min(A + s * x for A, s in lines)
+
+
+@st.composite
+def pencils(draw):
+    """Lines of distinct slopes in increasing order and an interval lo..hi."""
+    slopes = sorted(draw(st.sets(st.integers(-6, 6), min_size=1, max_size=5)))
+    lines = [(draw(st.integers(-30, 30)), s) for s in slopes]
+    lo = draw(st.integers(-10, 10))
+    return lines, lo, lo + draw(st.integers(0, 20))
+
+
+class TestEnvelope:
+    @given(pencils())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_partition_and_give_the_minimum(self, pencil):
+        lines, lo, hi = pencil
+        runs = _envelope(lines, lo, hi)
+        assert runs[0][2] == lo and runs[-1][3] == hi
+        assert all(x1 + 1 == nxt[2] for (*_, x1), nxt in zip(runs, runs[1:]))
+        for A, s, x0, x1 in runs:
+            assert x0 <= x1 and (A, s) in lines
+            assert all(A + s * x == envelope_min(lines, x) for x in range(x0, x1 + 1))
+
+    def test_tie_at_a_crossing(self):
+        # -x and x cross at 0; the tie goes to the smaller slope
+        assert _envelope([(0, -1), (0, 1)], -3, 3) == ((0, 1, -3, 0), (0, -1, 1, 3))
+
+    def test_line_never_minimal(self):
+        # the constant 1 lies above min(-x, x) except near 0, where 0 is lower
+        lines = [(0, -2), (1, 0), (0, 2)]
+        assert _envelope(lines, -4, 4) == ((0, 2, -4, 0), (0, -2, 1, 4))
+
+    def test_single_line(self):
+        assert _envelope([(5, -3)], 2, 9) == ((5, -3, 2, 9),)
+
+
+def assert_fibers_match(level, mu):
+    """Each fiber's runs and sums against the per-point weights mu[u]."""
+    for prefix, xs, runs, sums in level.fibers:
+        ws = [mu[(*prefix, x)] for x in xs]
+        assert sums == (sum(ws), sum(x * w for x, w in zip(xs, ws)), sum(w * w for w in ws))
+        assert [(A + s * x) // level.D for A, s, x0, x1 in runs
+                for x in range(x0, x1 + 1)] == ws
+
+
+@pytest.mark.parametrize("name, k", [
+    ("p3", 4), ("blp3", 4), ("p1x3", 3), ("p4", 3), ("p1x4", 2)])
+def test_level_sums_on_corpus_mix(name, k):
+    """floor(k f(u/k)) over lattice_points, on the three-piece configurations."""
+    P = corpus(name)
+    f = tio.load_test_config(str(REPO / "tests" / "golden" / f"mix{P.dim}.json"), P)
+    rho = [1, -2, 3, -1][:P.dim]
+    mu = {u: math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
+                            for a in f.affines))
+          for u in lattice_points(P, k)}
+    nu = {u: sum(r * x for r, x in zip(rho, u)) for u in mu}
+    N = len(mu)
+    level = jump_weights(f, k)
+    assert level.D > 1
+    assert_fibers_match(level, mu)
+    assert _level_moments(f, k) == (N, Fraction(sum(mu.values()), k * N),
+                                    Fraction(sum(m * m for m in mu.values()), k * k * N))
+    assert gabor_inner(f, rho, k) == (
+        Fraction(sum(mu[u] * nu[u] for u in mu), k * k * N)
+        - Fraction(sum(mu.values()) * sum(nu.values()), k * k * N * N))
+
+
+@pytest.mark.parametrize("case", ["oracle:p4", "oracle-mix:p4"])
+def test_oracle_reads_no_point(monkeypatch, case):
+    """The oracle prints its golden table without visiting a single point."""
+    def refuse(*args):
+        raise AssertionError("per-point access on the oracle path")
+
+    for name in ("values", "__iter__", "__getitem__", "counts"):
+        monkeypatch.setattr(lattice._Level, name, refuse)
+    expected = json.loads(GOLDEN.read_text())[case]
+    lattice.jump_weights.cache_clear()
+    assert run(expected["argv"]) == (expected["exit"], expected["stdout"], {})
