@@ -155,16 +155,17 @@ class _Level(Mapping):
     """Read-only u -> weight mapping of one level, stored per fiber as
     (prefix, xs, runs, sums): the points prefix + (x,), x in xs, in
     lexicographic order; the runs (A, s, x0, x1) on which the weight is
-    (A + s x) // D; and the fiber's sums of mu, x mu and mu^2."""
+    (A + s x) // D; and the fiber's sums of mu, x mu and mu^2.  totals
+    holds the level's point count and its sums of mu and mu^2."""
 
-    def __init__(self, D: int, fibers) -> None:
+    def __init__(self, D: int, fibers, totals: tuple[int, int, int]) -> None:
         self.D = D
         self.fibers = fibers
-        self._len = sum(len(xs) for _, xs, _, _ in fibers)
+        self.totals = totals
         self._by_prefix = None
 
     def __len__(self) -> int:
-        return self._len
+        return self.totals[0]
 
     def __iter__(self):
         for prefix, xs, _, _ in self.fibers:
@@ -211,6 +212,7 @@ def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
             (tuple(int(g * D) for g in a.gradient[:-1]), int(c * D)))
     slopes = sorted(by_slope.items())
     fibers = []
+    N = t_mu = t_mu2 = 0
     for prefix, xs in _fibers(f.domain, k):
         lines = [(min([sum(map(mul, G, prefix)) + C for G, C in pieces]), s)
                  for s, pieces in slopes]
@@ -222,7 +224,10 @@ def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
             s_xmu += x0 * f1 + fx
             s_mu2 += f2
         fibers.append((prefix, xs, runs, (s_mu, s_xmu, s_mu2)))
-    return _Level(D, tuple(fibers))
+        N += len(xs)
+        t_mu += s_mu
+        t_mu2 += s_mu2
+    return _Level(D, tuple(fibers), (N, t_mu, t_mu2))
 
 
 @dataclass(frozen=True)
@@ -259,11 +264,8 @@ def weight_measure(f: PLConcave, k: int) -> WeightMeasure:
 
 def _level_moments(f: PLConcave, k: int) -> tuple[int, Fraction, Fraction]:
     """N_k and the mean and second moment of weight_measure(f, k), from the
-    per-fiber sums: sum mu / (k N_k) and sum mu^2 / (k^2 N_k)."""
-    level = jump_weights(f, k)
-    N = len(level)
-    s_mu = sum(sums[0] for *_, sums in level.fibers)
-    s_mu2 = sum(sums[2] for *_, sums in level.fibers)
+    level's sums: sum mu / (k N_k) and sum mu^2 / (k^2 N_k)."""
+    N, s_mu, s_mu2 = jump_weights(f, k).totals
     return N, Fraction(s_mu, k * N), Fraction(s_mu2, k * k * N)
 
 
@@ -279,12 +281,11 @@ def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
         raise ValueError("gabor_inner needs an integer direction rho")
     *head, last = (int(r) for r in rho)
     level = jump_weights(f, k)
-    N = len(level)
-    s_mu = s_nu = s_cross = 0
+    N, s_mu, _ = level.totals
+    s_nu = s_cross = 0
     for prefix, xs, _, (w, wx, _) in level.fibers:
         # <rho, u> = <head, prefix> + last x; a fiber's xs sum to n (first + last) / 2
         at0, n = sum(map(mul, head, prefix)), len(xs)
-        s_mu += w
         s_nu += n * at0 + last * n * (xs.start + xs[-1]) // 2
         s_cross += at0 * w + last * wx
     return Fraction(s_cross, k * k * N) - Fraction(s_mu * s_nu, k * k * N * N)
