@@ -229,8 +229,12 @@ def _write_csv(fh, header: list, rows: list) -> None:
 
 
 def _save_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_csv(fh, header, rows)
+    """Write the table to path; a path that cannot be written is a ParseError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            _write_csv(fh, header, rows)
+    except OSError as exc:
+        raise tio.ParseError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,8 +22,9 @@ from .geometry import (
     HPolytope,
     Point,
     _frac,
+    _gauss_jordan,
+    _lift,
     _record,
-    _solve,
     barycenter,
     vertices,
     volume,
@@ -102,9 +103,12 @@ def extremal_affine(P: FanoPolytope) -> ExtremalData:
     cov = covariance(P)
     b = P.barycenter()
     vol = P.volume()
-    g = _solve(cov, [vol * bi for bi in b])
-    if g is None:
+    # [cov | vol b] cleared to integers over one common denominator
+    _, rows = _lift([row + (vol * bi,) for row, bi in zip(cov, b)])
+    m, pivots, p = _gauss_jordan([row[:-1] for row in rows])
+    if pivots != list(range(P.dim)):
         raise SingularGram("covariance matrix is singular")
+    g = [Fraction(row[-1], p) for row in m]
     theta = AffineFn(tuple(g), -sum(gi * bi for gi, bi in zip(g, b)))
     vartheta = max(theta(v) for v in P.vertices())
     return ExtremalData(b=b, cov=cov, theta=theta, vartheta=vartheta)

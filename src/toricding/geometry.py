@@ -11,11 +11,13 @@ simplices, pulled over faces read off those tight sets, with their
 integer determinants, and its volume and barycenter.  Building a polytope
 from outside (HPolytope.from_inequalities) computes the record, which
 checks boundedness; a linearity region cuts its parent's vertices and
-needs no check.  Rays are primitive integer vectors and simplex
-determinants are integer (Bareiss 1968, fraction-free); an integral
-clears its integrands to integers and is one integer sum over the lifted
-rows.  Points, volumes and integrals are fractions.Fraction.  Floats
-never enter this module.  Intended for desk-scale dimensions (n <= 5).
+needs no check.  Rays are primitive integer vectors.  Linear algebra is
+fraction-free on integers (Bareiss 1968): one Gauss-Jordan routine for
+the starting cones, the vertex charts and the extremal Gram system, and
+a triangular elimination for simplex determinants.  An integral clears
+its integrands to integers and is one integer sum over the lifted rows.
+Points, volumes and integrals are fractions.Fraction.  Floats never
+enter this module.  Intended for desk-scale dimensions (n <= 5).
 """
 
 from __future__ import annotations
@@ -129,10 +131,6 @@ class HPolytope:
         # the fields that take part in equality, hashed once per instance
         return self._hash
 
-    def contains(self, x: Sequence) -> bool:
-        x = _as_point(x)
-        return all(_dot(n, x) <= r for n, r in self.facets)
-
 
 def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]],
                 parent: HPolytope | None = None) -> HPolytope:
@@ -151,41 +149,38 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((_frac(x) * _frac(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Gauss-Jordan reduction: (reduced rows, pivot columns, determinant).
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan reduction of an integer matrix (Bareiss
+    1968): (reduced rows, pivot columns, last pivot p).
 
-    The determinant is that of the leading square block (0 when it is
-    singular); elimination stops once every row holds a pivot.
+    Each pivot step scales every other row by the new pivot and divides by
+    the previous one; every entry stays a minor of the input, so each
+    division is exact.  The reduced rows are p times the reduced row echelon
+    form: row i holds p in column pivots[i].  p is +-det of the pivot rows
+    and columns of the input; elimination stops once every row holds a pivot.
     """
-    m = [[_frac(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    det = Fraction(1)
+    m, pivots, prev = [list(row) for row in rows], [], 1
     for col in range(len(m[0]) if m else 0):
         rank = len(pivots)
         if rank == len(m):
             break
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
-            det = Fraction(0)
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            det = -det
-        inv = m[rank][col]
-        det *= inv
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[col]
+        m = [row if row is top else [(p * a - row[col] * b) // prev for a, b in zip(row, top)]
+             for row in m]
         pivots.append(col)
-    return m, pivots, det
+        prev = p
+    return m, pivots, prev
 
 
-def _solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """The solution of a square system, or None when it is singular."""
-    m, _, det = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
-    return None if det == 0 else [row[-1] for row in m]
+def _divided(y: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector y over the gcd of its entries: a primitive vector."""
+    g = gcd(*y)
+    return tuple(c // g for c in y)
 
 
 class _Record(NamedTuple):
@@ -230,8 +225,7 @@ def _cut(rays: list, tight: list, rows: Iterable[tuple[int, Sequence]]) -> tuple
                         Z <= T for k, T in enumerate(tight) if k != u and k != w):
                     sw = slack[w]
                     y = [sw * a - su * b for a, b in zip(rays[u], rays[w])]
-                    g = gcd(*y)
-                    cut.append((tuple(c // g for c in y), Z | {i}))
+                    cut.append((_divided(y), Z | {i}))
         rays, tight = [y for y, _ in cut], [T for _, T in cut]
     return rays, tight
 
@@ -241,19 +235,20 @@ def _extreme_rays(rows: Sequence[Sequence]) -> tuple[list, list] | None:
     vectors with tight sets indexing rows; None when the rows do not span,
     so the cone is not pointed.
 
-    Each rational row is scaled to a primitive integer one.  The first
-    independent rows B make a simplicial cone whose rays are the negated
-    columns of H_B^{-1}, ray j tight at every row of B but its j-th; the
-    remaining rows cut it.
+    Each row is scaled to a primitive integer one, once.  Reducing [H^T | I]
+    picks the first independent rows B as the pivot columns and leaves
+    p (H_B^{-1})^T in the right half, p the last pivot.  The rays of the
+    simplicial cone {H_B y <= 0} are the negated columns of H_B^{-1}, ray j
+    tight at every row of B but its j-th; the remaining rows cut it.
     """
     d = len(rows[0])
     rows = [_primitive(h, 0)[0] for h in rows]
-    basis = _eliminate(list(zip(*rows)))[1]
-    if len(basis) < d:
+    m, basis, p = _gauss_jordan([list(col) + [int(i == j) for j in range(d)]
+                                 for i, col in enumerate(zip(*rows))])
+    if basis[-1] >= len(rows):
         return None
-    # reduce [H_B | I]: the right half becomes H_B^{-1}
-    m = _eliminate([list(rows[b]) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)])[0]
-    rays = [_primitive([-row[d + j] for row in m], 0)[0] for j in range(d)]
+    sign = -1 if p > 0 else 1
+    rays = [_divided([sign * c for c in row[len(rows):]]) for row in m]
     tight = [frozenset(basis) - {b} for b in basis]
     return _cut(rays, tight, ((i, h) for i, h in enumerate(rows) if i not in basis))
 
@@ -283,22 +278,25 @@ def _record(P: HPolytope) -> _Record:
         parent = _record(P.parent)
         index = {row: i for i, row in enumerate(P.facets)}
         of_P = [index.get(row, m + k) for k, row in enumerate(P.parent.facets)]
-        rays, tight = _cut([_lift([v])[1][0] for v in parent.vertices],
+        rays, tight = _cut([_divided(row) for row in parent.rows],
                            [frozenset(of_P[k] for k in T) for T in parent.tight],
-                           ((i, _primitive(n + (-r,), 0)[0]) for i, (n, r) in enumerate(P.facets)
-                            if i not in of_P))
-    verts, tight = zip(*sorted((tuple(Fraction(c, y[-1]) for c in y[:-1]),
-                                frozenset(j for j in T if j < m))
-                               for y, T in zip(rays, tight))) if rays else ((), ())
+                           # (d n, -num) for r = num / d is primitive, as n is
+                           ((i, tuple(r.denominator * a for a in n) + (-r.numerator,))
+                            for i, (n, r) in enumerate(P.facets) if i not in of_P))
+    # a primitive ray (x, t) is the vertex x / t, and t is its least denominator;
     # the simplex on the lifted rows S has volume |det S| / (n! D^{n+1}), so
     # the volume and the barycenter are sums of integers
-    D, rows = _lift(verts)
+    D = lcm(*(y[-1] for y in rays))
+    rows, tight = zip(*sorted((tuple(c * (D // y[-1]) for c in y[:-1]) + (D,),
+                               frozenset(j for j in T if j < m))
+                              for y, T in zip(rays, tight))) if rays else ((), ())
+    verts = tuple(tuple(Fraction(c, D) for c in row[:-1]) for row in rows)
     simplices = tuple((s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight))
     unit = factorial(P.dim) * D ** (P.dim + 1)
     total = sum(det for _, det in simplices)
     bary = tuple(Fraction(sum(det * sum(rows[k][t] for k in s) for s, det in simplices),
                           D * (P.dim + 1) * total) for t in range(P.dim)) if total else None
-    return _Record(verts, tight, tuple(rows), simplices, unit, Fraction(total, unit), bary)
+    return _Record(verts, tight, rows, simplices, unit, Fraction(total, unit), bary)
 
 
 def _nonempty(P: HPolytope) -> _Record:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 from .functionals import PLConcave, _domain_base
-from .geometry import HPolytope, _frac, facets_from_vertices, vertices, volume
+from .geometry import HPolytope, _extreme_rays, _frac, _record, volume
 
 # Refuse a level whose estimated point count vol(P) k^n exceeds this.  A
 # level stores no weight per point, only runs and sums per fiber, but
@@ -43,24 +43,25 @@ def lattice_points(P, k: int) -> list[tuple[int, ...]]:
 def _fiber_rows(base: HPolytope):
     """Per coordinate i, the rows that bound u_i once u_0..u_{i-1} are fixed.
 
-    Level i holds the facets <a, x> <= num/d of the projection of base
-    onto coordinates 0..i, the hull of its projected vertices, whose i-th
-    coefficient is nonzero, as (d a_0..d a_{i-1}, d |a_i|, num), split
-    into upper bounds (a_i > 0) and lower bounds (a_i < 0).  Facets with
-    a zero i-th coefficient hold on the projection onto 0..i-1, which the
-    outer levels enforce.
+    Level i holds inequalities <a, x> <= num/d, a integer, that hold on the
+    projection of base onto coordinates 0..i and whose i-th coefficient is
+    nonzero, as (d a_0..d a_{i-1}, d |a_i|, num), split into upper bounds
+    (a_i > 0) and lower bounds (a_i < 0).  Rows with a zero i-th
+    coefficient hold on the projection onto 0..i-1, which the outer levels
+    enforce.  The last level reads base's own facets; a redundant row is a
+    valid bound too.  A lower level takes the facets of the hull of the
+    projected lifted rows (D v, D) of base's vertices: the primitive
+    extreme rays (a, r) of {(a, r) : <a, D v> <= r D}, with d = 1.
     """
-    verts = vertices(base)
-    levels = []
-    for i in range(base.dim):
-        upper, lower = [], []
-        for n, r in facets_from_vertices([v[:i + 1] for v in verts]).facets:
-            if n[i]:
-                row = (tuple(r.denominator * a for a in n[:i]), r.denominator * abs(n[i]),
-                       r.numerator)
-                (upper if n[i] > 0 else lower).append(row)
-        levels.append((tuple(upper), tuple(lower)))
-    return tuple(levels)
+    rows = _record(base).rows
+    hulls = [[(y[:i], y[i], y[-1]) for y in _extreme_rays(
+        list(dict.fromkeys(row[:i + 1] + (-row[-1],) for row in rows)))[0]]
+        for i in range(base.dim - 1)]
+    facets = [(tuple(r.denominator * a for a in n[:-1]), r.denominator * n[-1], r.numerator)
+              for n, r in base.facets]
+    return tuple((tuple((pre, c, num) for pre, c, num in level if c > 0),
+                  tuple((pre, -c, num) for pre, c, num in level if c < 0))
+                 for level in hulls + [facets])
 
 
 def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:

@@ -34,7 +34,7 @@ from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
 from .extremal import FanoPolytope, extremal_affine
 from .functionals import DHMeasure, PLConcave, d_na, d_z_na, dh_measure, inner_product, j_na
-from .geometry import AffineFn, Point, _dot, _eliminate, _frac, _primitive, _record, show
+from .geometry import AffineFn, Point, _dot, _frac, _gauss_jordan, _primitive, _record, show
 from .twisting import reduce_jna
 
 
@@ -86,13 +86,14 @@ def vertex_chart(P: FanoPolytope, v: Point) -> VertexChart:
     """
     v = tuple(_frac(c) for c in v)
     edges = tuple(_edge_directions(P, v))
-    # the gradient of ord solves <grad, e_i> = 1 for every edge direction e_i
-    m, _, det = _eliminate([e + (1,) for e in edges])
-    if abs(det) != 1:
+    # the gradient of ord solves <grad, e_i> = 1 for every edge direction e_i;
+    # the last pivot p is +-det of the e_i
+    m, _, p = _gauss_jordan([e + (1,) for e in edges])
+    if abs(p) != 1:
         raise NonSmoothVertex(
-            f"edge directions at {show(v)} span a sublattice of index {abs(det)}", determinant=det
+            f"edge directions at {show(v)} span a sublattice of index {abs(p)}", determinant=p
         )
-    grad = tuple(row[-1] for row in m)
+    grad = tuple(Fraction(row[-1], p) for row in m)
     ord_fn = AffineFn(grad, -sum(g * c for g, c in zip(grad, v)))
     for w in P.vertices():
         if ord_fn(w) < 0:

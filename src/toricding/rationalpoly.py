@@ -53,23 +53,6 @@ def scale(p: Sequence[Fraction], s: Fraction) -> Poly:
     return trim(tuple(c * s for c in p))
 
 
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    result: Poly = ()
-    for i, (xi, yi) in enumerate(points):
-        basis: Poly = (Fraction(1),)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                basis = multiply(basis, (-xj, Fraction(1)))
-                denom *= xi - xj
-        result = add(result, scale(basis, yi / denom))
-    return result
-
-
 def bspline(knots: Sequence[Fraction]) -> list[tuple[Fraction, Fraction, Poly]]:
     """Normalized B-spline M(x; t_0, ..., t_n): degree n-1, integral 1.
 

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from toricding import AffineFn, HPolytope, PLConcave, validate_fano
 from toricding import io as tio
+from toricding import rationalpoly as rp
 from toricding.geometry import _normalized
 
 REPO = Path(__file__).resolve().parent.parent
@@ -24,6 +25,23 @@ CORPUS_FILES = {
 
 def load_corpus(name):
     return validate_fano(tio.load_polytope(str(CORPUS_FILES[name])))
+
+
+def lagrange_interpolate(points):
+    """Unique polynomial of degree < len(points) through the given points."""
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    result = ()
+    for i, (xi, yi) in enumerate(points):
+        basis = (Fraction(1),)
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = rp.multiply(basis, (-xj, Fraction(1)))
+                denom *= xi - xj
+        result = rp.add(result, rp.scale(basis, yi / denom))
+    return result
 
 
 def clip(P, normal, rhs):

@@ -124,6 +124,25 @@ class TestMalformedFiles:
         assert (code, out, err) == (1, "", f"error: [Errno 21] Is a directory: '{POLYTOPE_DIR}'\n")
 
 
+class TestOutputPaths:
+    """An output path that cannot be written is a usage error (exit 1)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "p1.json", "TC", "--k-ladder", "2,4", "--csv"),
+        ("normal-cone", "--polytope", "bl1p2.json", "--csv"),
+        ("analyze", "p1.json", "--emit-plot-data"),
+        ("tc-eval", "p1.json", "TC", "--emit-plot-data"),
+        ("normal-cone", "--polytope", "bl1p2.json", "--emit-plot-data"),
+        ("reduce", "p1.json", "TC", "--segment", "0;1;2", "--segment-csv"),
+    ], ids=["oracle-csv", "normal-cone-csv", "analyze-plot", "tc-eval-plot",
+            "normal-cone-plot", "reduce-segment-csv"])
+    def test_directory_is_a_usage_error(self, capsys, tmp_path, tc_step, argv):
+        argv = [tc_step if a == "TC" else str(POLYTOPE_DIR / a) if a.endswith(".json") else a
+                for a in argv]
+        code, _, err = run(capsys, *argv, str(tmp_path))
+        assert (code, err) == (1, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
 class TestAnalyze:
     def test_p2(self, capsys):
         code, out, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "p2.json"))

@@ -15,8 +15,9 @@ from toricding import (
     lattice_points,
     validate_fano,
 )
+from toricding import extremal
 from toricding import io as tio
-from toricding.errors import DimensionMismatch
+from toricding.errors import DimensionMismatch, SingularGram
 from toricding.geometry import AffineFn, integrate_product
 
 from conftest import CORPUS_FILES, REPO, load_corpus
@@ -124,6 +125,20 @@ class TestExtremalAffine:
                 assert ext.vartheta == 0
             else:
                 assert ext.vartheta > 0
+
+
+    @pytest.mark.parametrize("name", ["p2", "bl1p2"])
+    @pytest.mark.parametrize("cov", [
+        ((0, 0), (0, 0)),
+        ((1, 2), (2, 4)),
+        ((Fraction(1, 3), Fraction(1, 6)), (Fraction(2, 3), Fraction(1, 3))),
+    ], ids=["zero", "rank-1", "rank-1-fractions"])
+    def test_singular_covariance_raises(self, monkeypatch, name, cov):
+        monkeypatch.setattr(extremal, "covariance",
+                            lambda P: tuple(tuple(map(Fraction, row)) for row in cov))
+        with pytest.raises(SingularGram):
+            # past the cache, which holds the real extremal data
+            extremal_affine.__wrapped__(load_corpus(name))
 
 
 class TestFutakiPairing:

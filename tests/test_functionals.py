@@ -27,6 +27,7 @@ from toricding.geometry import volume
 from conftest import (
     REPO,
     clip,
+    lagrange_interpolate,
     load_corpus,
     make_bl1p2,
     make_p1,
@@ -340,7 +341,6 @@ class TestRelativeDing:
     def test_normal_cone_cubic_coefficient(self, bl1p2):
         # exact polynomial in c with leading coefficient (1 - vartheta)/24
         from toricding import g_c, normal_cone_family
-        from toricding.rationalpoly import lagrange_interpolate
 
         fam = normal_cone_family(bl1p2)
         ext = extremal_affine(bl1p2)

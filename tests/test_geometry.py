@@ -29,9 +29,10 @@ from toricding.extremal import FanoPolytope, covariance
 from toricding.geometry import (
     _bareiss,
     _cut,
-    _eliminate,
     _extreme_rays,
+    _gauss_jordan,
     _lift,
+    _primitive,
     _record,
     show,
 )
@@ -44,6 +45,41 @@ rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 def hp(dim, *rows):
     return HPolytope.from_inequalities(dim, [(r[:-1], r[-1]) for r in rows])
+
+
+def reference_eliminate(rows):
+    """Gauss-Jordan reduction over fractions: (reduced rows, pivot columns,
+    determinant of the leading square block, 0 when it is singular); stops
+    once every row holds a pivot.  The reference for the kernel's
+    fraction-free elimination."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        inv = m[rank][col]
+        det *= inv
+        m[rank] = [v / inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m, pivots, det
+
+
+def contains(P, x):
+    """Whether the point x satisfies every facet of P."""
+    return all(sum(a * Fraction(c) for a, c in zip(n, x)) <= r for n, r in P.facets)
 
 
 def _simplex_volume(simplex):
@@ -78,7 +114,7 @@ class TestVertices:
         P = hp(2, (1, 0, 1), (0, 1, 1), (-1, -1, 1), (1, 1, 1))
         verts = vertices(P)
         for v in verts:
-            assert P.contains(v)
+            assert contains(P, v)
         for normal, rhs in P.facets:
             on_facet = [v for v in verts if sum(a * c for a, c in zip(normal, v)) == rhs]
             assert len(on_facet) >= P.dim
@@ -379,7 +415,8 @@ class TestIntegrateProduct:
 def affine_rank(points):
     """Dimension of the affine hull of a nonempty point set."""
     base = points[0]
-    return len(_eliminate([[p[t] - base[t] for t in range(len(base))] for p in points[1:]])[1])
+    edges = [[p[t] - base[t] for t in range(len(base))] for p in points[1:]]
+    return len(reference_eliminate(edges)[1])
 
 
 def reference_triangulation(P):
@@ -483,7 +520,8 @@ class TestReferenceFormulas:
 def reference_simplex_volume(simplex):
     """|det| of the edge rows v_i - v_0 by Gauss-Jordan elimination over fractions, over n!."""
     n, v0 = len(simplex) - 1, simplex[0]
-    return abs(_eliminate([[w[t] - v0[t] for t in range(n)] for w in simplex[1:]])[2]) / factorial(n)
+    edges = [[w[t] - v0[t] for t in range(n)] for w in simplex[1:]]
+    return abs(reference_eliminate(edges)[2]) / factorial(n)
 
 
 @st.composite
@@ -532,6 +570,72 @@ TRIANGULATION_DIGESTS = {
 }
 
 
+def reference_extreme_rays(rows):
+    """The extreme rays by fraction elimination: the basis B from the
+    transpose, the starting rays the primitive negated columns of H_B^{-1}."""
+    d = len(rows[0])
+    rows = [_primitive(h, 0)[0] for h in rows]
+    basis = reference_eliminate(list(zip(*rows)))[1]
+    if len(basis) < d:
+        return None
+    m = reference_eliminate([list(rows[b]) + [int(i == j) for j in range(d)]
+                             for i, b in enumerate(basis)])[0]
+    rays = [_primitive([-row[d + j] for row in m], 0)[0] for j in range(d)]
+    tight = [frozenset(basis) - {b} for b in basis]
+    return _cut(rays, tight, ((i, h) for i, h in enumerate(rows) if i not in basis))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of 1-5 rows and 1-6 columns: square, wide and tall;
+    in about half the last row is an integer combination of the others, so
+    the matrix is rank-deficient (a square one singular)."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    if r > 1 and draw(st.booleans()):
+        lam = draw(st.lists(st.integers(-2, 2), min_size=r - 1, max_size=r - 1))
+        rows[-1] = [sum(l * row[j] for l, row in zip(lam, rows)) for j in range(c)]
+    return rows
+
+
+class TestGaussJordan:
+    """The fraction-free elimination against the fraction reference."""
+
+    @given(rows=integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reduction(self, rows):
+        m, pivots, p = _gauss_jordan(rows)
+        ref, ref_pivots, det = reference_eliminate(rows)
+        assert pivots == ref_pivots
+        assert all(type(v) is int for row in m for v in row)
+        assert [[Fraction(v, p) for v in row] for row in m] == ref
+        if len(rows) == len(rows[0]):
+            # square: p is +-det, and a singular matrix misses a pivot
+            assert abs(p) == abs(det) if det else pivots != list(range(len(rows)))
+
+    @given(rows=integer_matrices(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_solves_square_systems(self, rows, data):
+        n = len(rows)
+        A = [row[:n] + [0] * (n - len(row)) for row in rows]
+        b = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        m, pivots, p = _gauss_jordan([row + [bi] for row, bi in zip(A, b)])
+        ref, _, det = reference_eliminate([row + [bi] for row, bi in zip(A, b)])
+        assert (pivots == list(range(n))) == (det != 0)
+        if det:
+            x = [Fraction(row[-1], p) for row in m]
+            assert x == [row[-1] for row in ref]
+            assert [sum(a * xi for a, xi in zip(row, x)) for row in A] == b
+
+    def test_unimodular_and_singular(self):
+        assert _gauss_jordan([[2, 1], [1, 1]]) == ([[1, 0], [0, 1]], [0, 1], 1)
+        assert _gauss_jordan([[1, 2], [2, 4]]) == ([[1, 2], [0, 0]], [0], 1)
+        assert _gauss_jordan([[0, 0, 0]]) == ([[0, 0, 0]], [], 1)
+        m, pivots, p = _gauss_jordan([[2, 0], [0, 3]])
+        assert (m, pivots, p) == ([[6, 0], [0, 6]], [0, 1], 6)
+
+
 class TestIntegerKernel:
     """Integer rays and fraction-free determinants against the fraction routes."""
 
@@ -541,7 +645,7 @@ class TestIntegerKernel:
         simplex, degenerate = case
         assert _simplex_volume(simplex) == reference_simplex_volume(simplex)
         rows = _lift(simplex)[1]
-        assert _bareiss(rows) == _eliminate(rows)[2]
+        assert _bareiss(rows) == reference_eliminate(rows)[2]
         if degenerate:
             assert _simplex_volume(simplex) == 0
 
@@ -559,6 +663,25 @@ class TestIntegerKernel:
             slack = [sum(a * c for a, c in zip(h, y)) for h in rows]
             assert all(v <= 0 for v in slack)
             assert T == {i for i, v in enumerate(slack) if v == 0}
+
+    @given(dim=st.integers(1, 4), flat=st.booleans(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_extreme_rays_match_reference(self, dim, flat, data):
+        rows = data.draw(st.lists(st.tuples(*[rational] * (dim + 1)), min_size=1,
+                                  max_size=dim + 5))
+        if flat:
+            # every row misses the last coordinate: the rows do not span
+            rows = [h[:-1] + (0,) for h in rows]
+        assume(all(any(h) for h in rows))
+        assert _extreme_rays(rows) == reference_extreme_rays(rows)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES) + list(DIM5))
+    def test_extreme_rays_match_reference_on_corpus(self, name):
+        P = load_fano(name).base
+        cone = [n + (-r,) for n, r in P.facets] + [(0,) * P.dim + (-1,)]
+        hull = [v + (-1,) for v in vertices(P)]
+        for rows in (cone, hull):
+            assert _extreme_rays(rows) == reference_extreme_rays(rows)
 
     @given(name=st.sampled_from(sorted(CORPUS_FILES)), data=st.data())
     @settings(max_examples=40, deadline=None)

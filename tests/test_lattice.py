@@ -85,6 +85,15 @@ class TestLatticePoints:
         for k in range(1, {1: 6, 2: 6, 3: 4, 4: 3}[P.dim]):
             assert lattice_points(P, k) == box_scan(P, k)
 
+    def test_redundant_rows_match_box_scan(self):
+        # P2 with x + 2y <= 7/2, tight nowhere, and 2x + y <= 3, tight at one vertex
+        P = HPolytope.from_inequalities(2, [([-1, 0], 1), ([0, -1], 1), ([1, 1], 1),
+                                            ([1, 2], Fraction(7, 2)), ([2, 1], 3)])
+        upper, _ = lattice._fiber_rows(P)[-1]
+        assert ((2,), 4, 7) in upper and ((2,), 1, 3) in upper
+        for k in range(1, 7):
+            assert lattice_points(P, k) == box_scan(P, k)
+
     @given(clipped_boxes(), st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_matches_box_scan_on_rational_polytopes(self, P, k):
