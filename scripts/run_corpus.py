@@ -50,27 +50,28 @@ def analyze_one(name: str, out_dir: Path, k_ladder):
         "vartheta_float": float(ext.vartheta),
     }
 
-    rep = verdict(fano)
-    summary["flags"] = rep.flags
-    summary["statements"] = rep.statements
-
+    family = None
     try:
         family = normal_cone_family(fano)
-        fam_report = verify_family(family, _default_grid(family))
+        rows = verify_family(family, _default_grid(family))
         summary["normal_cone"] = {
-            "vertex": tio.vector_to_strings(fam_report.vertex),
-            "c_max": tio.format_rational(fam_report.c_max),
-            "expansion_coeffs": [tio.format_rational(c) for c in fam_report.expansion_coeffs],
-            "leading": tio.format_rational(fam_report.leading_coeff),
+            "vertex": tio.vector_to_strings(family.chart.vertex),
+            "c_max": tio.format_rational(family.c_max),
+            "expansion_coeffs": [tio.format_rational(c) for c in family.expansion_coeffs],
+            "leading": tio.format_rational(family.leading_coeff),
         }
         with open(out_dir / f"{name}_normal_cone.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["c", "j_na", "j_t_na", "d_na", "pairing_with_extremal", "d_z_na"])
-            for r in fam_report.rows:
+            for r in rows:
                 w.writerow([float(r.c), float(r.j), float(r.j_t), float(r.d),
                             float(r.pairing), float(r.d_z)])
     except NonSmoothVertex as exc:
         summary["normal_cone"] = {"skipped": str(exc)}
+
+    rep = verdict(fano, family=family)
+    summary["flags"] = rep.flags
+    summary["statements"] = rep.statements
 
     # oracle ladder for a step configuration along the first coordinate
     grad = [0] * fano.dim

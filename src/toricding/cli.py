@@ -120,15 +120,16 @@ def cmd_normal_cone(args) -> int:
     bad = [c for c in grid if not 0 < c < family.c_max]
     if bad:
         raise tio.ParseError(f"c values {', '.join(map(show, bad))} outside (0, {family.c_max})")
-    report = verify_family(family, grid)
-    # verdict reads the family at the theta-maximizing vertex, the one auto picks
+    rows = verify_family(family, grid)
+    # verdict reads a family only when vartheta >= 1: the one at the theta-maximizing
+    # vertex, which auto picks
     stability = verdict(P, grid, family if args.vertex == "auto" else None)
     out = {
-        "vertex": tio.vector_to_strings(report.vertex),
-        "ord": tio.affine_to_dict(report.ord),
-        "c_max": tio.format_rational(report.c_max),
-        "anticanonical_degree": tio.format_rational(report.Ln),
-        "vartheta": tio.format_rational(report.vartheta),
+        "vertex": tio.vector_to_strings(family.chart.vertex),
+        "ord": tio.affine_to_dict(family.chart.ord),
+        "c_max": tio.format_rational(family.c_max),
+        "anticanonical_degree": tio.format_rational(family.Ln),
+        "vartheta": tio.format_rational(family.ext.vartheta),
         "rows": [
             {
                 "c": tio.format_rational(r.c),
@@ -140,11 +141,11 @@ def cmd_normal_cone(args) -> int:
                 "d_z_na": tio.format_rational(r.d_z),
                 "dh_matches_closed_form": r.dh_matches,
             }
-            for r in report.rows
+            for r in rows
         ],
-        "expansion_coeffs": [tio.format_rational(c) for c in report.expansion_coeffs],
-        "expansion_leading": tio.format_rational(report.leading_coeff),
-        "expansion_leading_expected": tio.format_rational(report.leading_coeff),
+        "expansion_coeffs": [tio.format_rational(c) for c in family.expansion_coeffs],
+        "expansion_leading": tio.format_rational(family.leading_coeff),
+        "expansion_leading_expected": tio.format_rational(family.leading_coeff),
         "verdict": {
             "vartheta_float": tio.format_float(stability.vartheta, args.digits),
             "flags": stability.flags,
@@ -153,7 +154,7 @@ def cmd_normal_cone(args) -> int:
     }
     sys.stdout.write(tio.dumps(out))
     header = ["c", "j_na", "j_t_na", "d_na", "pairing_with_extremal", "d_z_na"]
-    table = [[float(x) for x in (r.c, r.j, r.j_t, r.d, r.pairing, r.d_z)] for r in report.rows]
+    table = [[float(x) for x in (r.c, r.j, r.j_t, r.d, r.pairing, r.d_z)] for r in rows]
     if args.csvout:
         _save_csv(args.csvout, header, table)
     if args.plot:

@@ -57,7 +57,8 @@ def validate_fano(P: HPolytope) -> FanoPolytope:
     """Accept iff every normalized facet has rhs exactly 1.
 
     rhs <= 0 means the origin is not interior; any other rhs != 1 means
-    the polytope is not in anticanonical presentation.
+    the polytope is not in anticanonical presentation.  With every rhs 1
+    the origin is strictly inside every facet, so P is full-dimensional.
     """
     for normal, rhs in P.facets:
         if rhs <= 0:
@@ -65,8 +66,6 @@ def validate_fano(P: HPolytope) -> FanoPolytope:
     for normal, rhs in P.facets:
         if rhs != 1:
             raise NotCanonicalFano(f"facet {normal} has rhs {rhs} != 1")
-    if volume(P) == 0:
-        raise NotCanonicalFano("polytope is not full-dimensional")
     return FanoPolytope(P)
 
 

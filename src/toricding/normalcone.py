@@ -20,19 +20,24 @@ Ding invariant D_Z = f(0) - (1/vol) int f (1 - theta) of g_c are
     D_Z(g_c) = g_c(0) + [(1 - theta(v)) c^{n+1} - s c^{n+2}/(n+2)] / ((n+1) L^n),
 
 where theta(v) = vartheta at a theta-maximizing vertex, and g_c(0) and
-g_c(b) vanish while c <= ord(0) and c <= ord(b).
+g_c(b) vanish while c <= ord(0) and c <= ord(b).  The term
+c^{n+1}/((n+1) L^n) is J(g_c), which D(g_c) - g_c(0) equals as well.
+normal_cone_family computes J(g_c) and D_Z(g_c) - g_c(0) once, as
+polynomials in c, with the extremal data and L^n; every closed form
+above is read from those two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import comb
 from typing import Sequence
 
 from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
-from .extremal import FanoPolytope, extremal_affine
+from .extremal import ExtremalData, FanoPolytope, extremal_affine
 from .functionals import DHMeasure, PLConcave, d_na, d_z_na, dh_measure, inner_product, j_na
 from .geometry import AffineFn, Point, _dot, _frac, _gauss_jordan, _primitive, _record, show
 from .twisting import reduce_jna
@@ -49,9 +54,21 @@ class VertexChart:
 
 @dataclass(frozen=True)
 class NormalConeFamily:
+    """The family at a chart, with the closed forms of the module docstring:
+    j_coeffs is J(g_c) and expansion_coeffs is D_Z(g_c) - g_c(0), both in c."""
+
     P: FanoPolytope
     chart: VertexChart
     c_max: Fraction
+    ext: ExtremalData
+    Ln: Fraction
+    j_coeffs: rp.Poly
+    expansion_coeffs: rp.Poly
+
+    @property
+    def leading_coeff(self) -> Fraction:
+        """(1 - vartheta)/((n+1) L^n), the c^{n+1} coefficient of the expansion."""
+        return (1 - self.ext.vartheta) * self.j_coeffs[-1]
 
     def grid_cap(self) -> Fraction:
         """Default parameter cap min(c_max, 1)/2: stays well inside the
@@ -62,9 +79,8 @@ class NormalConeFamily:
 
 def select_vertex(P: FanoPolytope) -> Point:
     """A vertex maximizing theta; ties broken lexicographically."""
-    ext = extremal_affine(P)
-    best = max(ext.theta(v) for v in P.vertices())
-    return min(v for v in P.vertices() if ext.theta(v) == best)
+    theta = extremal_affine(P).theta
+    return min(P.vertices(), key=lambda v: (-theta(v), v))
 
 
 def _edge_directions(P: FanoPolytope, v: Point) -> list[tuple[int, ...]]:
@@ -105,7 +121,11 @@ def normal_cone_family(P: FanoPolytope, v: Point | None = None) -> NormalConeFam
     vert = select_vertex(P) if v is None else tuple(_frac(c) for c in v)
     chart = vertex_chart(P, vert)
     c_max = min(chart.ord(w) for w in P.vertices() if w != vert)
-    return NormalConeFamily(P=P, chart=chart, c_max=c_max)
+    n, ext, Ln = P.dim, extremal_affine(P), P.anticanonical_degree()
+    j = (Fraction(0),) * (n + 1) + (1 / ((n + 1) * Ln),)
+    s = sum(_dot(ext.theta.gradient, e) for e in chart.edges)
+    expansion = rp.trim(j[:-1] + ((1 - ext.vartheta) * j[-1], -s * j[-1] / (n + 2)))
+    return NormalConeFamily(P, chart, c_max, ext, Ln, j, expansion)
 
 
 def g_c(family: NormalConeFamily, c) -> PLConcave:
@@ -119,25 +139,15 @@ def g_c(family: NormalConeFamily, c) -> PLConcave:
     return PLConcave((shifted, zero), family.P.base)
 
 
-def _d_z_expansion(family: NormalConeFamily) -> rp.Poly:
-    """D_Z(g_c) - g_c(0) as a polynomial in c (module docstring)."""
-    P, ext = family.P, extremal_affine(family.P)
-    k = (P.dim + 1) * P.anticanonical_degree()
-    s = sum(_dot(ext.theta.gradient, e) for e in family.chart.edges)
-    return rp.trim((Fraction(0),) * (P.dim + 1) + ((1 - ext.vartheta) / k, -s / ((P.dim + 2) * k)))
-
-
 def _d_z(family: NormalConeFamily, c) -> Fraction:
     """D_Z(g_c) in closed form; raises COutOfRange outside (0, c_max)."""
     f = g_c(family, c)
-    return f((Fraction(0),) * family.P.dim) + rp.evaluate(_d_z_expansion(family), _frac(c))
+    return f((Fraction(0),) * family.P.dim) + rp.evaluate(family.expansion_coeffs, _frac(c))
 
 
 def _j_t(family: NormalConeFamily, c) -> Fraction:
     """J_T(g_c) in closed form; raises COutOfRange outside (0, c_max)."""
-    P = family.P
-    return g_c(family, c)(P.barycenter()) + _frac(c) ** (P.dim + 1) / (
-        (P.dim + 1) * P.anticanonical_degree())
+    return g_c(family, c)(family.P.barycenter()) + rp.evaluate(family.j_coeffs, _frac(c))
 
 
 def dh_closed_form(n: int, Ln, c) -> DHMeasure:
@@ -146,7 +156,7 @@ def dh_closed_form(n: int, Ln, c) -> DHMeasure:
     c = _frac(c)
     if not (c > 0 and c**n < Ln):
         raise COutOfRange(f"need 0 < c and c^{n} < {Ln}")
-    density = rp.scale(rp.binomial_power(c, n - 1), Fraction(n) / Ln)
+    density = tuple(n * comb(n - 1, k) * c ** (n - 1 - k) / Ln for k in range(n))
     return DHMeasure.build(
         atoms=[(Fraction(0), 1 - c**n / Ln)],
         pieces=[(-c, Fraction(0), density)],
@@ -165,47 +175,29 @@ class FamilyRow:
     dh_matches: bool
 
 
-@dataclass
-class FamilyReport:
-    n: int
-    Ln: Fraction
-    vertex: Point
-    ord: AffineFn
-    c_max: Fraction
-    vartheta: Fraction
-    expansion_coeffs: tuple[Fraction, ...]
-    leading_coeff: Fraction
-    rows: list[FamilyRow] = field(default_factory=list)
-
-
-def verify_family(family: NormalConeFamily, c_grid: Sequence) -> FamilyReport:
+def verify_family(family: NormalConeFamily, c_grid: Sequence) -> list[FamilyRow]:
     """Check every closed-form identity of the family on the grid, and D_Z at n + 4
     more points of (0, grid_cap]; MismatchReport lists both sides of each failure."""
-    P = family.P
+    P, ext, ord_fn = family.P, family.ext, family.chart.ord
     n = P.dim
-    Ln = P.anticanonical_degree()
-    ext = extremal_affine(P)
-    ord_fn = family.chart.ord
-    report = FamilyReport(n, Ln, family.chart.vertex, ord_fn, family.c_max, ext.vartheta,
-                          _d_z_expansion(family), (1 - ext.vartheta) / ((n + 1) * Ln))
     origin, neg_ord = (Fraction(0),) * n, tuple(-g for g in ord_fn.gradient)
     b = P.barycenter()
-    checks = []
+    rows, checks = [], []
     for c in map(_frac, c_grid):
         f = g_c(family, c)
-        measure, expected_measure = dh_measure(f), dh_closed_form(n, Ln, c)
+        measure, expected_measure = dh_measure(f), dh_closed_form(n, family.Ln, c)
         dv = d_na(f)
         pairing = inner_product(f, ext.theta.gradient)
         rho_star, j_t = reduce_jna(f)
         row = FamilyRow(c=c, j=j_na(f), j_t=j_t, rho_star=rho_star, d=dv, pairing=pairing,
                         d_z=dv + pairing, dh_matches=measure == expected_measure)
-        report.rows.append(row)
-        target = c ** (n + 1) / ((n + 1) * Ln)
+        rows.append(row)
+        j = rp.evaluate(family.j_coeffs, c)
         # the pieces active at b: 0 while c <= ord(b), ord - c once c >= ord(b)
         active = [origin] * (c <= ord_fn(b)) + [neg_ord] * (c >= ord_fn(b))
         checks += [(f"dh_measure(c={c})", measure, expected_measure),
-                   (f"j_na(c={c})", row.j, target), (f"d_na(c={c})", dv, f(origin) + target),
-                   (f"rho_star(c={c})", rho_star, min(active)), (f"j_t(c={c})", j_t, f(b) + target),
+                   (f"j_na(c={c})", row.j, j), (f"d_na(c={c})", dv, f(origin) + j),
+                   (f"rho_star(c={c})", rho_star, min(active)), (f"j_t(c={c})", j_t, f(b) + j),
                    (f"d_z_na(c={c})", row.d_z, _d_z(family, c))]
     cap = family.grid_cap()
     for c in (cap * Fraction(i, n + 4) for i in range(1, n + 5)):
@@ -213,7 +205,7 @@ def verify_family(family: NormalConeFamily, c_grid: Sequence) -> FamilyReport:
     failures = [check for check in checks if check[1] != check[2]]
     if failures:
         raise MismatchReport(failures)
-    return report
+    return rows
 
 
 @dataclass
@@ -225,35 +217,34 @@ class StabilityReport:
     witness_d_z: Fraction | None = None
     ratio_c: Fraction | None = None
     ratio_value: Fraction | None = None
-    chart_note: str | None = None
 
 
 def verdict(P: FanoPolytope, c_grid: Sequence | None = None,
             family: NormalConeFamily | None = None) -> StabilityReport:
-    """Obstruction verdict from vartheta, witnessed by the normal-cone family at
-    select_vertex(P); pass that family when it is already built."""
+    """Obstruction verdict from vartheta, which alone decides it below 1.  From 1 on,
+    the normal-cone family at select_vertex(P), passed in or built here, gives the
+    ratio D_Z/J_T at grid[0] and, above 1, a witness c with D_Z(g_c) < 0; without a
+    unimodular chart at that vertex both are left out."""
     ext = extremal_affine(P)
     vt = ext.vartheta
     flags = {"vartheta<1": vt < 1, "vartheta=1": vt == 1, "vartheta>1": vt > 1}
     statements = []
     report = StabilityReport(vartheta=vt, flags=flags, statements=statements)
-    if vt == 0:
-        statements.append("obstruction vanishes: extremal affine function is zero")
-    elif vt < 1:
-        statements.append("necessary condition satisfied: vartheta < 1")
+    if vt < 1:
+        statements.append("obstruction vanishes: extremal affine function is zero" if vt == 0
+                          else "necessary condition satisfied: vartheta < 1")
+        return report
     try:
         family = normal_cone_family(P) if family is None else family
-    except NonSmoothVertex as exc:
-        report.chart_note = f"no unimodular chart at the selected vertex: {exc}"
+    except NonSmoothVertex:
         return report
     grid = [_frac(c) for c in c_grid] if c_grid else _default_grid(family)
-    if vt >= 1:
-        statements.append(
-            "not uniformly relative Ding-stable: the normal-cone family has "
-            "relative-Ding/reduced-J ratio tending to 1 - vartheta <= 0"
-        )
-        report.ratio_c = grid[0]
-        report.ratio_value = _d_z(family, grid[0]) / _j_t(family, grid[0])
+    statements.append(
+        "not uniformly relative Ding-stable: the normal-cone family has "
+        "relative-Ding/reduced-J ratio tending to 1 - vartheta <= 0"
+    )
+    report.ratio_c = grid[0]
+    report.ratio_value = _d_z(family, grid[0]) / _j_t(family, grid[0])
     if vt > 1:
         for c in chain(grid, (grid[0] / 2**i for i in range(1, 61))):
             closed = _d_z(family, c)

@@ -91,10 +91,3 @@ def bspline(knots: Sequence[Fraction]) -> list[tuple[Fraction, Fraction, Poly]]:
         M = level
     return [(lo, hi, p) for lo, hi, p in zip(cuts, cuts[1:], M[0]) if p]
 
-
-def binomial_power(a: Fraction, degree: int) -> Poly:
-    """Coefficients of (x + a)^degree."""
-    p: Poly = (Fraction(1),)
-    for _ in range(degree):
-        p = multiply(p, (a, Fraction(1)))
-    return p

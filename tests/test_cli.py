@@ -10,7 +10,7 @@ from toricding import io as tio
 from toricding.cli import main
 from toricding.errors import SingularGram
 
-from conftest import POLYTOPE_DIR, REPO, load_corpus
+from conftest import POLYTOPE_DIR, REPO
 
 GOLDEN_DIR = REPO / "tests" / "golden"
 
@@ -428,18 +428,22 @@ class TestNormalCone:
         assert code == 2
         assert "identity violation" in err
 
-    @pytest.mark.parametrize("vertex, charts", [("auto", 1), ("2", 2)])
-    def test_family_built_once_for_auto(self, capsys, monkeypatch, vertex, charts):
-        # verdict reuses the auto family; an explicit vertex builds its own
-        # family and verdict still builds the one at the theta-maximizing vertex
+    @pytest.mark.parametrize("name, vertex, charts", [
+        ("bl1p2", "auto", [(-2, 1)]),
+        ("bl1p2", "2", [(1, -2)]),
+        ("stretched", "1", [(-1, 1), (-1, -1)]),
+    ], ids=["bl1p2-auto", "bl1p2-2", "stretched-1"])
+    def test_family_built_once_for_auto(self, capsys, monkeypatch, name, vertex, charts):
+        # verdict reuses the auto family and builds none below vartheta = 1; above it
+        # an explicit vertex builds its own family and verdict builds the one at the
+        # theta-maximizing vertex
         built = []
         chart = normalcone.vertex_chart
         monkeypatch.setattr(normalcone, "vertex_chart", lambda P, v: built.append(v) or chart(P, v))
         code, out, _ = run(capsys, "normal-cone", "--polytope",
-                           str(POLYTOPE_DIR / "bl1p2.json"), "--vertex", vertex)
+                           str(POLYTOPE_DIR / f"{name}.json"), "--vertex", vertex)
         assert code == 0
-        assert len(built) == charts
-        assert built[-1] == normalcone.select_vertex(load_corpus("bl1p2"))
+        assert built == charts
 
     def test_stretched_verdict(self, capsys):
         code, out, _ = run(

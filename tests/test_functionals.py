@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -226,8 +227,7 @@ class TestBSpline:
         up = rp.bspline([0] + [1] * n)
         down = rp.bspline([0] * n + [1])
         assert up == [(0, 1, (0,) * (n - 1) + (n,))]
-        assert down == [(0, 1, rp.scale(rp.binomial_power(Fraction(-1), n - 1),
-                                        Fraction(n * (-1) ** (n - 1))))]
+        assert down == [(0, 1, tuple(n * comb(n - 1, k) * (-1) ** k for k in range(n)))]
 
     def test_single_distinct_knot_rejected(self):
         with pytest.raises(ValueError):

@@ -160,8 +160,7 @@ class TestInvariantClosedForms:
     @pytest.mark.parametrize("name", [*CORPUS_FILES, *THETA_ABOVE_ONE])
     def test_every_smooth_vertex(self, name):
         P = THETA_ABOVE_ONE[name] if name in THETA_ABOVE_ONE else load_corpus(name)
-        n, Ln = P.dim, P.anticanonical_degree()
-        ext = extremal_affine(P)
+        n = P.dim
         kinks = [(Fraction(0),) * n, P.barycenter()]
         checked = 0
         for v in P.vertices():
@@ -173,9 +172,10 @@ class TestInvariantClosedForms:
             cs = {fam.c_max * Fraction(i, 6) for i in range(1, 6)}
             for o in map(fam.chart.ord, kinks):
                 cs |= {c for c in (o, (o + fam.c_max) / 2) if c < fam.c_max}
+            ext = fam.ext
             for c in sorted(cs):
                 f = g_c(fam, c)
-                off_max = (ext.vartheta - ext.theta(v)) * c ** (n + 1) / ((n + 1) * Ln)
+                off_max = (ext.vartheta - ext.theta(v)) * c ** (n + 1) / ((n + 1) * fam.Ln)
                 assert d_z_na(f, ext) == normalcone._d_z(fam, c) + off_max, (v, c)
                 assert reduce_jna(f)[1] == normalcone._j_t(fam, c), (v, c)
                 checked += 1
@@ -184,23 +184,31 @@ class TestInvariantClosedForms:
 
 class TestVerifyFamily:
     def test_p1(self, p1):
-        report = verify_family(normal_cone_family(p1), [Fraction(1, 4), Fraction(1, 2)])
-        for row in report.rows:
+        fam = normal_cone_family(p1)
+        for row in verify_family(fam, [Fraction(1, 4), Fraction(1, 2)]):
             assert row.d_z == row.c**2 / 4
-        assert report.leading_coeff == Fraction(1, 4)
+        assert fam.leading_coeff == Fraction(1, 4)
 
     def test_p2(self, p2):
-        report = verify_family(normal_cone_family(p2), [Fraction(1, 2), 1])
-        assert report.leading_coeff == Fraction(1, 27)
-        assert report.vartheta == 0
+        fam = normal_cone_family(p2)
+        verify_family(fam, [Fraction(1, 2), 1])
+        assert fam.leading_coeff == Fraction(1, 27)
+        assert fam.ext.vartheta == 0
 
     def test_bl1p2(self, bl1p2):
-        report = verify_family(
-            normal_cone_family(bl1p2), [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]
-        )
-        assert report.vartheta == Fraction(5, 11)
-        assert report.leading_coeff == (1 - Fraction(5, 11)) / 24
-        assert report.expansion_coeffs[:3] == (0, 0, 0)
+        fam = normal_cone_family(bl1p2)
+        verify_family(fam, [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)])
+        assert fam.ext.vartheta == Fraction(5, 11)
+        assert fam.leading_coeff == (1 - Fraction(5, 11)) / 24
+        assert fam.expansion_coeffs[:3] == (0, 0, 0)
+
+    def test_reads_extremal_data_from_family(self, bl1p2, monkeypatch):
+        fam = normal_cone_family(bl1p2)
+        calls = []
+        monkeypatch.setattr(normalcone, "extremal_affine",
+                            lambda P: calls.append(P) or extremal_affine(P))
+        verify_family(fam, [Fraction(1, 8), Fraction(1, 4)])
+        assert calls == []
 
     def test_held_out_point_reproduced(self, bl1p2, monkeypatch):
         # the generic D_Z is checked at n + 4 nodes of (0, grid_cap], which pins
@@ -215,13 +223,13 @@ class TestVerifyFamily:
             return value
 
         monkeypatch.setattr(normalcone, "d_z_na", spy)
-        report = verify_family(fam, [Fraction(1, 4)])
+        verify_family(fam, [Fraction(1, 4)])
         cap = fam.grid_cap()
         assert [c for c, _ in nodes] == [cap * Fraction(i, 6) for i in range(1, 7)]
         for c, value in nodes:
-            assert value == rp.evaluate(report.expansion_coeffs, c)
+            assert value == rp.evaluate(fam.expansion_coeffs, c)
         c_h = cap * Fraction(11, 12)
-        assert d_z_na(g_c(fam, c_h), ext) == rp.evaluate(report.expansion_coeffs, c_h)
+        assert d_z_na(g_c(fam, c_h), ext) == rp.evaluate(fam.expansion_coeffs, c_h)
 
     def test_mismatch_reported_with_both_sides(self, bl1p2):
         # a vertex that does not maximize theta: per-c identities hold but
@@ -248,6 +256,21 @@ class TestVerdict:
         rep = verdict(bl1p2)
         assert 0 < rep.vartheta < 1
         assert any("necessary condition" in s for s in rep.statements)
+
+    @pytest.mark.parametrize("name, statement", [
+        ("p2", "obstruction vanishes: extremal affine function is zero"),
+        ("bl1p2", "necessary condition satisfied: vartheta < 1"),
+    ], ids=["p2", "bl1p2"])
+    def test_no_family_below_one(self, monkeypatch, name, statement):
+        # below vartheta = 1 the verdict is read off vartheta alone
+        def no_family(P, v=None):
+            raise AssertionError("normal-cone family built")
+
+        monkeypatch.setattr(normalcone, "normal_cone_family", no_family)
+        rep = verdict(load_corpus(name))
+        assert rep.flags == {"vartheta<1": True, "vartheta=1": False, "vartheta>1": False}
+        assert rep.statements == [statement]
+        assert (rep.ratio_c, rep.witness_c) == (None, None)
 
     def test_stretched_destabilized(self, stretched):
         rep = verdict(stretched)
@@ -279,7 +302,7 @@ class TestVerdict:
         if negative_below:
             fam = normal_cone_family(stretched)
             assert rep.witness_c == grid[0] / 4 == negative_below
-            assert rep.witness_d_z == d_z_na(g_c(fam, negative_below), extremal_affine(stretched))
+            assert rep.witness_d_z == d_z_na(g_c(fam, negative_below), fam.ext)
             assert rep.witness_d_z == Fraction(-31, 24117248)
             assert witness == ["destabilized: not relative Ding-semistable; "
                                "g_c with c = 1/32 has relative Ding invariant -31/24117248 < 0"]
@@ -327,5 +350,5 @@ class TestVerdict:
     def test_stretched_family_identities_still_hold(self, stretched):
         fam = normal_cone_family(stretched)
         assert fam.c_max == 1
-        report = verify_family(fam, [Fraction(1, 8), Fraction(1, 4)])
-        assert report.leading_coeff == (1 - Fraction(38, 23)) / (3 * report.Ln)
+        verify_family(fam, [Fraction(1, 8), Fraction(1, 4)])
+        assert fam.leading_coeff == (1 - Fraction(38, 23)) / (3 * fam.Ln)
