@@ -11,8 +11,10 @@ seed, side, pair and order, so several invocations build one file;
 pairs are numbered on from the last one of the same workload and seed.
 With --trace 1 the result lines hold the per-layer metrics.  At the end
 the "summary" of --out is recomputed from all untraced runs: per
-workload, seed and end-to-end metric of BENCHMARK.json, the quartiles of each side and the number of
-pairs the change wins.
+workload, seed and end-to-end metric of BENCHMARK.json, the quartiles of
+each side and the number of pairs the change wins.  Beside each side's
+quartiles stand its runs whose result was not correct and its summed
+failed and attempted task counts.
 """
 
 import argparse
@@ -33,6 +35,12 @@ def summarize(runs: list[dict], better_of: dict[str, str]) -> list[dict]:
     out = []
     for key in sorted({(r["workload"], r["seed"]) for r in runs if not r["trace"]}):
         group = [r for r in runs if (r["workload"], r["seed"]) == key and not r["trace"]]
+        outcome = {}
+        for side in ("parent", "change"):
+            results = [r["result"] for r in group if r["side"] == side]
+            outcome[side] = {"incorrect_runs": sum(not x["correct"] for x in results),
+                             "failed": sum(x["failed"] for x in results),
+                             "attempted": sum(x["attempted"] for x in results)}
         for metric, better in better_of.items():
             value = {(r["side"], r["pair"]): r["result"]["metrics"][metric]["value"] for r in group}
             sides = {side: sorted(v for (s, _), v in value.items() if s == side)
@@ -46,7 +54,7 @@ def summarize(runs: list[dict], better_of: dict[str, str]) -> list[dict]:
                 if not vals:
                     continue
                 q1, med, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
-                entry[side] = {"median": med, "q1": q1, "q3": q3}
+                entry[side] = {"median": med, "q1": q1, "q3": q3, **outcome[side]}
             out.append(entry)
     return out
 

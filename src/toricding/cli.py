@@ -25,7 +25,7 @@ from .functionals import (
 )
 from .geometry import show
 from .lattice import _level_moments, gabor_inner
-from .normalcone import _default_grid, normal_cone_family, verdict, verify_family
+from .normalcone import _default_grid, normal_cone_family, select_vertex, verdict, verify_family
 from .twisting import jna_twisted, reduce_jna
 
 
@@ -121,9 +121,8 @@ def cmd_normal_cone(args) -> int:
     if bad:
         raise tio.ParseError(f"c values {', '.join(map(show, bad))} outside (0, {family.c_max})")
     rows = verify_family(family, grid)
-    # verdict reads a family only when vartheta >= 1: the one at the theta-maximizing
-    # vertex, which auto picks
-    stability = verdict(P, grid, family if args.vertex == "auto" else None)
+    # verdict reads a family only when vartheta >= 1: the one at the theta-maximizing vertex
+    stability = verdict(P, grid, family if family.chart.vertex == select_vertex(P) else None)
     out = {
         "vertex": tio.vector_to_strings(family.chart.vertex),
         "ord": tio.affine_to_dict(family.chart.ord),

@@ -5,7 +5,10 @@ test-configuration filters them by jumping numbers floor(k f(u/k)).
 The resulting normalized weight measures, their moments, the discrete
 weight-pairing sum and the dimension-counting distribution function all
 converge to the exact quantities computed elsewhere, which makes this
-module an independent check on every limit formula.
+module an independent check on every limit formula.  A level is stored per
+fiber and totals its moments as it is built; lattice_points and the Mapping
+API of jump_weights still visit every point, and the weight counts of
+weight_measure and vol_distribution every point of a sloped run.
 """
 
 from __future__ import annotations
@@ -17,25 +20,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 from .functionals import PLConcave, _domain_base
 from .geometry import HPolytope, _extreme_rays, _frac, _record, volume
 
-# Refuse a level whose estimated point count vol(P) k^n exceeds this.  A
-# level stores no weight per point, only runs and sums per fiber, but
-# lattice_points still lists every point; the bound stays, as raising it
-# would change which inputs are refused.
+# Refuse a level whose estimated point count vol(P) k^n exceeds this.  Only
+# the calls named above visit points; the bound stays, as raising it would
+# change which inputs are refused.
 MAX_LATTICE_POINTS = 10**7
 
 
 def lattice_points(P, k: int) -> list[tuple[int, ...]]:
     """All integer points of the dilate kP, in lexicographic order."""
+    base = _domain_base(P)
     points: list[tuple[int, ...]] = []
-    for prefix, xs in _fibers(_domain_base(P), k):
-        points.extend(zip(*map(repeat, prefix), xs))
+    for q, ys, lo, hi in _fibers(base, k):
+        for y, a, b in zip(ys, lo, hi):
+            points.extend(zip(*map(repeat, (*q, y)[:base.dim - 1]), range(-a, b + 1)))
     return points
 
 
@@ -64,14 +68,15 @@ def _fiber_rows(base: HPolytope):
                  for level in hulls + [facets])
 
 
-def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
-    """(prefix, xs): the lattice points prefix + (x,), x in xs, of kP.
+def _fibers(base: HPolytope, k: int):
+    """(q, ys, lo, hi) per parent prefix q of the last outer coordinate, in
+    lexicographic order: the points of kP are q + (y, x), y in ys, with
+    -lo_y <= x <= hi_y, for lo and hi lazy maps along ys.  Dim 1 has one
+    parent, q = (), ys = range(1), and its fiber prefix (q + (y,))[:0] = ().
 
-    The prefixes come in lexicographic order.  Each coordinate runs over
-    the integers that the rows of its level allow, in integer arithmetic:
-    d <a, u> <= k num.  Along the previous coordinate each row's bound is
-    an integer progression, so a level's bounds cost one map per row and
-    parent fiber.
+    Each coordinate runs over the integers that the rows of its level allow,
+    in integer arithmetic: d <a, u> <= k num.  Along the previous coordinate
+    each row's bound is an integer progression: one map per row and parent.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -94,13 +99,18 @@ def _fibers(base: HPolytope, k: int) -> list[tuple[tuple[int, ...], range]]:
                        else repeat(v // c, len(ys)))
         return map(min, *its) if len(its) > 1 else its[0]
 
-    (upper, lower), *inner = _fiber_rows(base)
-    fibers = [((), range(-min(k * num // c for _, c, num in lower),
-                         min(k * num // c for _, c, num in upper) + 1))]
-    for upper, lower in inner:
-        fibers = [(q + (y,), range(-lo, hi + 1)) for q, ys in fibers
-                  for y, lo, hi in zip(ys, bounds(lower, q, ys), bounds(upper, q, ys))]
-    return [(p, xs) for p, xs in fibers if xs]
+    (upper, lower), *levels = _fiber_rows(base)
+    lo0, hi0 = (min(k * num // c for _, c, num in rows) for rows in (lower, upper))
+    if not levels:
+        yield (), range(1), (lo0,), (hi0,)
+        return
+    *levels, (upper, lower) = levels
+    parents = [((), range(-lo0, hi0 + 1))]
+    for up, low in levels:
+        parents = [(q + (y,), range(-lo, hi + 1)) for q, ys in parents
+                   for y, lo, hi in zip(ys, bounds(low, q, ys), bounds(up, q, ys))]
+    for q, ys in parents:
+        yield q, ys, bounds(lower, q, ys), bounds(upper, q, ys)
 
 
 def _floor_sums(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -157,9 +167,9 @@ class _Level(Mapping):
     (prefix, xs, runs, sums): the points prefix + (x,), x in xs, in
     lexicographic order; the runs (A, s, x0, x1) on which the weight is
     (A + s x) // D; and the fiber's sums of mu, x mu and mu^2.  totals
-    holds the level's point count and its sums of mu and mu^2."""
+    holds N and the sums of mu, mu^2, u and mu u, the last two n-vectors."""
 
-    def __init__(self, D: int, fibers, totals: tuple[int, int, int]) -> None:
+    def __init__(self, D: int, fibers, totals: tuple) -> None:
         self.D = D
         self.fibers = fibers
         self.totals = totals
@@ -201,34 +211,57 @@ def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
     as a read-only mapping in lexicographic order, stored per fiber."""
     # k f(u/k) = min_j (<g_j, u> + k c_j) = min_j (<G_j, u> + C_j) / D over
     # one common denominator D, and floor(min) = min(floor) as floor is
-    # monotone.  Along a fiber, piece j is the line <G_j, prefix> + C_j +
-    # G_j[-1] x; each run of their lower envelope is one floor sum.
+    # monotone.  Along the fiber q + (y,), piece j is the line A_j + s_j x,
+    # A_j a progression along ys; each run of their lower envelope is one
+    # floor sum, and with one slope s_j the fiber is one run.
+    n = f.domain.dim
     consts = [k * a.constant for a in f.affines]
     D = math.lcm(*(g.denominator for a in f.affines for g in a.gradient),
                  *(c.denominator for c in consts))
-    # pieces of one slope G_j[-1] make lines of one slope: only the lowest counts
+    # pieces of one slope s_j make lines of one slope: only the lowest counts
     by_slope: dict[int, list] = {}
     for a, c in zip(f.affines, consts):
-        by_slope.setdefault(int(a.gradient[-1] * D), []).append(
-            (tuple(int(g * D) for g in a.gradient[:-1]), int(c * D)))
-    slopes = sorted(by_slope.items())
+        G = [int(g * D) for g in a.gradient]
+        s = G.pop()
+        by_slope.setdefault(s, []).append((G[:-1], G[-1] if G else 0, int(c * D)))
+    slopes, groups = zip(*sorted(by_slope.items()))
     fibers = []
-    N = t_mu = t_mu2 = 0
-    for prefix, xs in _fibers(f.domain, k):
-        lines = [(min([sum(map(mul, G, prefix)) + C for G, C in pieces]), s)
-                 for s, pieces in slopes]
-        runs = _envelope(lines, xs.start, xs.stop - 1)
-        s_mu = s_xmu = s_mu2 = 0
-        for A, s, x0, x1 in runs:
-            f1, fx, f2 = _floor_sums(x1 - x0 + 1, s, A + s * x0, D)
-            s_mu += f1
-            s_xmu += x0 * f1 + fx
-            s_mu2 += f2
-        fibers.append((prefix, xs, runs, (s_mu, s_xmu, s_mu2)))
-        N += len(xs)
-        t_mu += s_mu
-        t_mu2 += s_mu2
-    return _Level(D, tuple(fibers), (N, t_mu, t_mu2))
+    N = t_mu = t_mu2 = u_y = u_x = mu_y = mu_x = 0
+    q_u, q_mu = [0] * (n - 2), [0] * (n - 2)
+    for q, ys, lo, hi in _fibers(f.domain, k):
+        lines = []
+        for pieces in groups:
+            its = []
+            for G, b, C in pieces:
+                A = sum(map(mul, G, q)) + b * ys.start + C
+                its.append(range(A, A + b * len(ys), b) if b else repeat(A))
+            lines.append(map(min, *its) if len(its) > 1 else its[0])
+        N0, mu0 = N, t_mu
+        for y, x0, x1, low in zip(ys, lo, hi, zip(*lines) if len(slopes) > 1 else lines[0]):
+            x0 = -x0
+            if x0 > x1:
+                continue
+            runs = (_envelope(list(zip(low, slopes)), x0, x1) if len(slopes) > 1
+                    else ((low, slopes[0], x0, x1),))
+            s_mu = s_xmu = s_mu2 = 0
+            for A, s, r0, r1 in runs:
+                f1, fx, f2 = _floor_sums(r1 - r0 + 1, s, A + s * r0, D)
+                s_mu += f1
+                s_xmu += r0 * f1 + fx
+                s_mu2 += f2
+            fibers.append(((*q, y)[:n - 1], range(x0, x1 + 1), runs, (s_mu, s_xmu, s_mu2)))
+            N += (m := x1 - x0 + 1)
+            t_mu += s_mu
+            t_mu2 += s_mu2
+            u_y += y * m
+            u_x += (x0 + x1) * m // 2
+            mu_y += y * s_mu
+            mu_x += s_xmu
+        q_u[:] = map(add, q_u, (v * (N - N0) for v in q))
+        q_mu[:] = map(add, q_mu, (v * (t_mu - mu0) for v in q))
+    # q_u, q_mu sum q times each parent's N and sum mu; dim 1 drops its one y
+    return _Level(D, tuple(fibers), (N, t_mu, t_mu2, (*q_u, u_y, u_x)[-n:],
+                                     (*q_mu, mu_y, mu_x)[-n:]))
 
 
 @dataclass(frozen=True)
@@ -266,7 +299,7 @@ def weight_measure(f: PLConcave, k: int) -> WeightMeasure:
 def _level_moments(f: PLConcave, k: int) -> tuple[int, Fraction, Fraction]:
     """N_k and the mean and second moment of weight_measure(f, k), from the
     level's sums: sum mu / (k N_k) and sum mu^2 / (k^2 N_k)."""
-    N, s_mu, s_mu2 = jump_weights(f, k).totals
+    N, s_mu, s_mu2, _, _ = jump_weights(f, k).totals
     return N, Fraction(s_mu, k * N), Fraction(s_mu2, k * k * N)
 
 
@@ -280,15 +313,8 @@ def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
         raise DimensionMismatch("rho length does not match domain dimension")
     if any(int(r) != _frac(r) for r in rho):
         raise ValueError("gabor_inner needs an integer direction rho")
-    *head, last = (int(r) for r in rho)
-    level = jump_weights(f, k)
-    N, s_mu, _ = level.totals
-    s_nu = s_cross = 0
-    for prefix, xs, _, (w, wx, _) in level.fibers:
-        # <rho, u> = <head, prefix> + last x; a fiber's xs sum to n (first + last) / 2
-        at0, n = sum(map(mul, head, prefix)), len(xs)
-        s_nu += n * at0 + last * n * (xs.start + xs[-1]) // 2
-        s_cross += at0 * w + last * wx
+    N, s_mu, _, s_u, s_mu_u = jump_weights(f, k).totals
+    s_nu, s_cross = (sum(map(mul, map(int, rho), t)) for t in (s_u, s_mu_u))
     return Fraction(s_cross, k * k * N) - Fraction(s_mu * s_nu, k * k * N * N)
 
 

@@ -432,11 +432,12 @@ class TestNormalCone:
         ("bl1p2", "auto", [(-2, 1)]),
         ("bl1p2", "2", [(1, -2)]),
         ("stretched", "1", [(-1, 1), (-1, -1)]),
-    ], ids=["bl1p2-auto", "bl1p2-2", "stretched-1"])
+        ("stretched", "0", [(-1, -1)]),
+    ], ids=["bl1p2-auto", "bl1p2-2", "stretched-1", "stretched-0"])
     def test_family_built_once_for_auto(self, capsys, monkeypatch, name, vertex, charts):
-        # verdict reuses the auto family and builds none below vartheta = 1; above it
-        # an explicit vertex builds its own family and verdict builds the one at the
-        # theta-maximizing vertex
+        # verdict reuses the family at the theta-maximizing vertex, picked by auto or
+        # named by index, and builds none below vartheta = 1; above it, for another
+        # explicit vertex, verdict builds the family at the theta-maximizing vertex
         built = []
         chart = normalcone.vertex_chart
         monkeypatch.setattr(normalcone, "vertex_chart", lambda P, v: built.append(v) or chart(P, v))

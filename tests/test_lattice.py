@@ -278,9 +278,83 @@ class TestWeightMeasure:
                 assert err_2k <= 2 * (err_k + Fraction(1, k))
 
 
+def thin_strip(dim):
+    """[-1, 1]^(dim - 2) x {(y, x) : 0 <= y <= 3, 1/10 <= x - y/3 <= 3/10}: at
+    k <= 3 the x-interval, of length k/5, misses the integers at some y."""
+    box = [(tuple(s * int(t == i) for t in range(dim)), 1)
+           for i in range(dim - 2) for s in (1, -1)]
+    y, x = (tuple(int(t == i) for t in range(dim)) for i in (dim - 2, dim - 1))
+    return HPolytope.from_inequalities(dim, box + [
+        (tuple(-a for a in y), 0), (y, 3),
+        (tuple(a - 3 * b for a, b in zip(y, x)), Fraction(-3, 10)),
+        (tuple(3 * b - a for a, b in zip(y, x)), Fraction(9, 10))])
+
+
+def assert_first_moments(f, k, rho):
+    """level.totals' sums of u and mu u, and gabor_inner, against a brute-force
+    sum over box_scan."""
+    n = f.domain.dim
+    points = box_scan(f.domain, k)
+    mu = [math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
+                         for a in f.affines)) for u in points]
+    N, s_mu, _, s_u, s_mu_u = jump_weights(f, k).totals
+    assert (N, s_mu) == (len(points), sum(mu))
+    assert s_u == tuple(sum(u[i] for u in points) for i in range(n))
+    assert s_mu_u == tuple(sum(m * u[i] for m, u in zip(mu, points)) for i in range(n))
+    nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
+    assert gabor_inner(f, rho, k) == (
+        Fraction(sum(m * v for m, v in zip(mu, nu)), k * k * N)
+        - Fraction(sum(mu) * sum(nu), k * k * N * N))
+
+
+@st.composite
+def first_moment_cases(draw):
+    """A dim 1-3 domain (corpus, clipped box or thin strip), 1-4 random pieces
+    on it, a level k >= 2, at which each domain has a point, and an integer rho."""
+    P = draw(st.one_of(
+        st.sampled_from(["p1", "p2", "bl1p2", "p1xp1", "stretched", "p3", "blp3", "p1x3"])
+        .map(lambda name: corpus(name).base),
+        clipped_boxes(),
+        st.integers(2, 3).map(thin_strip)))
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    rows = draw(st.lists(st.lists(coeff, min_size=P.dim + 1, max_size=P.dim + 1),
+                         min_size=1, max_size=4))
+    rho = draw(st.lists(st.integers(-3, 3), min_size=P.dim, max_size=P.dim))
+    return pl(P, *map(tuple, rows)), draw(st.integers(2, 4 if P.dim < 3 else 3)), rho
+
+
+@given(first_moment_cases())
+@settings(max_examples=80, deadline=None)
+def test_level_first_moments_match_box_scan(case):
+    assert_first_moments(*case)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_thin_strip_skips_empty_fibers(dim):
+    """A parent run ys with empty fibers: they are skipped, and the sums hold."""
+    P = thin_strip(dim)
+    f = pl(P, (*[Fraction(1, 3)] * dim, 0), (*[-1] * (dim - 1), Fraction(1, 2), 1))
+    for k in (2, 3):
+        empty = [y for _, ys, lo, hi in lattice._fibers(P, k)
+                 for y, a, b in zip(ys, lo, hi) if -a > b]
+        assert empty
+        level = jump_weights(f, k)
+        assert all(xs for _, xs, _, _ in level.fibers)
+        assert [p for p, _, _, _ in level.fibers] == sorted({u[:-1] for u in box_scan(P, k)})
+        assert_first_moments(f, k, [1, -2, 3][:dim])
+
+
 class TestGaborInner:
     def test_zero_rho(self, step_p2):
         assert gabor_inner(step_p2, [0, 0], 4) == 0
+
+    def test_reads_only_the_level_totals(self, monkeypatch, step_p2):
+        # the pairing is <rho, sum mu u> and <rho, sum u> over level.totals
+        rho, k = [2, -1], 6
+        expected = gabor_inner(step_p2, rho, k)
+        assert expected != 0
+        monkeypatch.setattr(jump_weights(step_p2, k), "fibers", ())
+        assert gabor_inner(step_p2, rho, k) == expected
 
     def test_constant_k_compatible(self, p1):
         # kappa k integral: exact zero at every level
