@@ -109,20 +109,18 @@ def cmd_reduce(args) -> int:
 def cmd_normal_cone(args) -> int:
     grid = tio.parse_rational_list(args.grid or "")
     P = validate_fano(tio.load_polytope(args.polytope))
-    if args.vertex == "auto":
-        family = normal_cone_family(P)
-    else:
-        verts, idx = P.vertices(), int(args.vertex)
-        if not 0 <= idx < len(verts):
-            raise tio.ParseError(f"vertex index {idx} outside 0..{len(verts) - 1}")
-        family = normal_cone_family(P, verts[idx])
+    verts, top = P.vertices(), select_vertex(P)
+    idx = verts.index(top) if args.vertex == "auto" else int(args.vertex)
+    if not 0 <= idx < len(verts):
+        raise tio.ParseError(f"vertex index {idx} outside 0..{len(verts) - 1}")
+    family = normal_cone_family(P, verts[idx])
     grid = grid or _default_grid(family)
     bad = [c for c in grid if not 0 < c < family.c_max]
     if bad:
         raise tio.ParseError(f"c values {', '.join(map(show, bad))} outside (0, {family.c_max})")
     rows = verify_family(family, grid)
     # verdict reads a family only when vartheta >= 1: the one at the theta-maximizing vertex
-    stability = verdict(P, grid, family if family.chart.vertex == select_vertex(P) else None)
+    stability = verdict(P, grid, family if verts[idx] == top else None)
     out = {
         "vertex": tio.vector_to_strings(family.chart.vertex),
         "ord": tio.affine_to_dict(family.chart.ord),

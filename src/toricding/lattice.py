@@ -306,8 +306,8 @@ def _level_moments(f: PLConcave, k: int) -> tuple[int, Fraction, Fraction]:
 def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
     """Discrete weight pairing of f with the lattice direction rho.
 
-    (1/k^2 N) sum mu(u) <rho,u>  -  (1/k^2 N^2)(sum mu(u))(sum <rho,u>);
-    converges to inner_product(f, rho).
+    (1/k^2 N) <rho, sum mu u>  -  (1/k^2 N^2)(sum mu)<rho, sum u>, from the
+    level's totals; converges to inner_product(f, rho).
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
