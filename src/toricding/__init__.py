@@ -29,7 +29,6 @@ from .extremal import (
     covariance,
     dh_of_vector_field,
     extremal_affine,
-    futaki_pairing,
     validate_fano,
 )
 from .functionals import (
@@ -71,7 +70,7 @@ from .normalcone import (
     verify_family,
     vertex_chart,
 )
-from .twisting import jna_twisted, reduce_jna, twist
+from .twisting import jna_twisted, reduce_jna
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -113,14 +113,6 @@ def extremal_affine(P: FanoPolytope) -> ExtremalData:
     return ExtremalData(b=b, cov=cov, theta=theta, vartheta=vartheta)
 
 
-def futaki_pairing(P: FanoPolytope, a: Sequence) -> Fraction:
-    """<a, b>: minus the Ding invariant of the product configuration <a, x>."""
-    if len(a) != P.dim:
-        raise DimensionMismatch("vector length does not match polytope dimension")
-    b = P.barycenter()
-    return sum((_frac(ai) * bi for ai, bi in zip(a, b)), Fraction(0))
-
-
 def dh_of_vector_field(P: FanoPolytope, a: Sequence):
     """Pushforward of normalized Lebesgue measure under x -> <a, x - b>.
 

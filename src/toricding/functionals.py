@@ -5,15 +5,18 @@ function f = min(affines) on the moment polytope.  Its Duistermaat-
 Heckman measure is the pushforward of normalized Lebesgue measure
 under f, computed exactly: linearity regions with constant value
 contribute atoms, the others contribute piecewise-polynomial density
-of degree <= n-1: the sum over the simplices of each region of the
-B-splines whose knots are the values of f at the simplex vertices
-(Curry-Schoenberg).
+of degree <= n-1: a sum of truncated powers (lambda_k - lambda)_+^m at
+the knots lambda_k, the values of f at the vertices of the simplices of
+each region (Curry-Schoenberg; Duistermaat-Heckman localization).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import Sequence
 
 from . import rationalpoly as rp
@@ -23,6 +26,7 @@ from .geometry import (
     AffineFn,
     HPolytope,
     Point,
+    _cleared,
     _frac,
     _record,
     barycenter,
@@ -92,20 +96,10 @@ class DHMeasure:
     atoms: tuple[tuple[Fraction, Fraction], ...]
     pieces: tuple[tuple[Fraction, Fraction, tuple[Fraction, ...]], ...]
 
-    @staticmethod
-    def build(atoms, pieces) -> "DHMeasure":
-        merged: dict[Fraction, Fraction] = {}
-        for loc, mass in atoms:
-            merged[loc] = merged.get(loc, Fraction(0)) + mass
-        atom_t = tuple(sorted((l, m) for l, m in merged.items() if m != 0))
-        piece_t = _canonical_pieces(pieces)
-        measure = DHMeasure(atom_t, piece_t)
-        measure._validate()
-        return measure
-
-    def _validate(self) -> None:
-        # densities are non-negative by construction: positively weighted
-        # B-splines, or the closed form of normalcone.dh_closed_form
+    def __post_init__(self) -> None:
+        # densities are non-negative by construction: a sum of truncated
+        # powers that is the pushforward of Lebesgue measure, or the
+        # closed form of normalcone.dh_closed_form
         for _, mass in self.atoms:
             if mass < 0:
                 raise InternalError(f"negative atom mass {mass}")
@@ -147,49 +141,84 @@ class DHMeasure:
         return mass
 
 
-def _canonical_pieces(pieces):
-    """Refine on common breakpoints, sum overlaps, merge equal neighbours.
+def _inverse_taylor(tau: int, knots: Counter) -> tuple[list[int], int]:
+    """(e, p_0): prod_{t != tau} (z - t)^(-knots[t]) = sum_k e_k (z - tau)^k / p_0^(k+1)
+    up to k = r - 1, r = knots[tau].
 
-    One sweep over the breakpoints: each piece adds its coefficients at
-    lo and subtracts them at hi, and the running sum is the density.
+    p(tau + u) = prod_{t != tau} (u + tau - t)^knots[t] is expanded in
+    integers up to u^(r-1); its inverse series has e_0 = 1 and
+    e_k = -sum_{i=1..k} p_i e_(k-i) p_0^(i-1).
     """
-    delta: dict[Fraction, rp.Poly] = {}
-    for lo, hi, coeffs in pieces:
-        delta[lo] = rp.add(delta.get(lo, ()), coeffs)
-        delta[hi] = rp.add(delta.get(hi, ()), rp.scale(coeffs, -1))
-    cuts = sorted(delta)
-    merged = []
-    total: rp.Poly = ()
-    for lo, hi in zip(cuts, cuts[1:]):
-        total = rp.add(total, delta[lo])
-        if not total:
-            continue
-        if merged and merged[-1][1] == lo and merged[-1][2] == total:
-            merged[-1] = (merged[-1][0], hi, total)
-        else:
-            merged.append((lo, hi, total))
-    return tuple(merged)
+    r = knots[tau]
+    p = [1] + [0] * (r - 1)
+    for t, mult in knots.items():
+        if t != tau:
+            for _ in range(mult):
+                p = [(tau - t) * c + (p[k - 1] if k else 0) for k, c in enumerate(p)]
+    e = [1]
+    for k in range(1, r):
+        e.append(-sum(p[i] * e[k - i] * p[0] ** (i - 1) for i in range(1, k + 1)))
+    return e, p[0]
 
 
 def dh_measure(f: PLConcave) -> DHMeasure:
     """Exact pushforward of Lebesgue/vol(P) under f.
 
-    Each simplex s of a non-constant region R adds vol(s)/vol(P) times
-    the B-spline with knots f(vertices of s); DHMeasure.build sums them.
+    A constant region is an atom.  On a non-constant region, f = T / Q at
+    its vertices, T = <q (g, c), (D v, D)> integers and Q = q D, and a
+    simplex s pushes forward to vol(s) n Q [T_s](. - Q lambda)_+^(n-1), the
+    divided difference over its knots T_s (Curry-Schoenberg).  By partial
+    fractions a knot tau of multiplicity r <= n adds
+        sum_{j<r} C(n-1, j) eta_(r-1-j) (tau - Q lambda)_+^(n-1-j),
+    eta the Taylor coefficients at tau of prod_{t != tau} (z - t)^(-r_t).
+    As (tau - Q lambda)^m = Q^m (tau/Q - lambda)^m, these powers are summed
+    per knot tau/Q over all regions and expanded, in one sweep from the
+    top knot down, into the density on each interval between knots.
     """
+    n = f.domain.dim
     vol = volume(f.domain)
     atoms = []
-    pieces = []
+    # knot lambda_k -> coefficients c_m of (lambda_k - lambda)_+^m, m < n
+    powers: dict[Fraction, list[Fraction]] = {}
     for R, a in f.regions():
         if a.is_constant:
             atoms.append((a.constant, volume(R) / vol))
             continue
-        value = [a(w) for w in vertices(R)]
         rec = _record(R)
+        g, q = _cleared(a, n)
+        value = [sum(map(mul, g, row)) for row in rec.rows]
+        Q = q * rec.rows[0][-1]
+        local: dict[int, list[Fraction]] = {}
         for s, det in rec.simplices:
-            pieces.extend((lo, hi, rp.scale(coeffs, Fraction(det, rec.unit) / vol))
-                          for lo, hi, coeffs in rp.bspline([value[k] for k in s]))
-    return DHMeasure.build(atoms, pieces)
+            knots = Counter(value[k] for k in s)
+            for tau, r in knots.items():
+                e, p0 = _inverse_taylor(tau, knots)
+                c = local.setdefault(tau, [0] * n)
+                for j in range(r):
+                    c[n - 1 - j] += Fraction(det * comb(n - 1, j) * e[r - 1 - j], p0 ** (r - j))
+        scale = [Fraction(n * Q ** (m + 1), rec.unit) / vol for m in range(n)]
+        for tau, c in local.items():
+            total = powers.setdefault(Fraction(tau, Q), [0] * n)
+            for m, cm in enumerate(c):
+                if cm:
+                    total[m] += cm * scale[m]
+    pieces = []
+    density = [Fraction(0)] * n
+    cuts = sorted(powers, reverse=True)
+    for hi, lo in zip(cuts, cuts[1:]):
+        # c (hi - lambda)^m = sum_i c C(m, i) hi^(m-i) (-lambda)^i
+        for m, cm in enumerate(powers[hi]):
+            if cm:
+                for i in range(m + 1):
+                    density[i] += (-1) ** i * comb(m, i) * hi ** (m - i) * cm
+        coeffs = rp.trim(density)
+        if not coeffs:
+            continue
+        if pieces and pieces[-1][0] == hi and pieces[-1][2] == coeffs:
+            pieces[-1] = (lo, pieces[-1][1], coeffs)
+        else:
+            pieces.append((lo, hi, coeffs))
+    return DHMeasure(tuple(sorted(atoms)), tuple(reversed(pieces)))
 
 
 def e_na(f: PLConcave) -> Fraction:

@@ -80,12 +80,6 @@ class AffineFn:
             raise DimensionMismatch(f"point has dim {len(x)}, affine has dim {len(self.gradient)}")
         return sum((g * _frac(c) for g, c in zip(self.gradient, x)), self.constant)
 
-    def shift(self, rho: Sequence) -> "AffineFn":
-        """Add the linear function <rho, x>."""
-        if len(rho) != len(self.gradient):
-            raise DimensionMismatch("tilt vector has wrong length")
-        return AffineFn(tuple(g + _frac(r) for g, r in zip(self.gradient, rho)), self.constant)
-
     @property
     def is_constant(self) -> bool:
         return all(g == 0 for g in self.gradient)

@@ -157,10 +157,8 @@ def dh_closed_form(n: int, Ln, c) -> DHMeasure:
     if not (c > 0 and c**n < Ln):
         raise COutOfRange(f"need 0 < c and c^{n} < {Ln}")
     density = tuple(n * comb(n - 1, k) * c ** (n - 1 - k) / Ln for k in range(n))
-    return DHMeasure.build(
-        atoms=[(Fraction(0), 1 - c**n / Ln)],
-        pieces=[(-c, Fraction(0), density)],
-    )
+    return DHMeasure(atoms=((Fraction(0), 1 - c**n / Ln),),
+                     pieces=((-c, Fraction(0), density),))
 
 
 @dataclass

@@ -22,13 +22,6 @@ from .functionals import PLConcave, e_na
 from .geometry import _dot, _frac, barycenter, vertices
 
 
-def twist(f: PLConcave, rho: Sequence) -> PLConcave:
-    """Add <rho, x> to every affine piece; the domain is unchanged."""
-    if len(rho) != f.domain.dim:
-        raise DimensionMismatch("rho length does not match domain dimension")
-    return PLConcave(tuple(a.shift(rho) for a in f.affines), f.domain)
-
-
 def jna_twisted(f: PLConcave, rho: Sequence) -> Fraction:
     """J of the twisted configuration, evaluated on the untwisted subdivision.
 

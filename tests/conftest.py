@@ -9,7 +9,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from toricding import AffineFn, HPolytope, PLConcave, validate_fano
 from toricding import io as tio
 from toricding import rationalpoly as rp
-from toricding.geometry import _normalized
+from toricding.errors import DimensionMismatch
+from toricding.geometry import _frac, _normalized
 
 REPO = Path(__file__).resolve().parent.parent
 POLYTOPE_DIR = REPO / "polytopes"
@@ -27,6 +28,28 @@ def load_corpus(name):
     return validate_fano(tio.load_polytope(str(CORPUS_FILES[name])))
 
 
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return rp.trim(tuple(
+        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
+        for i in range(n)
+    ))
+
+
+def poly_multiply(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return rp.trim(out)
+
+
+def poly_scale(p, s):
+    return rp.trim(tuple(c * s for c in p))
+
+
 def lagrange_interpolate(points):
     """Unique polynomial of degree < len(points) through the given points."""
     xs = [x for x, _ in points]
@@ -38,10 +61,25 @@ def lagrange_interpolate(points):
         denom = Fraction(1)
         for j, (xj, _) in enumerate(points):
             if j != i:
-                basis = rp.multiply(basis, (-xj, Fraction(1)))
+                basis = poly_multiply(basis, (-xj, Fraction(1)))
                 denom *= xi - xj
-        result = rp.add(result, rp.scale(basis, yi / denom))
+        result = poly_add(result, poly_scale(basis, yi / denom))
     return result
+
+
+def twist(f, rho):
+    """Add <rho, x> to every affine piece of f; the domain is unchanged."""
+    if len(rho) != f.domain.dim:
+        raise DimensionMismatch("rho length does not match domain dimension")
+    return PLConcave(tuple(AffineFn(tuple(g + _frac(r) for g, r in zip(a.gradient, rho)),
+                                    a.constant) for a in f.affines), f.domain)
+
+
+def futaki_pairing(P, a):
+    """<a, b>: minus the Ding invariant of the product configuration <a, x>."""
+    if len(a) != P.dim:
+        raise DimensionMismatch("vector length does not match polytope dimension")
+    return sum((_frac(ai) * bi for ai, bi in zip(a, P.barycenter())), Fraction(0))
 
 
 def clip(P, normal, rhs):

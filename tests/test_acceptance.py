@@ -25,12 +25,11 @@ from toricding import (
     jna_twisted,
     normal_cone_family,
     reduce_jna,
-    twist,
     vol_distribution,
     weight_measure,
 )
 
-from conftest import lagrange_interpolate, make_bl1p2, make_p1, make_p1xp1, make_p2, pl
+from conftest import lagrange_interpolate, make_bl1p2, make_p1, make_p1xp1, make_p2, pl, twist
 
 CORPUS = {"p1": make_p1(), "p2": make_p2(), "bl1p2": make_bl1p2(), "p1xp1": make_p1xp1()}
 NC_CORPUS = {k: CORPUS[k] for k in ("p1", "p2", "bl1p2")}

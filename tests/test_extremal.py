@@ -11,7 +11,6 @@ from toricding import (
     covariance,
     dh_of_vector_field,
     extremal_affine,
-    futaki_pairing,
     lattice_points,
     validate_fano,
 )
@@ -20,7 +19,7 @@ from toricding import io as tio
 from toricding.errors import DimensionMismatch, SingularGram
 from toricding.geometry import AffineFn, integrate_product
 
-from conftest import CORPUS_FILES, REPO, load_corpus
+from conftest import CORPUS_FILES, REPO, futaki_pairing, load_corpus
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 

@@ -25,6 +25,8 @@ from toricding.errors import DimensionMismatch, EmptyPolytope, InternalError
 from toricding.functionals import DHMeasure
 from toricding.geometry import volume
 
+from dh_reference import bspline, reference_dh_measure
+
 from conftest import (
     REPO,
     clip,
@@ -61,7 +63,7 @@ class TestDHMeasure:
 
     def test_negative_atom_is_internal_error(self):
         with pytest.raises(InternalError, match="negative atom mass"):
-            DHMeasure.build(atoms=[(Fraction(0), Fraction(-1, 2))], pieces=[])
+            DHMeasure(atoms=((Fraction(0), Fraction(-1, 2)),), pieces=())
 
     def test_step_function(self, step_p1):
         m = dh_measure(step_p1)
@@ -115,17 +117,20 @@ class TestDHMeasure:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_coordinate_on_cube_is_uniform(self, dim):
         # the triangulated cube has simplices whose values of x_1 repeat
-        # up to dim times; the B-splines must still add up to 1/2 on [-1, 1]
-        rows = [(tuple(s if j == i else 0 for j in range(dim)), 1)
-                for i in range(dim) for s in (1, -1)]
-        cube = HPolytope.from_inequalities(dim, rows)
-        m = dh_measure(pl(cube, (1,) + (0,) * dim))
+        # up to dim times; their knot terms must still add up to 1/2 on [-1, 1]
+        m = dh_measure(pl(cube(dim), (1,) + (0,) * dim))
         assert m.atoms == ()
         assert m.pieces == ((-1, 1, (Fraction(1, 2),)),)
 
 
+def cube(dim):
+    rows = [(tuple(s if j == i else 0 for j in range(dim)), 1)
+            for i in range(dim) for s in (1, -1)]
+    return HPolytope.from_inequalities(dim, rows)
+
+
 def assert_canonical(m):
-    """The unique form DHMeasure.build gives: sorted positive atoms;
+    """The unique form dh_measure gives: sorted positive atoms;
     sorted, disjoint, nonzero pieces with no equal touching neighbours."""
     locs = [loc for loc, _ in m.atoms]
     assert locs == sorted(set(locs))
@@ -163,6 +168,35 @@ class TestDHCanonical:
         P = golden_polytope(name)
         path = REPO / "tests" / "golden" / f"{config}{P.dim}.json"
         assert_canonical(dh_measure(tio.load_test_config(str(path), P)))
+
+
+class TestDHReference:
+    """dh_measure equals the B-spline reference, knots of every multiplicity included."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_configurations_dims_1_4(self, data):
+        P = data.draw(st.sampled_from(SECTION_DOMAINS + [golden_polytope("p4")]))
+        # half-integer entries repeat vertex values within a simplex
+        halves = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+        entry = data.draw(st.sampled_from([small_rational, halves]))
+        rows = data.draw(st.lists(st.tuples(*[entry] * (P.dim + 1)), min_size=1, max_size=3))
+        f = pl(P, *rows)
+        assert dh_measure(f) == reference_dh_measure(f)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_coordinate_on_cube(self, dim):
+        # a knot of multiplicity up to dim on every simplex
+        f = pl(cube(dim), (1,) + (0,) * dim)
+        assert dh_measure(f) == reference_dh_measure(f)
+
+    @pytest.mark.parametrize("name, config", [("p1x3", "step3"), ("p1x4", "step4"),
+                                              ("p5", "mix5"), ("blp5", "mix5"),
+                                              ("p1x5", "mix5")])
+    def test_golden_configurations(self, name, config):
+        f = tio.load_test_config(str(REPO / "tests" / "golden" / f"{config}.json"),
+                                 golden_polytope(name))
+        assert dh_measure(f) == reference_dh_measure(f)
 
 
 def golden_polytope(name):
@@ -205,18 +239,18 @@ class TestBSpline:
     @given(t=knots)
     @settings(max_examples=50, deadline=None)
     def test_total_mass_one(self, t):
-        assert sum(rp.integrate(c, lo, hi) for lo, hi, c in rp.bspline(t)) == 1
+        assert sum(rp.integrate(c, lo, hi) for lo, hi, c in bspline(t)) == 1
 
     @given(t=knots)
     @settings(max_examples=50, deadline=None)
     def test_mean_is_knot_average(self, t):
-        mean = sum(rp.integrate((Fraction(0),) + c, lo, hi) for lo, hi, c in rp.bspline(t))
+        mean = sum(rp.integrate((Fraction(0),) + c, lo, hi) for lo, hi, c in bspline(t))
         assert mean == Fraction(sum(t), len(t))
 
     @given(t=knots)
     @settings(max_examples=50, deadline=None)
     def test_support_is_knot_hull(self, t):
-        pieces = rp.bspline(t)
+        pieces = bspline(t)
         assert pieces[0][0] == min(t) and pieces[-1][1] == max(t)
         assert [lo for lo, _, _ in pieces[1:]] == [hi for _, hi, _ in pieces[:-1]]
         assert all(rp.evaluate(c, (lo + hi) / 2) > 0 for lo, hi, c in pieces)
@@ -224,14 +258,14 @@ class TestBSpline:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_knot_of_multiplicity_n(self, n):
         # M(x; 0, 1, ..., 1) = n x^(n-1) and M(x; 0, ..., 0, 1) = n (1 - x)^(n-1)
-        up = rp.bspline([0] + [1] * n)
-        down = rp.bspline([0] * n + [1])
+        up = bspline([0] + [1] * n)
+        down = bspline([0] * n + [1])
         assert up == [(0, 1, (0,) * (n - 1) + (n,))]
         assert down == [(0, 1, tuple(n * comb(n - 1, k) * (-1) ** k for k in range(n)))]
 
     def test_single_distinct_knot_rejected(self):
         with pytest.raises(ValueError):
-            rp.bspline([1, 1, 1])
+            bspline([1, 1, 1])
 
 
 class TestEnergy:

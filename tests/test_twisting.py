@@ -13,14 +13,13 @@ from toricding import (
     j_na,
     jna_twisted,
     reduce_jna,
-    twist,
 )
 from toricding import io as tio
 from toricding import validate_fano
 from toricding.errors import DimensionMismatch
 from toricding.geometry import barycenter
 
-from conftest import REPO, pl
+from conftest import REPO, pl, twist
 
 small_rational = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 pl_rows_p2 = st.lists(
