@@ -19,14 +19,13 @@ from toricding import (
     PLConcave,
     e_na,
     extremal_affine,
-    gabor_inner,
     inner_product,
     normal_cone_family,
     verdict,
     verify_family,
-    weight_measure,
 )
 from toricding import io as tio
+from toricding.lattice import _level_moments
 from toricding.normalcone import _default_grid
 
 REPO = Path(__file__).resolve().parent.parent
@@ -84,10 +83,9 @@ def analyze_one(name: str, out_dir: Path, k_ladder):
         w = csv.writer(fh)
         w.writerow(["k", "N_k", "mean", "gabor_inner", "err_mean", "err_inner"])
         for k in k_ladder:
-            wm = weight_measure(f, k)
-            g = gabor_inner(f, rho, k)
-            w.writerow([k, wm.N_k, float(wm.mean()), float(g),
-                        float(abs(wm.mean() - exact_mean)),
+            N_k, mean, _, g = _level_moments(f, rho, k)
+            w.writerow([k, N_k, float(mean), float(g),
+                        float(abs(mean - exact_mean)),
                         float(abs(g - exact_inner))])
 
     with open(out_dir / f"{name}_summary.json", "w") as fh:

@@ -51,14 +51,7 @@ from .geometry import (
     vertices,
     volume,
 )
-from .lattice import (
-    WeightMeasure,
-    gabor_inner,
-    jump_weights,
-    lattice_points,
-    vol_distribution,
-    weight_measure,
-)
+from .lattice import gabor_inner, jump_weights
 from .normalcone import (
     NormalConeFamily,
     VertexChart,

@@ -24,7 +24,7 @@ from .functionals import (
     outside_calibrated_regime,
 )
 from .geometry import show
-from .lattice import _level_moments, gabor_inner
+from .lattice import _level_moments
 from .normalcone import _default_grid, normal_cone_family, select_vertex, verdict, verify_family
 from .twisting import jna_twisted, reduce_jna
 
@@ -184,8 +184,7 @@ def cmd_oracle(args) -> int:
     exact_inner = inner_product(f, rho)
     rows = []
     for k in ladder:
-        N_k, mean, second = _level_moments(f, k)
-        gk = gabor_inner(f, rho, k)
+        N_k, mean, second, gk = _level_moments(f, rho, k)
         rows.append(
             {
                 "k": k,

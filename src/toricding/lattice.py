@@ -1,22 +1,17 @@
-"""Finite-level lattice enumeration: the discrete oracle.
+"""Finite-level lattice sums: the discrete oracle.
 
 Sections of the k-th power correspond to lattice points of kP; a toric
-test-configuration filters them by jumping numbers floor(k f(u/k)).
-The resulting normalized weight measures, their moments, the discrete
-weight-pairing sum and the dimension-counting distribution function all
+test-configuration filters them by jumping numbers floor(k f(u/k)).  The
+moments of the resulting weight measure and the discrete weight pairing
 converge to the exact quantities computed elsewhere, which makes this
-module an independent check on every limit formula.  A level is stored per
-fiber and totals its moments as it is built; lattice_points and the Mapping
-API of jump_weights still visit every point, and the weight counts of
-weight_measure and vol_distribution every point of a sloped run.
+module an independent check on the limit formulas.  A level is its totals
+(N_k, sum mu, sum mu^2, sum u, sum mu u), summed fiber by fiber with one
+floor sum per run of constant slope; no point is visited.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -24,23 +19,13 @@ from operator import add, floordiv, mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyPolytope, InputTooLarge
-from .functionals import PLConcave, _domain_base
+from .functionals import PLConcave
 from .geometry import HPolytope, _extreme_rays, _frac, _record, volume
 
-# Refuse a level whose estimated point count vol(P) k^n exceeds this.  Only
-# the calls named above visit points; the bound stays, as raising it would
+# Refuse a level whose estimated point count vol(P) k^n exceeds this.  A
+# level visits fibers, not points; the bound stays, as raising it would
 # change which inputs are refused.
 MAX_LATTICE_POINTS = 10**7
-
-
-def lattice_points(P, k: int) -> list[tuple[int, ...]]:
-    """All integer points of the dilate kP, in lexicographic order."""
-    base = _domain_base(P)
-    points: list[tuple[int, ...]] = []
-    for q, ys, lo, hi in _fibers(base, k):
-        for y, a, b in zip(ys, lo, hi):
-            points.extend(zip(*map(repeat, (*q, y)[:base.dim - 1]), range(-a, b + 1)))
-    return points
 
 
 @lru_cache(maxsize=16)
@@ -162,58 +147,14 @@ def _envelope(lines, lo: int, hi: int) -> tuple[tuple[int, int, int, int], ...]:
     return (*runs, (*lines[0], lo, hi))
 
 
-class _Level(Mapping):
-    """Read-only u -> weight mapping of one level, stored per fiber as
-    (prefix, xs, runs, sums): the points prefix + (x,), x in xs, in
-    lexicographic order; the runs (A, s, x0, x1) on which the weight is
-    (A + s x) // D; and the fiber's sums of mu, x mu and mu^2.  totals
-    holds N and the sums of mu, mu^2, u and mu u, the last two n-vectors."""
-
-    def __init__(self, D: int, fibers, totals: tuple) -> None:
-        self.D = D
-        self.fibers = fibers
-        self.totals = totals
-        self._by_prefix = None
-
-    def __len__(self) -> int:
-        return self.totals[0]
-
-    def __iter__(self):
-        for prefix, xs, _, _ in self.fibers:
-            yield from zip(*map(repeat, prefix), xs)
-
-    def __getitem__(self, u):
-        if self._by_prefix is None:
-            self._by_prefix = {prefix: (xs, runs) for prefix, xs, runs, _ in self.fibers}
-        xs, runs = self._by_prefix.get(tuple(u[:-1]), ((), ()))
-        if not u or u[-1] not in xs:
-            raise KeyError(u)
-        x = u[-1]
-        A, s = next((A, s) for A, s, x0, x1 in runs if x0 <= x <= x1)
-        return (A + s * x) // self.D
-
-    def counts(self) -> Counter:
-        """mu -> number of points of weight mu, counted run by run."""
-        counts: Counter[int] = Counter()
-        for _, _, runs, _ in self.fibers:
-            for A, s, x0, x1 in runs:
-                if s:
-                    counts.update(map(floordiv, range(A + s * x0, A + s * (x1 + 1), s),
-                                      repeat(self.D)))
-                else:
-                    counts[A // self.D] += x1 - x0 + 1
-        return counts
-
-
-@lru_cache(maxsize=1)
-def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
-    """u -> floor(k * f(u/k)) over the lattice points of the dilated domain,
-    as a read-only mapping in lexicographic order, stored per fiber."""
+def jump_weights(f: PLConcave, k: int) -> tuple:
+    """(N_k, sum mu, sum mu^2, sum u, sum mu u) over the lattice points u of
+    the dilated domain, mu = floor(k f(u/k)); the last two are n-vectors."""
     # k f(u/k) = min_j (<g_j, u> + k c_j) = min_j (<G_j, u> + C_j) / D over
     # one common denominator D, and floor(min) = min(floor) as floor is
     # monotone.  Along the fiber q + (y,), piece j is the line A_j + s_j x,
-    # A_j a progression along ys; each run of their lower envelope is one
-    # floor sum, and with one slope s_j the fiber is one run.
+    # A_j a progression along ys; each sloped run of their lower envelope is
+    # one floor sum, and with one slope s_j the fiber is one run.
     n = f.domain.dim
     consts = [k * a.constant for a in f.affines]
     D = math.lcm(*(g.denominator for a in f.affines for g in a.gradient),
@@ -225,7 +166,6 @@ def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
         s = G.pop()
         by_slope.setdefault(s, []).append((G[:-1], G[-1] if G else 0, int(c * D)))
     slopes, groups = zip(*sorted(by_slope.items()))
-    fibers = []
     N = t_mu = t_mu2 = u_y = u_x = mu_y = mu_x = 0
     q_u, q_mu = [0] * (n - 2), [0] * (n - 2)
     for q, ys, lo, hi in _fibers(f.domain, k):
@@ -245,11 +185,16 @@ def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
                     else ((low, slopes[0], x0, x1),))
             s_mu = s_xmu = s_mu2 = 0
             for A, s, r0, r1 in runs:
-                f1, fx, f2 = _floor_sums(r1 - r0 + 1, s, A + s * r0, D)
+                m = r1 - r0 + 1
+                if s:
+                    f1, fx, f2 = _floor_sums(m, s, A + s * r0, D)
+                else:
+                    # a constant run: mu = A // D at each of its m points
+                    v = A // D
+                    f1, fx, f2 = m * v, v * m * (m - 1) // 2, m * v * v
                 s_mu += f1
                 s_xmu += r0 * f1 + fx
                 s_mu2 += f2
-            fibers.append(((*q, y)[:n - 1], range(x0, x1 + 1), runs, (s_mu, s_xmu, s_mu2)))
             N += (m := x1 - x0 + 1)
             t_mu += s_mu
             t_mu2 += s_mu2
@@ -260,68 +205,26 @@ def jump_weights(f: PLConcave, k: int) -> Mapping[tuple[int, ...], int]:
         q_u[:] = map(add, q_u, (v * (N - N0) for v in q))
         q_mu[:] = map(add, q_mu, (v * (t_mu - mu0) for v in q))
     # q_u, q_mu sum q times each parent's N and sum mu; dim 1 drops its one y
-    return _Level(D, tuple(fibers), (N, t_mu, t_mu2, (*q_u, u_y, u_x)[-n:],
-                                     (*q_mu, mu_y, mu_x)[-n:]))
+    return N, t_mu, t_mu2, (*q_u, u_y, u_x)[-n:], (*q_mu, mu_y, mu_x)[-n:]
 
 
-@dataclass(frozen=True)
-class WeightMeasure:
-    """Normalized counting measure of jumping numbers at level k."""
-
-    k: int
-    entries: tuple[tuple[Fraction, int], ...]  # (location mu/k, multiplicity)
-    N_k: int
-
-    def mass(self) -> Fraction:
-        return Fraction(sum(m for _, m in self.entries), self.N_k)
-
-    def moment(self, d: int) -> Fraction:
-        q = math.lcm(*(loc.denominator for loc, _ in self.entries))
-        total = sum(m * (loc.numerator * (q // loc.denominator)) ** d for loc, m in self.entries)
-        return Fraction(total, self.N_k * q**d)
-
-    def mean(self) -> Fraction:
-        return self.moment(1)
-
-    def second_moment(self) -> Fraction:
-        return self.moment(2)
-
-    def max_support(self) -> Fraction:
-        return max(loc for loc, _ in self.entries)
-
-
-def weight_measure(f: PLConcave, k: int) -> WeightMeasure:
-    level = jump_weights(f, k)
-    entries = tuple((Fraction(mu, k), m) for mu, m in sorted(level.counts().items()))
-    return WeightMeasure(k=k, entries=entries, N_k=len(level))
-
-
-def _level_moments(f: PLConcave, k: int) -> tuple[int, Fraction, Fraction]:
-    """N_k and the mean and second moment of weight_measure(f, k), from the
-    level's sums: sum mu / (k N_k) and sum mu^2 / (k^2 N_k)."""
-    N, s_mu, s_mu2, _, _ = jump_weights(f, k).totals
-    return N, Fraction(s_mu, k * N), Fraction(s_mu2, k * k * N)
-
-
-def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
-    """Discrete weight pairing of f with the lattice direction rho.
-
-    (1/k^2 N) <rho, sum mu u>  -  (1/k^2 N^2)(sum mu)<rho, sum u>, from the
-    level's totals; converges to inner_product(f, rho).
+def _level_moments(f: PLConcave, rho: Sequence[int], k: int) -> tuple:
+    """(N_k, mean, second moment, weight pairing with rho) of level k, from
+    one jump_weights call: the moments are sum mu / (k N_k) and
+    sum mu^2 / (k^2 N_k), and the pairing is
+    (1/k^2 N) <rho, sum mu u>  -  (1/k^2 N^2)(sum mu)<rho, sum u>.
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
     if any(int(r) != _frac(r) for r in rho):
         raise ValueError("gabor_inner needs an integer direction rho")
-    N, s_mu, _, s_u, s_mu_u = jump_weights(f, k).totals
+    N, s_mu, s_mu2, s_u, s_mu_u = jump_weights(f, k)
     s_nu, s_cross = (sum(map(mul, map(int, rho), t)) for t in (s_u, s_mu_u))
-    return Fraction(s_cross, k * k * N) - Fraction(s_mu * s_nu, k * k * N * N)
+    return (N, Fraction(s_mu, k * N), Fraction(s_mu2, k * k * N),
+            Fraction(s_cross, k * k * N) - Fraction(s_mu * s_nu, k * k * N * N))
 
 
-def vol_distribution(f: PLConcave, k: int, lam) -> Fraction:
-    """(1/N_k) #{u : mu(u) >= ceil(k lam)}: the discrete distribution function."""
-    lam = _frac(lam)
-    cut = math.ceil(k * lam)
-    level = jump_weights(f, k)
-    hits = sum(m for mu, m in level.counts().items() if mu >= cut)
-    return Fraction(hits, len(level))
+def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
+    """Discrete weight pairing of f with the integer lattice direction rho at
+    level k; converges to inner_product(f, rho)."""
+    return _level_moments(f, rho, k)[3]

@@ -1,4 +1,4 @@
-"""The package memoizes exactly five functions, each with a finite bound."""
+"""The package memoizes exactly four functions, each with a finite bound."""
 
 import importlib
 import pkgutil
@@ -25,8 +25,7 @@ def test_every_cache_is_bounded():
     assert set(found) == {"toricding.geometry._record",
                           "toricding.geometry._region_subdivision_cached",
                           "toricding.extremal.extremal_affine",
-                          "toricding.lattice._fiber_rows",
-                          "toricding.lattice.jump_weights"}
+                          "toricding.lattice._fiber_rows"}
     assert [name for name, fn in found.items() if fn.cache_info().maxsize is None] == []
 
 

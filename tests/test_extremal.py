@@ -11,7 +11,6 @@ from toricding import (
     covariance,
     dh_of_vector_field,
     extremal_affine,
-    lattice_points,
     validate_fano,
 )
 from toricding import extremal
@@ -20,6 +19,7 @@ from toricding.errors import DimensionMismatch, SingularGram
 from toricding.geometry import AffineFn, integrate_product
 
 from conftest import CORPUS_FILES, REPO, futaki_pairing, load_corpus
+from lattice_reference import lattice_points
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricding import (
@@ -16,10 +16,7 @@ from toricding import (
     gabor_inner,
     inner_product,
     jump_weights,
-    lattice_points,
     vertices,
-    vol_distribution,
-    weight_measure,
 )
 from toricding import io as tio
 from toricding import lattice
@@ -27,6 +24,7 @@ from toricding.errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 from toricding.lattice import _envelope, _floor_sums, _level_moments
 
 from conftest import CORPUS_FILES, REPO, load_corpus as corpus, pl
+from lattice_reference import lattice_points, vol_distribution, weight_measure
 from test_golden import GOLDEN, run
 
 
@@ -39,6 +37,31 @@ def box_scan(P, k):
                     math.floor(k * max(v[i] for v in verts)) + 1) for i in range(base.dim)]
     return [u for u in product(*ranges)
             if all(sum(a * x for a, x in zip(n, u)) <= k * r for n, r in base.facets)]
+
+
+def jumps(f, k, points):
+    """floor(k f(u/k)) at each point, as the floor of a Fraction minimum."""
+    return [math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
+                           for a in f.affines)) for u in points]
+
+
+def totals(points, mu):
+    """(N, sum mu, sum mu^2, sum u, sum mu u) of the weights mu at points:
+    what jump_weights returns."""
+    n = len(points[0])
+    return (len(points), sum(mu), sum(m * m for m in mu),
+            tuple(sum(u[i] for u in points) for i in range(n)),
+            tuple(sum(m * u[i] for m, u in zip(mu, points)) for i in range(n)))
+
+
+def zero(P):
+    return pl(P, (0,) * (P.dim + 1))
+
+
+def with_flat_pieces(dim, rows, flat):
+    """rows with the last gradient entry zeroed where flat says so: a piece
+    of slope 0 along the fibers, whose runs take no floor sum."""
+    return [(*row[:dim - 1], 0, row[dim]) if z else tuple(row) for row, z in zip(rows, flat)]
 
 
 @st.composite
@@ -77,7 +100,7 @@ class TestLatticePoints:
 
     def test_k_positive(self, p1):
         with pytest.raises(ValueError):
-            lattice_points(p1, 0)
+            jump_weights(zero(p1), 0)
 
     @pytest.mark.parametrize("name", sorted(CORPUS_FILES))
     def test_matches_box_scan_on_corpus(self, name):
@@ -124,13 +147,13 @@ class TestEhrhartClosedForms:
     ])
     def test_count(self, name, k, count):
         assert EHRHART[name](k) == count
-        assert len(lattice_points(corpus(name), k)) == count
+        assert jump_weights(zero(corpus(name)), k)[0] == count
 
     @pytest.mark.parametrize("name", sorted(EHRHART))
     def test_small_levels(self, name):
         P = corpus(name)
         for k in range(1, 5):
-            assert len(lattice_points(P, k)) == EHRHART[name](k)
+            assert jump_weights(zero(P), k)[0] == EHRHART[name](k)
 
 
 class TestResourceGuard:
@@ -140,7 +163,7 @@ class TestResourceGuard:
 
         monkeypatch.setattr(lattice, "_fiber_rows", enumerate_rows)
         with pytest.raises(InputTooLarge, match=r"k = 40: about 66666667 lattice points"):
-            lattice_points(corpus("p4"), 40)
+            jump_weights(zero(corpus("p4")), 40)
 
     def test_zero_volume_domain_refused(self, monkeypatch):
         # the estimate vol(P) k^n is 0 on a segment, so it cannot refuse it
@@ -151,55 +174,40 @@ class TestResourceGuard:
             2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)])
         monkeypatch.setattr(lattice, "_fiber_rows", enumerate_rows)
         with pytest.raises(EmptyPolytope, match="full-dimensional"):
-            lattice_points(segment, 10**6)
+            jump_weights(zero(segment), 10**6)
 
 
 class TestJumpWeights:
     def test_zero_function(self, p2):
-        f = pl(p2, (0, 0, 0))
-        assert set(jump_weights(f, 2).values()) == {0}
+        # 28 points of 2P, all of weight 0, summing to the barycenter 0
+        assert jump_weights(zero(p2), 2) == (28, 0, 0, (0, 0), (0, 0))
 
     def test_step_k2(self, p1, step_p1):
-        w = jump_weights(step_p1, 2)
-        assert w == {(-2,): 0, (-1,): 0, (0,): 0, (1,): -1, (2,): -2}
+        # weights 0, 0, 0, -1, -2 at u = -2..2
+        assert jump_weights(step_p1, 2) == (5, -3, 5, (0,), (-5,))
 
     def test_integer_affine_no_rounding(self, p2):
         f = pl(p2, (2, -1, 0))
-        for u, mu in jump_weights(f, 3).items():
-            assert mu == 2 * u[0] - u[1]
+        points = lattice_points(p2, 3)
+        assert jump_weights(f, 3) == totals(points, [2 * u[0] - u[1] for u in points])
 
     @given(
         st.sampled_from(["p1", "p2", "bl1p2", "stretched", "p3"]),
         st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6),
                  min_size=4, max_size=12),
         st.integers(1, 5),
+        st.lists(st.booleans(), min_size=6, max_size=6),
     )
+    @example("p2", [-1, 0, 0, 0, 0, 0, 0, Fraction(1, 2)], 3, [False] * 6)  # slope 0
+    @example("p2", [1, Fraction(1, 3), 0, 0, -1, Fraction(1, 2)], 4, [False] * 6)  # sloped
     @settings(max_examples=60, deadline=None)
-    def test_floor_of_fraction_minimum(self, name, coeffs, k):
+    def test_floor_of_fraction_minimum(self, name, coeffs, k, flat):
         P = corpus(name)
         row = P.dim + 1
-        rows = [tuple(coeffs[i:i + row]) for i in range(0, len(coeffs) - row + 1, row)]
-        f = pl(P, *rows)
-        expected = {
-            u: math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
-                              for a in f.affines))
-            for u in box_scan(P, k)
-        }
-        assert jump_weights(f, k) == expected
-
-
-    def test_read_only_mapping_in_lattice_order(self, step_p2):
-        P, k = step_p2.domain, 4
-        w = jump_weights(step_p2, k)
-        assert list(w) == lattice_points(P, k)
-        assert len(w) == weight_measure(step_p2, k).N_k == len(lattice_points(P, k))
-        assert (0, 0) in w and w[(0, 0)] == 0
-        outside = (k + 1, 0)
-        assert outside not in w
-        with pytest.raises(KeyError):
-            w[outside]
-        with pytest.raises(TypeError):
-            w[(0, 0)] = 1
+        rows = [coeffs[i:i + row] for i in range(0, len(coeffs) - row + 1, row)]
+        f = pl(P, *with_flat_pieces(P.dim, rows, flat))
+        points = box_scan(P, k)
+        assert jump_weights(f, k) == totals(points, jumps(f, k, points))
 
 
 @given(
@@ -213,15 +221,15 @@ class TestJumpWeights:
 )
 @settings(max_examples=60, deadline=None)
 def test_level_sums_match_per_point_fractions(name, coeffs, k, head, last, lam):
-    """Every level sum equals the per-point Fraction formula over box_scan."""
+    """The level's moments and pairing, and the per-point reference, equal
+    the per-point Fraction formula over box_scan."""
     assume(any(c.denominator > 1 for c in coeffs))
     P = corpus(name)
     row = P.dim + 1
     f = pl(P, *(tuple(coeffs[i:i + row]) for i in range(0, len(coeffs) - row + 1, row)))
     rho = [*head[:P.dim - 1], last]
     points = box_scan(P, k)
-    mu = [math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
-                         for a in f.affines)) for u in points]
+    mu = jumps(f, k, points)
     nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
     N = len(points)
     wm = weight_measure(f, k)
@@ -229,16 +237,18 @@ def test_level_sums_match_per_point_fractions(name, coeffs, k, head, last, lam):
     assert wm.entries == tuple((Fraction(m, k), c) for m, c in sorted(Counter(mu).items()))
     assert wm.mean() == sum(Fraction(m, k) for m in mu) / N
     assert wm.second_moment() == sum(Fraction(m, k) ** 2 for m in mu) / N
-    assert _level_moments(f, k) == (N, wm.mean(), wm.second_moment())
-    assert_fibers_match(jump_weights(f, k), dict(zip(points, mu)))
-    assert gabor_inner(f, rho, k) == (
-        Fraction(sum(m * n for m, n in zip(mu, nu)), k * k * N)
-        - Fraction(sum(mu) * sum(nu), k * k * N * N))
+    pairing = (Fraction(sum(m * n for m, n in zip(mu, nu)), k * k * N)
+               - Fraction(sum(mu) * sum(nu), k * k * N * N))
+    assert _level_moments(f, rho, k) == (N, wm.mean(), wm.second_moment(), pairing)
+    assert gabor_inner(f, rho, k) == pairing
     assert vol_distribution(f, k, lam) == Fraction(
         sum(m >= math.ceil(k * lam) for m in mu), N)
 
 
 class TestWeightMeasure:
+    """The per-point weight measure that the level's moments are checked
+    against, and the library's mean read from the totals."""
+
     def test_zero_function_unit_atom(self, p2):
         f = pl(p2, (0, 0, 0))
         wm = weight_measure(f, 4)
@@ -250,6 +260,7 @@ class TestWeightMeasure:
         assert wm.N_k == 5
         assert wm.entries == ((Fraction(-1), 1), (Fraction(-1, 2), 1), (0, 3))
         assert wm.mean() == Fraction(-3, 10)
+        assert _level_moments(step_p1, [1], 2)[:2] == (5, Fraction(-3, 10))
 
     def test_mass_always_one(self, step_p2):
         for k in (1, 3, 8):
@@ -272,9 +283,10 @@ class TestWeightMeasure:
     def test_mean_error_doubling_ladder(self, step_p1, step_p2):
         for f in (step_p1, step_p2):
             exact = e_na(f)
+            rho = [1] * f.domain.dim
             for k in (4, 8, 16, 32):
-                err_k = abs(weight_measure(f, k).mean() - exact)
-                err_2k = abs(weight_measure(f, 2 * k).mean() - exact)
+                err_k = abs(_level_moments(f, rho, k)[1] - exact)
+                err_2k = abs(_level_moments(f, rho, 2 * k)[1] - exact)
                 assert err_2k <= 2 * (err_k + Fraction(1, k))
 
 
@@ -291,16 +303,12 @@ def thin_strip(dim):
 
 
 def assert_first_moments(f, k, rho):
-    """level.totals' sums of u and mu u, and gabor_inner, against a brute-force
-    sum over box_scan."""
-    n = f.domain.dim
+    """The level's totals, and gabor_inner, against a brute-force sum over
+    box_scan."""
     points = box_scan(f.domain, k)
-    mu = [math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
-                         for a in f.affines)) for u in points]
-    N, s_mu, _, s_u, s_mu_u = jump_weights(f, k).totals
-    assert (N, s_mu) == (len(points), sum(mu))
-    assert s_u == tuple(sum(u[i] for u in points) for i in range(n))
-    assert s_mu_u == tuple(sum(m * u[i] for m, u in zip(mu, points)) for i in range(n))
+    mu = jumps(f, k, points)
+    N = len(points)
+    assert jump_weights(f, k) == totals(points, mu)
     nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
     assert gabor_inner(f, rho, k) == (
         Fraction(sum(m * v for m, v in zip(mu, nu)), k * k * N)
@@ -310,7 +318,8 @@ def assert_first_moments(f, k, rho):
 @st.composite
 def first_moment_cases(draw):
     """A dim 1-3 domain (corpus, clipped box or thin strip), 1-4 random pieces
-    on it, a level k >= 2, at which each domain has a point, and an integer rho."""
+    on it, some flat along the fibers, a level k >= 2, at which each domain
+    has a point, and an integer rho."""
     P = draw(st.one_of(
         st.sampled_from(["p1", "p2", "bl1p2", "p1xp1", "stretched", "p3", "blp3", "p1x3"])
         .map(lambda name: corpus(name).base),
@@ -319,8 +328,10 @@ def first_moment_cases(draw):
     coeff = st.fractions(min_value=-2, max_value=2, max_denominator=6)
     rows = draw(st.lists(st.lists(coeff, min_size=P.dim + 1, max_size=P.dim + 1),
                          min_size=1, max_size=4))
+    flat = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     rho = draw(st.lists(st.integers(-3, 3), min_size=P.dim, max_size=P.dim))
-    return pl(P, *map(tuple, rows)), draw(st.integers(2, 4 if P.dim < 3 else 3)), rho
+    return (pl(P, *with_flat_pieces(P.dim, rows, flat)),
+            draw(st.integers(2, 4 if P.dim < 3 else 3)), rho)
 
 
 @given(first_moment_cases())
@@ -338,23 +349,13 @@ def test_thin_strip_skips_empty_fibers(dim):
         empty = [y for _, ys, lo, hi in lattice._fibers(P, k)
                  for y, a, b in zip(ys, lo, hi) if -a > b]
         assert empty
-        level = jump_weights(f, k)
-        assert all(xs for _, xs, _, _ in level.fibers)
-        assert [p for p, _, _, _ in level.fibers] == sorted({u[:-1] for u in box_scan(P, k)})
+        assert lattice_points(P, k) == box_scan(P, k)
         assert_first_moments(f, k, [1, -2, 3][:dim])
 
 
 class TestGaborInner:
     def test_zero_rho(self, step_p2):
         assert gabor_inner(step_p2, [0, 0], 4) == 0
-
-    def test_reads_only_the_level_totals(self, monkeypatch, step_p2):
-        # the pairing is <rho, sum mu u> and <rho, sum u> over level.totals
-        rho, k = [2, -1], 6
-        expected = gabor_inner(step_p2, rho, k)
-        assert expected != 0
-        monkeypatch.setattr(jump_weights(step_p2, k), "fibers", ())
-        assert gabor_inner(step_p2, rho, k) == expected
 
     def test_constant_k_compatible(self, p1):
         # kappa k integral: exact zero at every level
@@ -454,45 +455,34 @@ class TestEnvelope:
         assert _envelope([(5, -3)], 2, 9) == ((5, -3, 2, 9),)
 
 
-def assert_fibers_match(level, mu):
-    """Each fiber's runs and sums against the per-point weights mu[u]."""
-    for prefix, xs, runs, sums in level.fibers:
-        ws = [mu[(*prefix, x)] for x in xs]
-        assert sums == (sum(ws), sum(x * w for x, w in zip(xs, ws)), sum(w * w for w in ws))
-        assert [(A + s * x) // level.D for A, s, x0, x1 in runs
-                for x in range(x0, x1 + 1)] == ws
-
-
 @pytest.mark.parametrize("name, k", [
     ("p3", 4), ("blp3", 4), ("p1x3", 3), ("p4", 3), ("p1x4", 2)])
 def test_level_sums_on_corpus_mix(name, k):
-    """floor(k f(u/k)) over lattice_points, on the three-piece configurations."""
+    """The level's totals, moments and pairing against floor(k f(u/k)) at
+    each point, on the three-piece configurations."""
     P = corpus(name)
     f = tio.load_test_config(str(REPO / "tests" / "golden" / f"mix{P.dim}.json"), P)
+    assert any(x.denominator > 1 for a in f.affines for x in (*a.gradient, a.constant))
     rho = [1, -2, 3, -1][:P.dim]
-    mu = {u: math.floor(min(sum(g * x for g, x in zip(a.gradient, u)) + k * a.constant
-                            for a in f.affines))
-          for u in lattice_points(P, k)}
-    nu = {u: sum(r * x for r, x in zip(rho, u)) for u in mu}
-    N = len(mu)
-    level = jump_weights(f, k)
-    assert level.D > 1
-    assert_fibers_match(level, mu)
-    assert _level_moments(f, k) == (N, Fraction(sum(mu.values()), k * N),
-                                    Fraction(sum(m * m for m in mu.values()), k * k * N))
-    assert gabor_inner(f, rho, k) == (
-        Fraction(sum(mu[u] * nu[u] for u in mu), k * k * N)
-        - Fraction(sum(mu.values()) * sum(nu.values()), k * k * N * N))
+    points = lattice_points(P, k)
+    mu = jumps(f, k, points)
+    nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
+    N = len(points)
+    assert jump_weights(f, k) == totals(points, mu)
+    assert _level_moments(f, rho, k) == (
+        N, Fraction(sum(mu), k * N), Fraction(sum(m * m for m in mu), k * k * N),
+        Fraction(sum(m * v for m, v in zip(mu, nu)), k * k * N)
+        - Fraction(sum(mu) * sum(nu), k * k * N * N))
 
 
 @pytest.mark.parametrize("case", ["oracle:p4", "oracle-mix:p4"])
-def test_oracle_reads_no_point(monkeypatch, case):
-    """The oracle prints its golden table without visiting a single point."""
-    def refuse(*args):
-        raise AssertionError("per-point access on the oracle path")
-
-    for name in ("values", "__iter__", "__getitem__", "counts"):
-        monkeypatch.setattr(lattice._Level, name, refuse)
-    expected = json.loads(GOLDEN.read_text())[case]
-    lattice.jump_weights.cache_clear()
-    assert run(expected["argv"]) == (expected["exit"], expected["stdout"], {})
+def test_oracle_builds_each_level_once(monkeypatch, case):
+    """oracle on a four-k ladder calls jump_weights once per level."""
+    calls = []
+    build = lattice.jump_weights
+    monkeypatch.setattr(lattice, "jump_weights", lambda f, k: calls.append(k) or build(f, k))
+    argv = json.loads(GOLDEN.read_text())[case]["argv"]
+    argv[argv.index("--k-ladder") + 1] = "1,2,3,4"
+    code, out, _ = run(argv)
+    assert code == 2 and len(out.splitlines()) == 5  # errors above --tol at k = 4
+    assert calls == [1, 2, 3, 4]

@@ -70,7 +70,7 @@ class TestVertexChart:
             assert chart.ord(w) >= 0
 
     def test_ord_integer_on_lattice(self, bl1p2):
-        from toricding import lattice_points
+        from lattice_reference import lattice_points
 
         chart = vertex_chart(bl1p2, (-2, 1))
         for u in lattice_points(bl1p2, 1):
