@@ -33,6 +33,13 @@ def _fr(x: Fraction, digits: int) -> dict:
     return {"exact": tio.format_rational(x), "float": tio.format_float(x, digits)}
 
 
+def _int(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise tio.ParseError(f"{option} expects an integer, got {text!r}") from None
+
+
 def cmd_analyze(args) -> int:
     P = validate_fano(tio.load_polytope(args.polytope))
     ext = extremal_affine(P)
@@ -45,7 +52,7 @@ def cmd_analyze(args) -> int:
         "theta": tio.affine_to_dict(ext.theta),
         "vartheta": tio.format_rational(ext.vartheta),
         "vartheta_float": tio.format_float(ext.vartheta, args.digits),
-        "dh_extremal": tio.dh_to_dict(dh, args.digits),
+        "dh_extremal": tio.dh_to_dict(dh, dh.mean(), args.digits),
     }
     sys.stdout.write(tio.dumps(out))
     _emit_density_plot(args.plot, dh)
@@ -57,13 +64,14 @@ def cmd_tc_eval(args) -> int:
     P = validate_fano(tio.load_polytope(args.polytope))
     f = tio.load_test_config(args.tc, P)
     ext = extremal_affine(P)
-    dh = dh_measure(f)
+    dh, energy = dh_measure(f), e_na(f)
     out = {
-        "e_na": _fr(e_na(f), args.digits),
+        "e_na": _fr(energy, args.digits),
         "j_na": _fr(j_na(f), args.digits),
         "d_na": _fr(d_na(f), args.digits),
         "d_z_na": _fr(d_z_na(f, ext), args.digits),
-        "dh": tio.dh_to_dict(dh, args.digits),
+        # the pushforward of Lebesgue measure under f has mean E(f)
+        "dh": tio.dh_to_dict(dh, energy, args.digits),
         "outside_calibrated_regime": outside_calibrated_regime(f),
     }
     if rho is not None:
@@ -110,7 +118,7 @@ def cmd_normal_cone(args) -> int:
     grid = tio.parse_rational_list(args.grid or "")
     P = validate_fano(tio.load_polytope(args.polytope))
     verts, top = P.vertices(), select_vertex(P)
-    idx = verts.index(top) if args.vertex == "auto" else int(args.vertex)
+    idx = verts.index(top) if args.vertex == "auto" else _int(args.vertex, "--vertex")
     if not 0 <= idx < len(verts):
         raise tio.ParseError(f"vertex index {idx} outside 0..{len(verts) - 1}")
     family = normal_cone_family(P, verts[idx])
@@ -161,7 +169,7 @@ def cmd_normal_cone(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ladder = [int(s) for s in args.k_ladder.split(",") if s.strip()]
+    ladder = [_int(s, "--k-ladder") for s in args.k_ladder.split(",") if s.strip()]
     rho = tio.parse_rational_list(args.rho) if args.rho else None
     tol = tio.parse_rational(args.tol)
     if tol < 0:
@@ -178,9 +186,8 @@ def cmd_oracle(args) -> int:
     if any(r.denominator != 1 for r in map(Fraction, rho)):
         raise tio.ParseError("oracle rho must be integral")
     rho = [int(r) for r in rho]
-    measure = dh_measure(f)
-    exact_mean = measure.mean()
-    exact_second = measure.second_moment()
+    exact_mean = e_na(f)
+    exact_second = dh_measure(f).second_moment()
     exact_inner = inner_product(f, rho)
     rows = []
     for k in ladder:

@@ -26,8 +26,8 @@ from .geometry import (
     AffineFn,
     HPolytope,
     Point,
-    _cleared,
     _frac,
+    _nonempty,
     _record,
     barycenter,
     integrate_product,
@@ -39,6 +39,12 @@ from .geometry import (
 
 def _domain_base(domain) -> HPolytope:
     return domain.base if isinstance(domain, FanoPolytope) else domain
+
+
+def _extreme(pick, a: AffineFn, rec) -> Fraction:
+    """pick (max or min) of a over the vertices of a record, in integers."""
+    G, q = a.cleared
+    return Fraction(pick(sum(map(mul, G, row)) for row in rec.rows), q * rec.rows[0][-1])
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,12 @@ class PLConcave:
         return tuple(sorted(vs))
 
     def max_value(self) -> Fraction:
-        # on each region f is that region's affine
-        return max(a(v) for R, a in self.regions() for v in vertices(R))
+        # on each region f is that region's affine, largest at a vertex
+        return max(_extreme(max, a, _record(R)) for R, a in self.regions())
 
     def min_value(self) -> Fraction:
-        return min(self(v) for v in vertices(self.domain))
+        rec = _nonempty(self.domain)
+        return min(_extreme(min, a, rec) for a in self.affines)
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,7 @@ def dh_measure(f: PLConcave) -> DHMeasure:
             atoms.append((a.constant, volume(R) / vol))
             continue
         rec = _record(R)
-        g, q = _cleared(a, n)
+        g, q = a.cleared
         value = [sum(map(mul, g, row)) for row in rec.rows]
         Q = q * rec.rows[0][-1]
         local: dict[int, list[Fraction]] = {}
@@ -222,10 +229,12 @@ def dh_measure(f: PLConcave) -> DHMeasure:
 
 
 def e_na(f: PLConcave) -> Fraction:
-    """Monge-Ampere energy: the mean (1/vol) int_P f dx."""
-    total = Fraction(0)
+    """Monge-Ampere energy: the mean (1/vol) int_P f dx, where a region R
+    adds int_R a = <q (g, c), moment> / ((n+1) unit q D) from its record."""
+    n, total = f.domain.dim, Fraction(0)
     for R, a in f.regions():
-        total += volume(R) * a(barycenter(R))
+        rec, (G, q) = _record(R), a.cleared
+        total += Fraction(sum(map(mul, G, rec.moment)), (n + 1) * rec.unit * q * rec.rows[0][-1])
     return total / volume(f.domain)
 
 
@@ -240,7 +249,7 @@ def d_na(f: PLConcave) -> Fraction:
     # <n, 0> = 0 < r on every facet
     if not all(r > 0 for _, r in P.facets):
         raise ValueError("Ding invariant needs the origin interior to the domain")
-    return f((Fraction(0),) * P.dim) - e_na(f)
+    return min(a.constant for a in f.affines) - e_na(f)  # f(0), each a(0) its constant
 
 
 def inner_product(f: PLConcave, rho: Sequence) -> Fraction:
@@ -263,7 +272,5 @@ def d_z_na(f: PLConcave, ext: ExtremalData) -> Fraction:
 
 
 def outside_calibrated_regime(f: PLConcave) -> bool:
-    """Flag configurations where the origin-localized Ding term is uncharted."""
-    P = f.domain
-    origin = (Fraction(0),) * P.dim
-    return f.min_value() < f(origin) - 1
+    """Flag min f < f(0) - 1, where the origin-localized Ding term is uncharted."""
+    return f.min_value() < min(a.constant for a in f.affines) - 1

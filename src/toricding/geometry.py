@@ -8,14 +8,14 @@ check and hull is one double-description computation (Motzkin et al.
 cut by one row at a time.  Each polytope has one cached record: its
 vertices with their tight facets and lifted integer rows (D v, D), its
 simplices, pulled over faces read off those tight sets, with their
-integer determinants, and its volume and barycenter.  Building a polytope
+integer determinants, its volume and its integer moment.  Building a polytope
 from outside (HPolytope.from_inequalities) computes the record, which
 checks boundedness; a linearity region cuts its parent's vertices and
 needs no check.  Rays are primitive integer vectors.  Linear algebra is
 fraction-free on integers (Bareiss 1968): one Gauss-Jordan routine for
 the starting cones, the vertex charts and the extremal Gram system, and
-a triangular elimination for simplex determinants.  An integral clears
-its integrands to integers and is one integer sum over the lifted rows.
+a triangular elimination for simplex determinants.  Affine functions are
+cleared to integers once; integrals and region rows are integer sums.
 Points, volumes and integrals are fractions.Fraction.  Floats never
 enter this module.  Intended for desk-scale dimensions (n <= 5).
 """
@@ -37,7 +37,6 @@ from .errors import (
     ZeroFacetNormal,
 )
 
-Rat = Fraction
 Point = tuple[Fraction, ...]
 
 # entries per kernel cache: more polytopes than one pass of any bundled
@@ -54,10 +53,6 @@ def show(x) -> str:
     if isinstance(x, (tuple, list)):
         return f"({', '.join(map(show, x))})"
     return str(_frac(x))
-
-
-def _as_point(coords: Iterable) -> Point:
-    return tuple(_frac(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,21 @@ class AffineFn:
     @property
     def is_constant(self) -> bool:
         return all(g == 0 for g in self.gradient)
+
+    @cached_property
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """(q (g, c), q) for q the lcm of the denominators: the value at x is
+        <q (g, c), (D x, D)> / (q D) for any D clearing x."""
+        q, (row,) = _lift([self.gradient + (self.constant,)])
+        return row[:-1], q
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.gradient, self.constant))
+
+    def __hash__(self) -> int:
+        # the dataclass hash of the fields, computed once per instance
+        return self._hash
 
 
 def _primitive(normal: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], Fraction]:
@@ -126,17 +136,15 @@ class HPolytope:
         return self._hash
 
 
-def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]],
-                parent: HPolytope | None = None) -> HPolytope:
-    """Primitive normals with the tightest rhs each, the rows added to the
-    parent's facets, which are primitive already; boundedness unchecked."""
-    tight = dict(parent.facets) if parent else {}
+def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]]) -> HPolytope:
+    """Primitive normals with the tightest rhs each; boundedness unchecked."""
+    tight = {}
     for normal, rhs in rows:
         if len(normal) != dim:
             raise DimensionMismatch("facet normal has wrong length")
         n, r = _primitive(normal, rhs)
         tight[n] = min(tight[n], r) if n in tight else r
-    return HPolytope(dim, tuple(sorted(tight.items())), parent)
+    return HPolytope(dim, tuple(sorted(tight.items())))
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -185,8 +193,8 @@ class _Record(NamedTuple):
     rows: tuple[tuple[int, ...], ...]  # per vertex v, the lifted row (D v, D)
     simplices: tuple[tuple[tuple[int, ...], int], ...]  # (vertex indices, |det| of their rows)
     unit: int  # n! D^(n+1): a simplex has volume det / unit
+    moment: tuple[int, ...]  # sum over simplices s of det * sum_{k in s} rows[k]
     volume: Fraction
-    barycenter: Point | None  # None when the volume is 0
 
 
 def _lift(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
@@ -288,9 +296,9 @@ def _record(P: HPolytope) -> _Record:
     simplices = tuple((s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight))
     unit = factorial(P.dim) * D ** (P.dim + 1)
     total = sum(det for _, det in simplices)
-    bary = tuple(Fraction(sum(det * sum(rows[k][t] for k in s) for s, det in simplices),
-                          D * (P.dim + 1) * total) for t in range(P.dim)) if total else None
-    return _Record(verts, tight, rows, simplices, unit, Fraction(total, unit), bary)
+    moment = tuple(sum(det * sum(rows[k][t] for k in s) for s, det in simplices)
+                   for t in range(P.dim + 1))
+    return _Record(verts, tight, rows, simplices, unit, moment, Fraction(total, unit))
 
 
 def _nonempty(P: HPolytope) -> _Record:
@@ -364,19 +372,12 @@ def volume(P: HPolytope) -> Fraction:
 
 
 def barycenter(P: HPolytope) -> Point:
-    """Exact centroid: volume-weighted average of simplex centroids."""
-    b = _nonempty(P).barycenter
-    if b is None:
+    """Exact centroid: volume-weighted average of simplex centroids, the
+    record's moment over its last entry (n + 1) D sum det."""
+    *m, total = _nonempty(P).moment
+    if not total:
         raise EmptyPolytope("barycenter of a degenerate polytope")
-    return b
-
-
-def _cleared(a: AffineFn, dim: int) -> tuple[tuple[int, ...], int]:
-    """(q (g, c), q) for a = <g, x> + c and q the lcm of its denominators."""
-    if len(a.gradient) != dim:
-        raise DimensionMismatch(f"affine has dim {len(a.gradient)}, polytope has dim {dim}")
-    q, (row,) = _lift([a.gradient + (a.constant,)])
-    return row[:-1], q
+    return tuple(Fraction(c, total) for c in m)
 
 
 def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
@@ -387,7 +388,9 @@ def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
     summed in integers: vol = det / unit and a(w) = <q (g, c), (D w, D)> / (q D).
     """
     rec, n = _nonempty(P), P.dim
-    (ga, qa), (gb, qb) = _cleared(a, n), _cleared(b, n)
+    if any(len(f.gradient) != n for f in (a, b)):
+        raise DimensionMismatch(f"affine dimension does not match polytope dim {n}")
+    (ga, qa), (gb, qb) = a.cleared, b.cleared
     value = [(sum(map(mul, ga, r)), sum(map(mul, gb, r))) for r in rec.rows]
     total = 0
     for s, det in rec.simplices:
@@ -422,16 +425,19 @@ def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
 def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytope | None:
     """P cut by a_j <= a_i for every affine a_i, with parent P; None when
     a parallel affine lies strictly below a_j."""
-    rows = []
+    (Gj, qj), tight = aj.cleared, dict(P.facets)
     for ai in affines:
-        # a_j <= a_i  <=>  <g_j - g_i, x> <= c_i - c_j
-        diff = [gj - gi for gj, gi in zip(aj.gradient, ai.gradient)]
-        if all(d == 0 for d in diff):
-            if aj.constant > ai.constant:
+        # a_j <= a_i  <=>  <h, x> + k <= 0 for (h, k) = q_i (g_j, c_j) - q_j (g_i, c_i)
+        Gi, qi = ai.cleared
+        *h, k = (qi * x - qj * y for x, y in zip(Gj, Gi))
+        g = gcd(*h)
+        if not g:
+            if k > 0:
                 return None
             continue
-        rows.append((diff, ai.constant - aj.constant))
-    return _normalized(P.dim, rows, P)
+        n, r = tuple(c // g for c in h), Fraction(-k, g)
+        tight[n] = min(tight[n], r) if n in tight else r
+    return HPolytope(P.dim, tuple(sorted(tight.items())), P)
 
 
 def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
@@ -440,7 +446,7 @@ def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
     Its facets <a, x> <= r are the extreme rays (a, r) of the cone of
     inequalities that every point satisfies.
     """
-    pts = sorted(set(_as_point(p) for p in points))
+    pts = sorted(set(tuple(map(_frac, p)) for p in points))
     if not pts:
         raise EmptyPolytope("no points")
     dim = len(pts[0])

@@ -123,7 +123,8 @@ def load_test_config(path: str, domain) -> PLConcave:
     return test_config_from_dict(_read_json(path), domain, path)
 
 
-def dh_to_dict(m: DHMeasure, digits: int = 12) -> dict:
+def dh_to_dict(m: DHMeasure, mean: Fraction, digits: int = 12) -> dict:
+    """m as JSON; mean is its mean, which the caller knows exactly."""
     return {
         "atoms": [
             {
@@ -140,7 +141,7 @@ def dh_to_dict(m: DHMeasure, digits: int = 12) -> dict:
             }
             for lo, hi, coeffs in m.pieces
         ],
-        "mean": format_rational(m.mean()),
+        "mean": format_rational(mean),
     }
 
 

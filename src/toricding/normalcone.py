@@ -133,16 +133,15 @@ def g_c(family: NormalConeFamily, c) -> PLConcave:
     c = _frac(c)
     if not 0 < c < family.c_max:
         raise COutOfRange(f"c = {c} outside (0, {family.c_max})")
-    n = family.P.dim
     shifted = AffineFn(family.chart.ord.gradient, family.chart.ord.constant - c)
-    zero = AffineFn((Fraction(0),) * n, Fraction(0))
+    zero = AffineFn.const(0, family.P.dim)
     return PLConcave((shifted, zero), family.P.base)
 
 
 def _d_z(family: NormalConeFamily, c) -> Fraction:
     """D_Z(g_c) in closed form; raises COutOfRange outside (0, c_max)."""
-    f = g_c(family, c)
-    return f((Fraction(0),) * family.P.dim) + rp.evaluate(family.expansion_coeffs, _frac(c))
+    g_0 = min(a.constant for a in g_c(family, c).affines)  # g_c(0)
+    return g_0 + rp.evaluate(family.expansion_coeffs, _frac(c))
 
 
 def _j_t(family: NormalConeFamily, c) -> Fraction:

@@ -40,6 +40,6 @@ def reduce_jna(f: PLConcave):
     """(rho_star, j_t): the lexicographically smallest minimizer of the
     twisted J and its minimum, f(b) - mean(f)."""
     b = barycenter(f.domain)
-    top = f(b)
-    rho_star = min(tuple(-g for g in a.gradient) for a in f.affines if a(b) == top)
+    # the least value f(b), then the lexicographically least rho among its pieces
+    top, rho_star = min((a(b), tuple(-g for g in a.gradient)) for a in f.affines)
     return rho_star, top - e_na(f)

@@ -389,6 +389,13 @@ class TestNormalCone:
         assert (code, out) == (1, "")
         assert err == f"error: vertex index {index} outside 0..3\n"
 
+    @pytest.mark.parametrize("index", ["abc", "1.5", ""])
+    def test_vertex_index_not_an_integer(self, capsys, index):
+        code, out, err = run(capsys, "normal-cone", "--polytope",
+                             str(POLYTOPE_DIR / "bl1p2.json"), "--vertex", index)
+        assert (code, out) == (1, "")
+        assert err == f"error: --vertex expects an integer, got {index!r}\n"
+
     def test_non_unimodular_vertex_message(self, capsys):
         code, out, err = run(capsys, "normal-cone", "--polytope",
                              str(POLYTOPE_DIR / "stretched.json"), "--vertex", "2")
@@ -515,6 +522,15 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "missing.json", "missing.json", "--k-ladder", "8,4")
         assert code == 1
         assert err == "error: k ladder must be strictly increasing\n"
+
+    @pytest.mark.parametrize("ladder, item", [("8,x", "x"), ("4, 8.0", " 8.0"), ("1/2", "1/2")])
+    def test_ladder_not_integers(self, capsys, monkeypatch, ladder, item):
+        # checked before the polytope is read
+        monkeypatch.setattr(tio, "load_polytope", lambda path: pytest.fail("polytope read"))
+        code, out, err = run(capsys, "oracle", str(POLYTOPE_DIR / "p1.json"), "missing.json",
+                             "--k-ladder", ladder)
+        assert (code, out) == (1, "")
+        assert err == f"error: --k-ladder expects an integer, got {item!r}\n"
 
     def test_empty_tol_is_a_usage_error(self, capsys, tc_step):
         code, out, err = run(capsys, "oracle", str(POLYTOPE_DIR / "p1.json"), tc_step,

@@ -22,12 +22,20 @@ from toricding import io as tio
 from toricding import rationalpoly as rp
 from toricding.errors import DimensionMismatch, EmptyPolytope, InternalError
 from toricding.functionals import DHMeasure
+from toricding import geometry
 from toricding.geometry import volume
 from toricding.lattice import _level_moments
 
 from dh_reference import bspline, reference_dh_measure
+from fraction_reference import (
+    reference_e_na,
+    reference_max_value,
+    reference_min_value,
+    reference_region,
+)
 
 from conftest import (
+    CORPUS_FILES,
     REPO,
     clip,
     lagrange_interpolate,
@@ -46,6 +54,22 @@ small_rational = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
 def random_pl(domain, draw_rows):
     return pl(domain, *draw_rows)
+
+
+CORPUS = {name: load_corpus(name) for name in sorted(CORPUS_FILES)}
+
+
+@st.composite
+def corpus_configurations(draw):
+    """Up to four pieces (three in dim 4) on a dims 1-4 corpus polytope,
+    each entry with its own denominator up to 6."""
+    P = CORPUS[draw(st.sampled_from(sorted(CORPUS)))]
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    rows = draw(st.lists(st.tuples(*[entry] * (P.dim + 1)), min_size=1,
+                         max_size=3 if P.dim == 4 else 4))
+    if len(rows) > 1 and draw(st.booleans()):  # a parallel piece, another constant
+        rows.append(rows[0][:-1] + (draw(entry),))
+    return pl(P, *rows)
 
 
 pl_rows_p2 = st.lists(
@@ -86,12 +110,10 @@ class TestDHMeasure:
         assert m.mean() == e_na(step_p2)
         assert m.max_support() == step_p2.max_value()
 
-    @given(rows=pl_rows_p2)
-    @settings(max_examples=30, deadline=None)
-    def test_pushforward_properties_random(self, rows):
-        from conftest import make_p2
-
-        f = pl(make_p2(), *rows)
+    @given(f=corpus_configurations())
+    @settings(max_examples=40, deadline=None)
+    def test_pushforward_properties_random(self, f):
+        # tc-eval prints e_na(f) as the mean of the DH measure
         m = dh_measure(f)
         assert m.total_mass() == 1
         assert m.mean() == e_na(f)
@@ -266,6 +288,33 @@ class TestBSpline:
     def test_single_distinct_knot_rejected(self):
         with pytest.raises(ValueError):
             bspline([1, 1, 1])
+
+
+class TestIntegerEvaluation:
+    """The integer evaluations on the kernel record equal the Fraction references."""
+
+    @given(f=corpus_configurations())
+    @settings(max_examples=60, deadline=None)
+    def test_functionals_match_fraction_reference(self, f):
+        assert e_na(f) == reference_e_na(f)
+        assert f.max_value() == reference_max_value(f)
+        assert f.min_value() == reference_min_value(f)
+
+    @given(f=corpus_configurations())
+    @settings(max_examples=60, deadline=None)
+    def test_region_rows_match_fraction_reference(self, f):
+        uniq = list(dict.fromkeys(f.affines))
+        for a in uniq:
+            R, expected = geometry._region(f.domain, a, uniq), reference_region(f.domain, a, uniq)
+            assert R == expected
+            assert R is None or R.parent is f.domain
+
+    @pytest.mark.parametrize("config", ["mix", "step"])
+    @pytest.mark.parametrize("name", ["p3", "blp3", "p1x3", "p4", "p1x4"])
+    def test_dh_mean_is_energy_on_dim_3_4_goldens(self, name, config):
+        P = golden_polytope(name)
+        f = tio.load_test_config(str(REPO / "tests" / "golden" / f"{config}{P.dim}.json"), P)
+        assert dh_measure(f).mean() == e_na(f) == reference_e_na(f)
 
 
 class TestEnergy:

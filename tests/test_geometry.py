@@ -263,6 +263,16 @@ class TestPullingTriangulation:
 
 
 class TestBarycenter:
+    @pytest.mark.parametrize("name", sorted(CORPUS_FILES))
+    def test_record_moment(self, name):
+        # sum over simplices of det times the sum of their lifted rows, whose
+        # last entry is (n + 1) D sum det; the barycenter is the rest over it
+        rec = _record(load_corpus(name).base)
+        n, D = len(rec.rows[0]) - 1, rec.rows[0][-1]
+        assert rec.moment[-1] == (n + 1) * D * sum(det for _, det in rec.simplices)
+        assert barycenter(load_corpus(name).base) == tuple(
+            Fraction(m, rec.moment[-1]) for m in rec.moment[:-1])
+
     def test_interval(self):
         assert barycenter(hp(1, (1, 1), (-1, 1))) == (0,)
 
@@ -332,6 +342,16 @@ class TestHash:
         assert volume(Q) == volume(P) == Fraction(9, 2)
         after = _record.cache_info()
         assert (after.hits, after.misses) == (before.hits + 4, before.misses)
+
+    def test_equal_affines_hash_equal(self):
+        a = AffineFn.make([1, Fraction(1, 2)], Fraction(-2, 3))
+        b = AffineFn.make([Fraction(3, 3), Fraction(2, 4)], Fraction(-4, 6))
+        assert a.cleared == ((6, 3, -4), 6)  # cached on a, no part in equality
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((a.gradient, a.constant))
+        assert a != AffineFn.make([1, Fraction(1, 2)], 0)
+        assert hash(a) != hash(AffineFn.make([1, Fraction(1, 2)], 0))
+        assert {a: 1}[b] == 1 and len({a, b}) == 1
 
 
 def coordinate(dim, i):
