@@ -24,8 +24,9 @@ from .geometry import (
     _frac,
     _gauss_jordan,
     _lift,
-    _record,
+    _values,
     barycenter,
+    integrate_product,
     vertices,
     volume,
 )
@@ -78,22 +79,10 @@ class ExtremalData:
 
 
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx, exact, in one sweep over P's simplices s:
-    int_s x x^T = vol(s) (sum_w w w^T + sigma sigma^T) / ((n+1)(n+2)) for s with vertices w
-    summing to sigma, and int_P x = vol(P) b, so cov = sum_s int_s x x^T - vol(P) b b^T.
-    The sum runs in integers over the lifted rows r = (D w, D): vol(s) = det / unit."""
-    n, b = P.dim, P.barycenter()
-    moment = [[0] * n for _ in range(n)]
-    rec = _record(P.base)
-    for simplex, det in rec.simplices:
-        s = [rec.rows[k] for k in simplex]
-        sigma = [sum(c) for c in zip(*s)]
-        for i, row in enumerate(moment):
-            for j in range(n):
-                row[j] += det * (sum(r[i] * r[j] for r in s) + sigma[i] * sigma[j])
-    scale, vol = rec.unit * rec.rows[0][-1] ** 2 * (n + 1) * (n + 2), P.volume()
-    return tuple(tuple(Fraction(m, scale) - vol * bi * bj for m, bj in zip(row, b))
-                 for row, bi in zip(moment, b))
+    """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx by integrate_product, exact."""
+    centred = [AffineFn.make([int(t == i) for t in range(P.dim)], -bi)
+               for i, bi in enumerate(P.barycenter())]
+    return tuple(tuple(integrate_product(P.base, xi, xj) for xj in centred) for xi in centred)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -109,8 +98,8 @@ def extremal_affine(P: FanoPolytope) -> ExtremalData:
         raise SingularGram("covariance matrix is singular")
     g = [Fraction(row[-1], p) for row in m]
     theta = AffineFn(tuple(g), -sum(gi * bi for gi, bi in zip(g, b)))
-    vartheta = max(theta(v) for v in P.vertices())
-    return ExtremalData(b=b, cov=cov, theta=theta, vartheta=vartheta)
+    values, Q = _values(P.base, theta)
+    return ExtremalData(b=b, cov=cov, theta=theta, vartheta=Fraction(max(values), Q))
 
 
 def dh_of_vector_field(P: FanoPolytope, a: Sequence):

@@ -27,8 +27,8 @@ from .geometry import (
     HPolytope,
     Point,
     _frac,
-    _nonempty,
     _record,
+    _values,
     barycenter,
     integrate_product,
     region_subdivision as _region_subdivision,
@@ -41,10 +41,10 @@ def _domain_base(domain) -> HPolytope:
     return domain.base if isinstance(domain, FanoPolytope) else domain
 
 
-def _extreme(pick, a: AffineFn, rec) -> Fraction:
-    """pick (max or min) of a over the vertices of a record, in integers."""
-    G, q = a.cleared
-    return Fraction(pick(sum(map(mul, G, row)) for row in rec.rows), q * rec.rows[0][-1])
+def _extreme(pick, a: AffineFn, P: HPolytope) -> Fraction:
+    """pick (max or min) of a over the vertices of P, in integers."""
+    values, Q = _values(P, a)
+    return Fraction(pick(values), Q)
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,14 @@ class PLConcave:
         return PLConcave(active, self.domain)
 
     def subdivision_vertices(self) -> tuple[Point, ...]:
-        vs: set[Point] = set()
-        for R, _ in self.regions():
-            vs.update(vertices(R))
-        return tuple(sorted(vs))
+        return tuple(sorted({v for R, _ in self.regions() for v in vertices(R)}))
 
     def max_value(self) -> Fraction:
         # on each region f is that region's affine, largest at a vertex
-        return max(_extreme(max, a, _record(R)) for R, a in self.regions())
+        return max(_extreme(max, a, R) for R, a in self.regions())
 
     def min_value(self) -> Fraction:
-        rec = _nonempty(self.domain)
-        return min(_extreme(min, a, rec) for a in self.affines)
+        return min(_extreme(min, a, self.domain) for a in self.affines)
 
 
 @dataclass(frozen=True)
@@ -191,10 +187,7 @@ def dh_measure(f: PLConcave) -> DHMeasure:
         if a.is_constant:
             atoms.append((a.constant, volume(R) / vol))
             continue
-        rec = _record(R)
-        g, q = a.cleared
-        value = [sum(map(mul, g, row)) for row in rec.rows]
-        Q = q * rec.rows[0][-1]
+        rec, (value, Q) = _record(R), _values(R, a)
         local: dict[int, list[Fraction]] = {}
         for s, det in rec.simplices:
             knots = Counter(value[k] for k in s)

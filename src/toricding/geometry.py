@@ -5,8 +5,8 @@ exact integrals of a product of two affine functions over bounded
 rational H-polytopes, and convex hulls.  Every vertex set, boundedness
 check and hull is one double-description computation (Motzkin et al.
 1953, Fukuda-Prodon 1996): the extreme rays of a cone {y : <h, y> <= 0},
-cut by one row at a time.  Each polytope has one cached record: its
-vertices with their tight facets and lifted integer rows (D v, D), its
+cut by one row at a time.  Each polytope has one cached record: the
+lifted integer rows (D v, D) of its vertices v, their tight facets, its
 simplices, pulled over faces read off those tight sets, with their
 integer determinants, its volume and its integer moment.  Building a polytope
 from outside (HPolytope.from_inequalities) computes the record, which
@@ -15,7 +15,7 @@ needs no check.  Rays are primitive integer vectors.  Linear algebra is
 fraction-free on integers (Bareiss 1968): one Gauss-Jordan routine for
 the starting cones, the vertex charts and the extremal Gram system, and
 a triangular elimination for simplex determinants.  Affine functions are
-cleared to integers once; integrals and region rows are integer sums.
+cleared to integers once; values, integrals and region rows are integer sums.
 Points, volumes and integrals are fractions.Fraction.  Floats never
 enter this module.  Intended for desk-scale dimensions (n <= 5).
 """
@@ -186,11 +186,10 @@ def _divided(y: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Record(NamedTuple):
-    """What the kernel knows of one polytope; vertices are () when it is empty."""
+    """What the kernel knows of one polytope; rows are () when it is empty."""
 
-    vertices: tuple[Point, ...]  # sorted lexicographically
     tight: tuple[frozenset[int], ...]  # per vertex, indices of the facets tight there
-    rows: tuple[tuple[int, ...], ...]  # per vertex v, the lifted row (D v, D)
+    rows: tuple[tuple[int, ...], ...]  # per vertex v, the lifted row (D v, D), sorted
     simplices: tuple[tuple[tuple[int, ...], int], ...]  # (vertex indices, |det| of their rows)
     unit: int  # n! D^(n+1): a simplex has volume det / unit
     moment: tuple[int, ...]  # sum over simplices s of det * sum_{k in s} rows[k]
@@ -292,26 +291,31 @@ def _record(P: HPolytope) -> _Record:
     rows, tight = zip(*sorted((tuple(c * (D // y[-1]) for c in y[:-1]) + (D,),
                                frozenset(j for j in T if j < m))
                               for y, T in zip(rays, tight))) if rays else ((), ())
-    verts = tuple(tuple(Fraction(c, D) for c in row[:-1]) for row in rows)
     simplices = tuple((s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight))
     unit = factorial(P.dim) * D ** (P.dim + 1)
     total = sum(det for _, det in simplices)
     moment = tuple(sum(det * sum(rows[k][t] for k in s) for s, det in simplices)
                    for t in range(P.dim + 1))
-    return _Record(verts, tight, rows, simplices, unit, moment, Fraction(total, unit))
+    return _Record(tight, rows, simplices, unit, moment, Fraction(total, unit))
 
 
 def _nonempty(P: HPolytope) -> _Record:
     rec = _record(P)
-    if not rec.vertices:
+    if not rec.rows:
         raise EmptyPolytope("no feasible vertex")
     return rec
 
 
+def _values(P: HPolytope, a: AffineFn) -> tuple[list[int], int]:
+    """(values, Q): a(v) = <q (g, c), (D v, D)> / (q D) at each row of P's record."""
+    rows, (G, q) = _nonempty(P).rows, a.cleared
+    return [sum(map(mul, G, row)) for row in rows], q * rows[0][-1]
+
+
 def vertices(P: HPolytope) -> tuple[Point, ...]:
     """All points where >= dim facets are tight and every facet holds, sorted
-    lexicographically; raises EmptyPolytope when empty."""
-    return _nonempty(P).vertices
+    lexicographically, from the record's rows; raises EmptyPolytope when empty."""
+    return tuple(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in _nonempty(P).rows)
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -362,8 +366,8 @@ def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:
     triangulations of its facets that miss it.  Every simplex is
     full-dimensional; a lower-dimensional P yields the empty triangulation.
     """
-    rec = _nonempty(P)
-    return tuple(tuple(rec.vertices[k] for k in s) for s, _ in rec.simplices)
+    verts = vertices(P)
+    return tuple(tuple(verts[k] for k in s) for s, _ in _record(P).simplices)
 
 
 def volume(P: HPolytope) -> Fraction:
@@ -385,18 +389,17 @@ def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
 
     Over a simplex with vertices w_0..w_n (barycentric Dirichlet moments):
       int a b = vol * (sum_w a(w) b(w) + sum_w a(w) * sum_w b(w)) / ((n+1)(n+2))
-    summed in integers: vol = det / unit and a(w) = <q (g, c), (D w, D)> / (q D).
+    summed in integers: vol = det / unit and a(w) = value / Q from _values.
     """
-    rec, n = _nonempty(P), P.dim
+    n = P.dim
     if any(len(f.gradient) != n for f in (a, b)):
         raise DimensionMismatch(f"affine dimension does not match polytope dim {n}")
-    (ga, qa), (gb, qb) = a.cleared, b.cleared
-    value = [(sum(map(mul, ga, r)), sum(map(mul, gb, r))) for r in rec.rows]
-    total = 0
+    (va, Qa), (vb, Qb) = _values(P, a), _values(P, b)
+    rec, total = _record(P), 0
     for s, det in rec.simplices:
-        va, vb = zip(*(value[k] for k in s))
-        total += det * (sum(map(mul, va, vb)) + sum(va) * sum(vb))
-    return Fraction(total, rec.unit * rec.rows[0][-1] ** 2 * qa * qb * (n + 1) * (n + 2))
+        sa, sb = [va[k] for k in s], [vb[k] for k in s]
+        total += det * (sum(map(mul, sa, sb)) + sum(sa) * sum(sb))
+    return Fraction(total, rec.unit * Qa * Qb * (n + 1) * (n + 2))
 
 
 def region_subdivision(P: HPolytope, affines: Sequence[AffineFn]):

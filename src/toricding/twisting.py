@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .functionals import PLConcave, e_na
-from .geometry import _dot, _frac, barycenter, vertices
+from .functionals import PLConcave, _extreme, e_na
+from .geometry import AffineFn, _dot, _frac, barycenter
 
 
 def jna_twisted(f: PLConcave, rho: Sequence) -> Fraction:
@@ -27,12 +27,13 @@ def jna_twisted(f: PLConcave, rho: Sequence) -> Fraction:
 
     Tilting every piece equally keeps the linearity regions, so the max
     of f + <rho, .> is attained at a vertex of a region R, where f is
-    R's affine.
+    R's affine: the max over R of the tilted piece a + <rho, .>, in integers.
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
     rho = tuple(_frac(r) for r in rho)
-    peak = max(a(v) + _dot(rho, v) for R, a in f.regions() for v in vertices(R))
+    peak = max(_extreme(max, AffineFn(tuple(map(sum, zip(a.gradient, rho))), a.constant), R)
+               for R, a in f.regions())
     return peak - (e_na(f) + _dot(rho, barycenter(f.domain)))
 
 

@@ -1,10 +1,21 @@
-"""Fraction references for the functionals that are evaluated in integers on
-the kernel record: each evaluates the affine pieces as Fraction dot products
-at points, as the library did before clearing them to integers."""
+"""Fraction references for the functionals and vertex values that are
+evaluated in integers on the kernel record: each evaluates the affine pieces
+as Fraction dot products at points, as the library did before clearing them
+to integers."""
 
 from fractions import Fraction
 
-from toricding.geometry import HPolytope, _normalized, barycenter, vertices, volume
+from toricding.extremal import extremal_affine
+from toricding.geometry import (
+    HPolytope,
+    _dot,
+    _normalized,
+    _primitive,
+    _record,
+    barycenter,
+    vertices,
+    volume,
+)
 
 
 def reference_e_na(f):
@@ -37,3 +48,37 @@ def reference_region(P, aj, affines):
             continue
         rows.append((diff, ai.constant - aj.constant))
     return HPolytope(P.dim, _normalized(P.dim, P.facets + tuple(rows)).facets, P)
+
+
+def reference_vartheta(P):
+    """max theta(v) over the vertices v of the polytope."""
+    theta = extremal_affine(P).theta
+    return max(theta(v) for v in P.vertices())
+
+
+def reference_select_vertex(P):
+    """The vertex of largest theta, the lexicographically least among ties."""
+    theta = extremal_affine(P).theta
+    return min(P.vertices(), key=lambda v: (-theta(v), v))
+
+
+def reference_c_max(family):
+    """min ord(w) over the vertices w other than the chart's vertex."""
+    chart = family.chart
+    return min(chart.ord(w) for w in family.P.vertices() if w != chart.vertex)
+
+
+def reference_jna_twisted(f, rho):
+    """The peak of a(v) + <rho, v> over the vertices v of each region (R, a),
+    less the mean of f + <rho, .>."""
+    peak = max(a(v) + _dot(rho, v) for R, a in f.regions() for v in vertices(R))
+    return peak - (reference_e_na(f) + _dot(rho, barycenter(f.domain)))
+
+
+def reference_edge_directions(P, v):
+    """The Fraction differences w - v to the vertices w tight at n - 1 of the
+    n facets tight at v, each made primitive."""
+    verts, tight = vertices(P.base), _record(P.base).tight
+    at_v = tight[verts.index(v)]
+    return sorted(_primitive([a - b for a, b in zip(w, v)], 0)[0]
+                  for w, T in zip(verts, tight) if len(T & at_v) == P.dim - 1)

@@ -412,14 +412,6 @@ class TestNormalCone:
         assert (code, out) == (1, "")
         assert err == "error: (-1, 0, 0) is not a vertex with 3 tight facets\n"
 
-    def test_negative_order_message(self, capsys, monkeypatch):
-        # reversed edges at (-1, -1) give an order that is negative elsewhere on P2
-        monkeypatch.setattr(normalcone, "_edge_directions", lambda P, v: [(-1, 0), (0, -1)])
-        code, out, err = run(capsys, "normal-cone", "--polytope", str(POLYTOPE_DIR / "p2.json"),
-                             "--vertex", "0")
-        assert (code, out) == (1, "")
-        assert err == "error: vanishing order negative at vertex (-1, 2)\n"
-
     def test_explicit_vertex_mismatch_exit_2(self, capsys):
         # non-maximizing vertex: expansion identity must fail with exit 2
         code, _, err = run(

@@ -34,6 +34,7 @@ from toricding.geometry import (
     _lift,
     _primitive,
     _record,
+    _values,
     show,
 )
 from toricding.normalcone import _default_grid, g_c, normal_cone_family
@@ -443,7 +444,7 @@ def reference_triangulation(P):
     """The pulling triangulation with the facets of a k-face found by rank:
     its vertex sets tight at one more row of P whose affine rank is k - 1."""
     rec = _record(P)
-    verts = rec.vertices
+    verts = vertices(P) if rec.rows else ()
     if not verts or affine_rank(verts) < P.dim:
         return ()
     on = [frozenset(k for k, T in enumerate(rec.tight) if i in T) for i in range(len(P.facets))]
@@ -706,11 +707,11 @@ class TestIntegerKernel:
     @given(name=st.sampled_from(sorted(CORPUS_FILES)), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_cut_rays_are_primitive(self, name, data):
-        rec = _record(load_corpus(name).base)
-        dim = len(rec.vertices[0])
+        P = load_corpus(name).base
+        rec, dim = _record(P), P.dim
         rows = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * (dim + 1)), min_size=1,
                                   max_size=3))
-        rays, _ = _cut([_lift([v])[1][0] for v in rec.vertices], list(rec.tight),
+        rays, _ = _cut([_lift([v])[1][0] for v in vertices(P)], list(rec.tight),
                        ((100 + i, h) for i, h in enumerate(rows)))
         assert primitive_integral(rays)
         assert all(y[-1] > 0 for y in rays)
@@ -769,7 +770,7 @@ class TestIntegerMoments:
         P = load_fano(name).base
         rec = _record(P)
         D = denominator(P)
-        assert rec.rows == tuple(tuple(D * c for c in v) + (D,) for v in rec.vertices)
+        assert rec.rows == tuple(tuple(D * c for c in v) + (D,) for v in vertices(P))
         assert rec.unit == factorial(P.dim) * D ** (P.dim + 1)
         assert all(det > 0 for _, det in rec.simplices)
         assert sum(det for _, det in rec.simplices) == volume(P) * rec.unit
@@ -796,6 +797,14 @@ class TestIntegerMoments:
             assert covariance(FanoPolytope(R)) == reference_covariance(R)
             rec = _record(R)
             assert sum(det for _, det in rec.simplices) == volume(R) * rec.unit
+
+    @given(regions=fano_regions(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_values_are_vertex_values(self, regions, data):
+        for R in regions:
+            a = data.draw(cleared_affines(R.dim))
+            values, Q = _values(R, a)
+            assert values == [a(v) * Q for v in vertices(R)]
 
     @pytest.mark.parametrize("name", ["blp3", "p4", "blp5"])
     def test_regions_with_common_denominator(self, name):

@@ -11,6 +11,7 @@ from toricding import (
     NonSmoothVertex,
     d_z_na,
     dh_closed_form,
+    dh_measure,
     extremal_affine,
     g_c,
     normal_cone_family,
@@ -22,6 +23,7 @@ from toricding import (
     vertex_chart,
     volume,
 )
+from toricding.functionals import DHMeasure
 
 from conftest import CORPUS_FILES, clip, load_corpus
 
@@ -243,6 +245,17 @@ class TestVerifyFamily:
         assert [name for name, _, _ in failures] == [f"d_z_na(c={c})" for c in cs]
         for (_, generic, closed), c in zip(failures, cs):
             assert generic - closed == (ext.vartheta - ext.theta((1, 0))) * c**3 / (3 * 8)
+
+
+    def test_dh_mismatch_reported_with_both_sides(self, bl1p2, monkeypatch):
+        # a closed form that is a unit atom at 0 fails the one DH comparison
+        fam = normal_cone_family(bl1p2)
+        c = Fraction(1, 4)
+        expected = DHMeasure(atoms=((Fraction(0), Fraction(1)),), pieces=())
+        monkeypatch.setattr(normalcone, "dh_closed_form", lambda n, Ln, c: expected)
+        with pytest.raises(MismatchReport) as exc:
+            verify_family(fam, [c])
+        assert exc.value.failures == [("dh_measure(c=1/4)", dh_measure(g_c(fam, c)), expected)]
 
 
 class TestVerdict:
