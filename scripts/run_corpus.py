@@ -20,12 +20,12 @@ from toricding import (
     e_na,
     extremal_affine,
     inner_product,
+    level_moments,
     normal_cone_family,
     verdict,
     verify_family,
 )
 from toricding import io as tio
-from toricding.lattice import _level_moments
 from toricding.normalcone import _default_grid
 
 REPO = Path(__file__).resolve().parent.parent
@@ -83,7 +83,7 @@ def analyze_one(name: str, out_dir: Path, k_ladder):
         w = csv.writer(fh)
         w.writerow(["k", "N_k", "mean", "gabor_inner", "err_mean", "err_inner"])
         for k in k_ladder:
-            N_k, mean, _, g = _level_moments(f, rho, k)
+            N_k, mean, _, g = level_moments(f, rho, k)
             w.writerow([k, N_k, float(mean), float(g),
                         float(abs(mean - exact_mean)),
                         float(abs(g - exact_inner))])

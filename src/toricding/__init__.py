@@ -51,7 +51,7 @@ from .geometry import (
     vertices,
     volume,
 )
-from .lattice import gabor_inner, jump_weights
+from .lattice import jump_weights, level_moments
 from .normalcone import (
     NormalConeFamily,
     VertexChart,

@@ -79,10 +79,12 @@ class ExtremalData:
 
 
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx by integrate_product, exact."""
+    """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx by integrate_product for i <= j, mirrored."""
     centred = [AffineFn.make([int(t == i) for t in range(P.dim)], -bi)
                for i, bi in enumerate(P.barycenter())]
-    return tuple(tuple(integrate_product(P.base, xi, xj) for xj in centred) for xi in centred)
+    upper = {(i, j): integrate_product(P.base, xi, xj)
+             for i, xi in enumerate(centred) for j, xj in enumerate(centred) if i <= j}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(P.dim)) for i in range(P.dim))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

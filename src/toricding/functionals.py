@@ -71,11 +71,6 @@ class PLConcave:
     def regions(self):
         return _region_subdivision(self.domain, self.affines)
 
-    def pruned(self) -> "PLConcave":
-        """Drop affines that are nowhere active on a full-dimensional region."""
-        active = tuple(a for _, a in self.regions())
-        return PLConcave(active, self.domain)
-
     def subdivision_vertices(self) -> tuple[Point, ...]:
         return tuple(sorted({v for R, _ in self.regions() for v in vertices(R)}))
 
@@ -110,24 +105,13 @@ class DHMeasure:
             if not lo < hi:
                 raise InternalError("empty density interval")
 
-    def total_mass(self) -> Fraction:
-        mass = sum((m for _, m in self.atoms), Fraction(0))
-        for lo, hi, coeffs in self.pieces:
-            mass += rp.integrate(coeffs, lo, hi)
-        return mass
-
     def moment(self, d: int) -> Fraction:
+        """int lambda^d dm: d = 0, 1, 2 give the mass, the mean and the second moment."""
         val = sum((m * loc**d for loc, m in self.atoms), Fraction(0))
         for lo, hi, coeffs in self.pieces:
             weighted = tuple([Fraction(0)] * d + list(coeffs))  # lambda^d * density
             val += rp.integrate(weighted, lo, hi)
         return val
-
-    def mean(self) -> Fraction:
-        return self.moment(1)
-
-    def second_moment(self) -> Fraction:
-        return self.moment(2)
 
     def max_support(self) -> Fraction:
         candidates = [loc for loc, _ in self.atoms] + [hi for _, hi, _ in self.pieces]

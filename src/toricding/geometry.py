@@ -276,14 +276,14 @@ def _record(P: HPolytope) -> _Record:
             raise UnboundedPolytope(
                 "interval missing a bound" if P.dim == 1 else f"recession direction {show(d)}")
     else:
-        parent = _record(P.parent)
-        index = {row: i for i, row in enumerate(P.facets)}
-        of_P = [index.get(row, m + k) for k, row in enumerate(P.parent.facets)]
+        parent, rhs = _record(P.parent), dict(P.parent.facets)
+        index = {n: i for i, (n, r) in enumerate(P.facets) if rhs.get(n) == r}
+        of_P = [index.get(n, m + k) for k, (n, _) in enumerate(P.parent.facets)]
         rays, tight = _cut([_divided(row) for row in parent.rows],
                            [frozenset(of_P[k] for k in T) for T in parent.tight],
                            # (d n, -num) for r = num / d is primitive, as n is
                            ((i, tuple(r.denominator * a for a in n) + (-r.numerator,))
-                            for i, (n, r) in enumerate(P.facets) if i not in of_P))
+                            for i, (n, r) in enumerate(P.facets) if n not in index))
     # a primitive ray (x, t) is the vertex x / t, and t is its least denominator;
     # the simplex on the lifted rows S has volume |det S| / (n! D^{n+1}), so
     # the volume and the barycenter are sums of integers

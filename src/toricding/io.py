@@ -44,7 +44,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_float(x, digits: int) -> float:
-    return float(f"{float(x):.{digits}g}")
+    # 17 significant digits round-trip every float: more would change nothing
+    return float(f"{float(x):.{min(digits, 17)}g}")
 
 
 def _expect(value, kind: type, where: str):
@@ -83,7 +84,7 @@ def polytope_from_dict(data: dict, source: str = "polytope") -> HPolytope:
 
 
 def _read_json(path: str):
-    """The JSON document at path; an unreadable path or bad JSON is a ParseError."""
+    """The JSON at path; any failure to read, decode or parse it is a ParseError."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -91,6 +92,8 @@ def _read_json(path: str):
         raise ParseError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_polytope(path: str) -> HPolytope:

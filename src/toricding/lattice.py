@@ -208,23 +208,18 @@ def jump_weights(f: PLConcave, k: int) -> tuple:
     return N, t_mu, t_mu2, (*q_u, u_y, u_x)[-n:], (*q_mu, mu_y, mu_x)[-n:]
 
 
-def _level_moments(f: PLConcave, rho: Sequence[int], k: int) -> tuple:
-    """(N_k, mean, second moment, weight pairing with rho) of level k, from
-    one jump_weights call: the moments are sum mu / (k N_k) and
-    sum mu^2 / (k^2 N_k), and the pairing is
-    (1/k^2 N) <rho, sum mu u>  -  (1/k^2 N^2)(sum mu)<rho, sum u>.
+def level_moments(f: PLConcave, rho: Sequence[int], k: int) -> tuple:
+    """(N_k, mean, second moment, pairing with the integer direction rho) of
+    level k from one jump_weights call: sum mu / (k N_k), sum mu^2 / (k^2 N_k)
+    and (1/k^2 N) <rho, sum mu u>  -  (1/k^2 N^2)(sum mu)<rho, sum u>, which
+    converge to e_na(f), dh_measure(f).moment(2) and inner_product(f, rho).
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
     if any(int(r) != _frac(r) for r in rho):
-        raise ValueError("gabor_inner needs an integer direction rho")
+        raise ValueError("level_moments needs an integer direction rho")
     N, s_mu, s_mu2, s_u, s_mu_u = jump_weights(f, k)
     s_nu, s_cross = (sum(map(mul, map(int, rho), t)) for t in (s_u, s_mu_u))
     return (N, Fraction(s_mu, k * N), Fraction(s_mu2, k * k * N),
             Fraction(s_cross, k * k * N) - Fraction(s_mu * s_nu, k * k * N * N))
 
-
-def gabor_inner(f: PLConcave, rho: Sequence[int], k: int) -> Fraction:
-    """Discrete weight pairing of f with the integer lattice direction rho at
-    level k; converges to inner_product(f, rho)."""
-    return _level_moments(f, rho, k)[3]

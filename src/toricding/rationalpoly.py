@@ -22,10 +22,6 @@ def evaluate(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def antiderivative(p: Sequence[Fraction]) -> Poly:
-    return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
-
-
 def integrate(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    F = antiderivative(p)
+    F = (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))  # antiderivative
     return evaluate(F, hi) - evaluate(F, lo)

@@ -14,9 +14,9 @@ PUBLIC = [
     "UnboundedPolytope", "VertexChart", "ZeroFacetNormal",
     "barycenter", "covariance", "d_na", "d_z_na", "dh_closed_form", "dh_measure",
     "dh_of_vector_field", "e_na", "errors", "extremal", "extremal_affine",
-    "facets_from_vertices", "functionals", "g_c", "gabor_inner",
+    "facets_from_vertices", "functionals", "g_c",
     "geometry", "inner_product", "integrate_product", "j_na", "jna_twisted",
-    "jump_weights", "lattice", "normal_cone_family", "normalcone",
+    "jump_weights", "lattice", "level_moments", "normal_cone_family", "normalcone",
     "rationalpoly", "reduce_jna", "select_vertex", "triangulate",
     "twisting", "validate_fano", "verdict", "verify_family", "vertex_chart",
     "vertices", "volume",

@@ -119,6 +119,17 @@ class TestMalformedFiles:
             1, "", f"error: {bad}: {message}\n")
 
 
+    @pytest.mark.parametrize("content", [
+        b'\xff{"dim": 1}',
+        b'{"dim": 1, "facets": [{"normal": [1], "rhs": ' + b"1" * 5000 + b'}]}',
+    ], ids=["not-utf8", "5000-digit-integer"])
+    def test_undecodable_file_is_a_usage_error(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: ")
+
     def test_unreadable_path_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "analyze", str(POLYTOPE_DIR))
         assert (code, out, err) == (1, "", f"error: [Errno 21] Is a directory: '{POLYTOPE_DIR}'\n")
@@ -281,6 +292,16 @@ class TestTcEval:
         monkeypatch.setattr(cli, "extremal_affine", singular)
         code, _, err = run(capsys, "tc-eval", str(POLYTOPE_DIR / "p1.json"), tc_step)
         assert code == 3
+        assert err.startswith("internal error:")
+
+    def test_internal_value_error_exit_3(self, capsys, monkeypatch, tc_step):
+        # a ValueError from inside the library is a fault, not a usage error
+        def broken(f):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(cli, "e_na", broken)
+        code, out, err = run(capsys, "tc-eval", str(POLYTOPE_DIR / "p1.json"), tc_step)
+        assert (code, out) == (3, "")
         assert err.startswith("internal error:")
 
 
@@ -515,6 +536,10 @@ class TestOracle:
         assert code == 1
         assert err == "error: k ladder must be strictly increasing\n"
 
+    def test_empty_ladder_checked_before_files(self, capsys):
+        code, out, err = run(capsys, "oracle", "missing.json", "missing.json", "--k-ladder", ",")
+        assert (code, out, err) == (1, "", "error: oracle needs a nonempty k ladder\n")
+
     @pytest.mark.parametrize("ladder, item", [("8,x", "x"), ("4, 8.0", " 8.0"), ("1/2", "1/2")])
     def test_ladder_not_integers(self, capsys, monkeypatch, ladder, item):
         # checked before the polytope is read
@@ -561,6 +586,13 @@ class TestDigits:
         code, out, _ = run(capsys, "--digits", "0", "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
         assert code == 0
         assert json.loads(out)["volume"] == {"exact": "4", "float": 4.0}
+
+    def test_digits_above_17_change_nothing(self, capsys):
+        # 17 significant digits round-trip a float; a larger precision is no error
+        argv = ["analyze", str(POLYTOPE_DIR / "bl1p2.json")]
+        outputs = [run(capsys, "--digits", d, *argv) for d in ("17", "40", str(10**12))]
+        assert outputs[0][0] == 0
+        assert outputs[1:] == outputs[:1] * 2
 
 
 class TestPlotData:

@@ -429,7 +429,7 @@ class TestIntegrateProduct:
         # independent route: the B-spline pushforward of Lebesgue measure under a
         P = load_corpus(name).base
         a = data.draw(affines(P.dim))
-        second = dh_measure(PLConcave((a,), P)).second_moment()
+        second = dh_measure(PLConcave((a,), P)).moment(2)
         assert integrate_product(P, a, a) / volume(P) == second
 
 

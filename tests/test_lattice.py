@@ -13,15 +13,15 @@ from toricding import (
     HPolytope,
     dh_measure,
     e_na,
-    gabor_inner,
     inner_product,
     jump_weights,
+    level_moments,
     vertices,
 )
 from toricding import io as tio
 from toricding import lattice
 from toricding.errors import DimensionMismatch, EmptyPolytope, InputTooLarge
-from toricding.lattice import _envelope, _floor_sums, _level_moments
+from toricding.lattice import _envelope, _floor_sums
 
 from conftest import CORPUS_FILES, REPO, load_corpus as corpus, pl
 from lattice_reference import lattice_points, vol_distribution, weight_measure
@@ -239,8 +239,8 @@ def test_level_sums_match_per_point_fractions(name, coeffs, k, head, last, lam):
     assert wm.second_moment() == sum(Fraction(m, k) ** 2 for m in mu) / N
     pairing = (Fraction(sum(m * n for m, n in zip(mu, nu)), k * k * N)
                - Fraction(sum(mu) * sum(nu), k * k * N * N))
-    assert _level_moments(f, rho, k) == (N, wm.mean(), wm.second_moment(), pairing)
-    assert gabor_inner(f, rho, k) == pairing
+    assert level_moments(f, rho, k) == (N, wm.mean(), wm.second_moment(), pairing)
+    assert level_moments(f, rho, k)[3] == pairing
     assert vol_distribution(f, k, lam) == Fraction(
         sum(m >= math.ceil(k * lam) for m in mu), N)
 
@@ -260,7 +260,7 @@ class TestWeightMeasure:
         assert wm.N_k == 5
         assert wm.entries == ((Fraction(-1), 1), (Fraction(-1, 2), 1), (0, 3))
         assert wm.mean() == Fraction(-3, 10)
-        assert _level_moments(step_p1, [1], 2)[:2] == (5, Fraction(-3, 10))
+        assert level_moments(step_p1, [1], 2)[:2] == (5, Fraction(-3, 10))
 
     def test_mass_always_one(self, step_p2):
         for k in (1, 3, 8):
@@ -285,8 +285,8 @@ class TestWeightMeasure:
             exact = e_na(f)
             rho = [1] * f.domain.dim
             for k in (4, 8, 16, 32):
-                err_k = abs(_level_moments(f, rho, k)[1] - exact)
-                err_2k = abs(_level_moments(f, rho, 2 * k)[1] - exact)
+                err_k = abs(level_moments(f, rho, k)[1] - exact)
+                err_2k = abs(level_moments(f, rho, 2 * k)[1] - exact)
                 assert err_2k <= 2 * (err_k + Fraction(1, k))
 
 
@@ -303,14 +303,14 @@ def thin_strip(dim):
 
 
 def assert_first_moments(f, k, rho):
-    """The level's totals, and gabor_inner, against a brute-force sum over
+    """The level's totals, and its weight pairing, against a brute-force sum over
     box_scan."""
     points = box_scan(f.domain, k)
     mu = jumps(f, k, points)
     N = len(points)
     assert jump_weights(f, k) == totals(points, mu)
     nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
-    assert gabor_inner(f, rho, k) == (
+    assert level_moments(f, rho, k)[3] == (
         Fraction(sum(m * v for m, v in zip(mu, nu)), k * k * N)
         - Fraction(sum(mu) * sum(nu), k * k * N * N))
 
@@ -355,25 +355,25 @@ def test_thin_strip_skips_empty_fibers(dim):
 
 class TestGaborInner:
     def test_zero_rho(self, step_p2):
-        assert gabor_inner(step_p2, [0, 0], 4) == 0
+        assert level_moments(step_p2, [0, 0], 4)[3] == 0
 
     def test_constant_k_compatible(self, p1):
         # kappa k integral: exact zero at every level
         f = pl(p1, (0, Fraction(3, 2)))
-        assert gabor_inner(f, [1], 2) == 0
-        assert gabor_inner(f, [1], 4) == 0
+        assert level_moments(f, [1], 2)[3] == 0
+        assert level_moments(f, [1], 4)[3] == 0
 
     def test_requires_integer_rho(self, step_p2):
         with pytest.raises(ValueError):
-            gabor_inner(step_p2, [Fraction(1, 2), 0], 4)
+            level_moments(step_p2, [Fraction(1, 2), 0], 4)
 
     def test_dimension_mismatch(self, step_p2):
         with pytest.raises(DimensionMismatch):
-            gabor_inner(step_p2, [1], 4)
+            level_moments(step_p2, [1], 4)
 
     def test_converges_to_inner_product(self, step_p1):
         target = inner_product(step_p1, [1])
-        errs = [abs(gabor_inner(step_p1, [1], k) - target) for k in (8, 16, 32, 64)]
+        errs = [abs(level_moments(step_p1, [1], k)[3] - target) for k in (8, 16, 32, 64)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
@@ -469,7 +469,7 @@ def test_level_sums_on_corpus_mix(name, k):
     nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
     N = len(points)
     assert jump_weights(f, k) == totals(points, mu)
-    assert _level_moments(f, rho, k) == (
+    assert level_moments(f, rho, k) == (
         N, Fraction(sum(mu), k * N), Fraction(sum(m * m for m in mu), k * k * N),
         Fraction(sum(m * v for m, v in zip(mu, nu)), k * k * N)
         - Fraction(sum(mu) * sum(nu), k * k * N * N))

@@ -147,7 +147,7 @@ class TestClosedForm:
 
     def test_mass_one(self):
         for n, Ln, c in [(1, 2, Fraction(1, 3)), (2, 8, Fraction(5, 4)), (3, 6, 1)]:
-            assert dh_closed_form(n, Ln, c).total_mass() == 1
+            assert dh_closed_form(n, Ln, c).moment(0) == 1
 
     def test_out_of_range(self):
         with pytest.raises(COutOfRange):
