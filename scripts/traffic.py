@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Hash what the CLI prints on fixed traffic, in one process.
 
-    python3 scripts/traffic.py [--seeds 0,1,2] [--lines]
+    python3 scripts/traffic.py [--lines]
 
 Runs, through toricding.cli.main, every argv of tests/golden/cli_outputs.json
 ("{out}" a fresh temporary directory, from the root of the checkout) and, for
-each seed, every task of each benchmark workload of perfbench/workloads.py
+each of the seeds 0-2, every task of each benchmark workload of perfbench/workloads.py
 (read, not changed).  Prints one line per set: its name, its task count and a
 sha256 over each task's argv, exit code, stdout, stderr and the files it
 wrote under "{out}", with the input and output directories masked.  Two
@@ -33,6 +33,7 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 OUT = "{out}"
+SEEDS = (0, 1, 2)
 
 
 def run_task(main, argv: list[str], root: str | None = None) -> list:
@@ -56,7 +57,7 @@ def digest(results: list[list]) -> str:
     return h.hexdigest()
 
 
-def traffic(main, seeds: list[int]):
+def traffic(main):
     """(set name, task results) per set: the goldens, then each workload and seed."""
     golden = json.loads((REPO / "tests" / "golden" / "cli_outputs.json").read_text())
     cwd = os.getcwd()
@@ -66,7 +67,7 @@ def traffic(main, seeds: list[int]):
     finally:
         os.chdir(cwd)
     for workload in workloads.WORKLOADS:
-        for seed in seeds:
+        for seed in SEEDS:
             files, tasks = workloads.build_inputs(workload, seed)
             with tempfile.TemporaryDirectory() as root:
                 workloads.write_inputs(files, Path(root))
@@ -97,11 +98,9 @@ def ranges(lines: list[int]) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated workload seeds")
     parser.add_argument("--lines", action="store_true",
                         help="list the statement lines of src/toricding that no task ran")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
     modules = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     ran: set[tuple[str, int]] = set()
 
@@ -117,7 +116,7 @@ def main() -> int:
         sys.settrace(tracer)  # before the import, so module-level lines count
     from toricding.cli import main as cli_main
 
-    for name, results in traffic(cli_main, seeds):
+    for name, results in traffic(cli_main):
         print(f"{name:10s} {len(results):3d} {digest(results)}", flush=True)
     sys.settrace(None)
     if args.lines:

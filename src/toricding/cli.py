@@ -86,7 +86,8 @@ def cmd_reduce(args) -> int:
         raise tio.ParseError("--segment and --segment-csv must be given together")
     if args.segment:
         parts = args.segment.split(";")
-        steps = int(parts[2]) if len(parts) == 3 and parts[2].strip().isdecimal() else 0
+        n = parts[2].strip() if len(parts) == 3 else ""
+        steps = _int(n, "--segment N") if n.isdecimal() else 0  # _int: N may pass the digit limit
         if steps < 1:
             raise tio.ParseError(
                 f"--segment must be 'a;b;N' with an integer N >= 1, got {args.segment!r}")

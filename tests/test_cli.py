@@ -336,7 +336,10 @@ class TestReduce:
         ("0;1;-2", "--segment must be 'a;b;N' with an integer N >= 1, got '0;1;-2'"),
         ("0,0;1;2", "--segment endpoints must have dimension 1, got 2 and 1"),
         ("0;x;2", "bad rational 'x': Invalid literal for Fraction: 'x'"),
-    ], ids=["zero-steps", "two-parts", "negative-steps", "extra-coordinate", "bad-rational"])
+        # past Python's int-string digit limit: a usage error, not an internal one
+        ("0;1;" + "1" * 5000, "--segment N expects an integer, got '" + "1" * 5000 + "'"),
+    ], ids=["zero-steps", "two-parts", "negative-steps", "extra-coordinate", "bad-rational",
+            "5000-digit-steps"])
     def test_bad_segment_before_output(self, capsys, tc_step, tmp_path, segment, message):
         csv_path = tmp_path / "seg.csv"
         code, out, err = run(capsys, "reduce", str(POLYTOPE_DIR / "p1.json"), tc_step,
