@@ -12,10 +12,13 @@ wrote under "{out}", with the input and output directories masked.  Two
 checkouts that print the same lines behave the same on this traffic.
 
 With --lines it then lists, per module of src/toricding, the statement lines
-(lines that carry bytecode) that no task ran, traced with sys.settrace.
+(lines that carry bytecode) that no task ran, and the public functions and
+methods (of public classes, names without a leading underscore) that no task
+called, traced with sys.settrace.
 """
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -86,6 +89,22 @@ def statement_lines(path: Path) -> set[int]:
     return lines
 
 
+def public_functions(path: Path) -> dict[int, str]:
+    """The first line of each public module-level function and public method of
+    a public class, decorators included as in co_firstlineno, to its name."""
+    out = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            defs = [(f"{node.name}.", item) for item in node.body]
+        else:
+            defs = [("", node)]
+        for prefix, item in defs:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                out[first] = prefix + item.name
+    return out
+
+
 def ranges(lines: list[int]) -> str:
     out, start = [], None
     for i, line in enumerate(lines):
@@ -103,6 +122,7 @@ def main() -> int:
     args = parser.parse_args()
     modules = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     ran: set[tuple[str, int]] = set()
+    called: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
         if event == "line":
@@ -110,7 +130,11 @@ def main() -> int:
         return local
 
     def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename in modules else None
+        code = frame.f_code
+        if code.co_filename not in modules:
+            return None
+        called.add((code.co_filename, code.co_firstlineno))
+        return local
 
     if args.lines:
         sys.settrace(tracer)  # before the import, so module-level lines count
@@ -123,6 +147,9 @@ def main() -> int:
         for path, module in modules.items():
             unrun = sorted(statement_lines(module) - {line for f, line in ran if f == path})
             print(f"{module.name}: {len(unrun)} unrun: {ranges(unrun)}")
+            uncalled = [name for first, name in sorted(public_functions(module).items())
+                        if (path, first) not in called]
+            print(f"{module.name}: {len(uncalled)} public uncalled: {', '.join(uncalled)}")
     return 0
 
 

@@ -102,7 +102,7 @@ def cmd_reduce(args) -> int:
         "j_na": _fr(j_na(f), args.digits),
         "j_t_na": _fr(j_t, args.digits),
         "rho_star": tio.vector_to_strings(rho_star),
-        "candidates_used": len(f.subdivision_vertices()),
+        "candidates_used": f.region_vertex_count(),
     }
     sys.stdout.write(tio.dumps(out))
     if args.segment:
@@ -172,6 +172,8 @@ def cmd_normal_cone(args) -> int:
 def cmd_oracle(args) -> int:
     ladder = [_int(s, "--k-ladder") for s in args.k_ladder.split(",") if s.strip()]
     rho = tio.parse_rational_list(args.rho) if args.rho else None
+    if rho and any(r.denominator != 1 for r in rho):
+        raise tio.ParseError("oracle rho must be integral")
     tol = tio.parse_rational(args.tol)
     if tol < 0:
         raise tio.ParseError(f"--tol must be >= 0, got {args.tol}")
@@ -183,10 +185,7 @@ def cmd_oracle(args) -> int:
         raise tio.ParseError("k ladder must be strictly increasing")
     P = validate_fano(tio.load_polytope(args.polytope))
     f = tio.load_test_config(args.tc, P)
-    rho = [1] + [0] * (P.dim - 1) if rho is None else rho
-    if any(r.denominator != 1 for r in map(Fraction, rho)):
-        raise tio.ParseError("oracle rho must be integral")
-    rho = [int(r) for r in rho]
+    rho = [1] + [0] * (P.dim - 1) if rho is None else [int(r) for r in rho]
     exact = (e_na(f), dh_measure(f).moment(2), inner_product(f, rho))
     header = ["k", "N_k", "mean", "second_moment", "gabor_inner", "exact_mean",
               "exact_second_moment", "exact_inner", "err_mean", "err_second", "err_inner"]

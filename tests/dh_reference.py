@@ -8,6 +8,7 @@ are right.
 
 from fractions import Fraction
 
+from toricding import rationalpoly as rp
 from toricding.functionals import DHMeasure
 from toricding.geometry import _record, vertices, volume
 
@@ -95,3 +96,13 @@ def reference_dh_measure(f):
                           for lo, hi, coeffs in bspline([value[k] for k in s]))
     return DHMeasure(tuple(sorted((l, m) for l, m in atoms.items() if m != 0)),
                      canonical_pieces(pieces))
+
+
+def upper_mass(m, lam):
+    """Mass of [lam, +inf) under the DH measure m: its complementary distribution function."""
+    lam = Fraction(lam)
+    total = sum((w for loc, w in m.atoms if loc >= lam), Fraction(0))
+    for lo, hi, coeffs in m.pieces:
+        if hi > lam:
+            total += rp.integrate(coeffs, max(lo, lam), hi)
+    return total

@@ -1,16 +1,18 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricding import cli, lattice, normalcone
+from toricding import cli, geometry, lattice, normalcone
 from toricding import io as tio
 from toricding.cli import main
 from toricding.errors import SingularGram
 
 from conftest import POLYTOPE_DIR, REPO
+import test_golden
 
 GOLDEN_DIR = REPO / "tests" / "golden"
 
@@ -217,6 +219,17 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(wedge))
         assert (code, out, err) == (1, "", "error: recession direction (-2, -1)\n")
 
+    def test_float_outside_double_range_exit_1(self, capsys, tmp_path):
+        # a valid Fano triangle whose exact values print, but not as doubles
+        a = int("7" * 1500)
+        triangle = tmp_path / "triangle.json"
+        triangle.write_text(json.dumps({"dim": 2, "facets": [
+            {"normal": [a, 1], "rhs": 1}, {"normal": [-1, 0], "rhs": 1},
+            {"normal": [0, -1], "rhs": 1}]}))
+        code, out, err = run(capsys, "analyze", str(triangle))
+        assert (code, out) == (1, "")
+        assert err == "error: value outside double range: its float cannot be printed\n"
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
         _, out2, _ = run(capsys, "analyze", str(POLYTOPE_DIR / "bl1p2.json"))
@@ -312,6 +325,21 @@ class TestReduce:
         assert data["j_t_na"]["exact"] == "1/4"
         assert data["rho_star"] == ["0"]
         assert data["candidates_used"] == 3
+
+    @pytest.mark.parametrize("case", sorted(
+        case for case, argv in test_golden.cases().items() if argv[0] == "reduce"))
+    def test_golden_builds_no_vertex_points(self, monkeypatch, case):
+        # candidates_used counts the regions' integer rows, never their points
+        def no_points(P):
+            raise AssertionError("vertex points built")
+
+        points = geometry.vertices
+        for module in list(sys.modules.values()):
+            if getattr(module, "vertices", None) is points:
+                monkeypatch.setattr(module, "vertices", no_points)
+        expected = json.loads(test_golden.GOLDEN.read_text())[case]
+        assert test_golden.run(expected["argv"]) == (
+            expected["exit"], expected["stdout"], expected.get("files", {}))
 
     def test_segment_csv(self, capsys, tc_step, tmp_path):
         csv_path = tmp_path / "seg.csv"
@@ -538,6 +566,11 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "missing.json", "missing.json", "--k-ladder", "8,4")
         assert code == 1
         assert err == "error: k ladder must be strictly increasing\n"
+
+    def test_rho_checked_before_files(self, capsys):
+        # only the default rho needs the polytope, and it is integral
+        code, out, err = run(capsys, "oracle", "missing.json", "missing.json", "--rho", "1/2")
+        assert (code, out, err) == (1, "", "error: oracle rho must be integral\n")
 
     def test_empty_ladder_checked_before_files(self, capsys):
         code, out, err = run(capsys, "oracle", "missing.json", "missing.json", "--k-ladder", ",")

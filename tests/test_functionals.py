@@ -23,10 +23,10 @@ from toricding import rationalpoly as rp
 from toricding.errors import DimensionMismatch, EmptyPolytope, InternalError
 from toricding.functionals import DHMeasure
 from toricding import geometry
-from toricding.geometry import volume
+from toricding.geometry import vertices, volume
 from toricding.lattice import level_moments
 
-from dh_reference import bspline, reference_dh_measure
+from dh_reference import bspline, reference_dh_measure, upper_mass
 from fraction_reference import (
     reference_e_na,
     reference_max_value,
@@ -145,6 +145,21 @@ class TestDHMeasure:
         assert m.pieces == ((-1, 1, (Fraction(1, 2),)),)
 
 
+class TestRegionVertexCount:
+    def test_step(self, step_p1, step_p2):
+        # the interval's ends and the kink at 0; the triangle's vertices and
+        # the two ends of the kink segment on x = 0
+        assert step_p1.region_vertex_count() == 3
+        assert step_p2.region_vertex_count() == 5
+
+    @given(f=corpus_configurations())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_distinct_region_vertices(self, f):
+        # regions share the vertices on their common faces, counted once
+        points = {v for R, _ in f.regions() for v in vertices(R)}
+        assert f.region_vertex_count() == len(points)
+
+
 def cube(dim):
     rows = [(tuple(s if j == i else 0 for j in range(dim)), 1)
             for i in range(dim) for s in (1, -1)]
@@ -251,7 +266,7 @@ def assert_upper_mass_matches_sections(f):
                 direct += volume(clip(R, [-g for g in a.gradient], a.constant - lam))
             except EmptyPolytope:
                 pass
-        assert m.upper_mass(lam) == direct / vol, lam
+        assert upper_mass(m, lam) == direct / vol, lam
 
 
 knots = st.lists(rational, min_size=2, max_size=6).filter(lambda t: len(set(t)) > 1)

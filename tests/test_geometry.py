@@ -716,6 +716,19 @@ class TestIntegerKernel:
         assert primitive_integral(rays)
         assert all(y[-1] > 0 for y in rays)
 
+    @given(name=st.sampled_from(sorted(CORPUS_FILES)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tight_sets_index_facets(self, name, data):
+        # the tight set of each record row is exactly the facets of P through
+        # its vertex: no index past P's own facets, for P and for its regions
+        P = load_corpus(name).base
+        f = PLConcave.make(data.draw(st.lists(cleared_affines(P.dim), min_size=1, max_size=4)), P)
+        for Q in [P] + [R for R, _ in f.regions()]:
+            rec = _record(Q)
+            for v, T in zip(vertices(Q), rec.tight):
+                assert T == {i for i, (n, r) in enumerate(Q.facets)
+                             if sum(a * c for a, c in zip(n, v)) == r}
+
     @pytest.mark.parametrize("name", sorted(TRIANGULATION_DIGESTS))
     def test_triangulations_unchanged(self, name):
         P = load_fano(name)

@@ -163,7 +163,8 @@ class TestInvariantClosedForms:
     def test_every_smooth_vertex(self, name):
         P = THETA_ABOVE_ONE[name] if name in THETA_ABOVE_ONE else load_corpus(name)
         n = P.dim
-        kinks = [(Fraction(0),) * n, P.barycenter()]
+        b = P.barycenter()
+        kinks = [(Fraction(0),) * n, b]
         checked = 0
         for v in P.vertices():
             try:
@@ -179,7 +180,7 @@ class TestInvariantClosedForms:
                 f = g_c(fam, c)
                 off_max = (ext.vartheta - ext.theta(v)) * c ** (n + 1) / ((n + 1) * fam.Ln)
                 assert d_z_na(f, ext) == normalcone._d_z(fam, c) + off_max, (v, c)
-                assert reduce_jna(f)[1] == normalcone._j_t(fam, c), (v, c)
+                assert reduce_jna(f)[1] == f(b) + rp.evaluate(fam.j_coeffs, c), (v, c)
                 checked += 1
         assert checked >= 9
 
@@ -283,7 +284,7 @@ class TestVerdict:
         rep = verdict(load_corpus(name))
         assert rep.flags == {"vartheta<1": True, "vartheta=1": False, "vartheta>1": False}
         assert rep.statements == [statement]
-        assert (rep.ratio_c, rep.witness_c) == (None, None)
+        assert (rep.witness_c, rep.witness_d_z) == (None, None)
 
     def test_stretched_destabilized(self, stretched):
         rep = verdict(stretched)
@@ -292,8 +293,6 @@ class TestVerdict:
         assert rep.witness_c is not None
         assert rep.witness_d_z < 0
         assert any("destabilized" in s for s in rep.statements)
-        # the ratio d_z/j_t approaches 1 - vartheta < 0 from above
-        assert rep.ratio_value < 0
 
     @pytest.mark.parametrize("negative_below", [Fraction(1, 32), None])
     def test_halving_fallback(self, stretched, monkeypatch, negative_below):
@@ -309,8 +308,6 @@ class TestVerdict:
         monkeypatch.setattr(normalcone, "_d_z", fake_d_z)
         grid = [Fraction(1, 8), Fraction(1, 4)]
         rep = verdict(stretched, grid)
-        # the first call is the d_z/j_t ratio at grid[0]
-        assert rep.ratio_c == grid[0] and rep.ratio_value > 0
         witness = [s for s in rep.statements if "destabilized" in s]
         if negative_below:
             fam = normal_cone_family(stretched)
@@ -319,13 +316,13 @@ class TestVerdict:
             assert rep.witness_d_z == Fraction(-31, 24117248)
             assert witness == ["destabilized: not relative Ding-semistable; "
                                "g_c with c = 1/32 has relative Ding invariant -31/24117248 < 0"]
-            assert seen == [grid[0], *grid, grid[0] / 2, grid[0] / 4]
+            assert seen == [*grid, grid[0] / 2, grid[0] / 4]
         else:
             assert rep.witness_c is None and rep.witness_d_z is None
             assert witness == []
-            assert seen == [grid[0], *grid] + [grid[0] / 2**i for i in range(1, 61)]
+            assert seen == grid + [grid[0] / 2**i for i in range(1, 61)]
 
-    # (polytope, grid, witness c, witness D_Z, ratio D_Z/J_T at grid[0])
+    # (polytope, grid, witness c, witness D_Z, closed-form ratio D_Z/J_T at grid[0])
     @pytest.mark.parametrize("name, grid, witness_c, witness_d_z, ratio", [
         ("stretched", None, "1/8", "-7/94208", "-105/184"),
         ("stretched", ["1/8", "1/4"], "1/8", "-7/94208", "-105/184"),
@@ -344,8 +341,11 @@ class TestVerdict:
         rep = verdict(P, grid)
         assert rep.vartheta > 1
         assert (rep.witness_c, rep.witness_d_z) == (Fraction(witness_c), Fraction(witness_d_z))
-        assert rep.ratio_c == (grid[0] if grid else Fraction(1, 8))
-        assert rep.ratio_value == Fraction(ratio)
+        # D_Z/J_T at the first grid value, from the closed forms of the ratio statement
+        fam = normal_cone_family(P)
+        c = grid[0] if grid else normalcone._default_grid(fam)[0]
+        j_t = g_c(fam, c)(P.barycenter()) + rp.evaluate(fam.j_coeffs, c)
+        assert normalcone._d_z(fam, c) / j_t == Fraction(ratio)
         assert rep.statements == [
             RATIO_STATEMENT,
             f"destabilized: not relative Ding-semistable; g_c with c = {witness_c} "

@@ -17,7 +17,7 @@ from toricding import (
 from toricding import io as tio
 from toricding import validate_fano
 from toricding.errors import DimensionMismatch
-from toricding.geometry import barycenter
+from toricding.geometry import barycenter, vertices
 
 from conftest import REPO, pl, twist
 
@@ -131,9 +131,9 @@ class TestReduce:
 
     def test_without_problem_enumerates_no_vertices(self, step_p2, monkeypatch):
         def enumerate_vertices(self):
-            raise AssertionError("subdivision vertices enumerated")
+            raise AssertionError("region vertices counted")
 
-        monkeypatch.setattr(PLConcave, "subdivision_vertices", enumerate_vertices)
+        monkeypatch.setattr(PLConcave, "region_vertex_count", enumerate_vertices)
         assert reduce_jna(step_p2) == ((0, 0), Fraction(8, 27))
 
     @pytest.mark.parametrize("name", ["p3", "blp3", "p1x3", "p4", "p1x4"])
@@ -176,7 +176,8 @@ class TestReduce:
             ]
             f = pl(P, *rows)
             _, j_t = reduce_jna(f)
-            cand = [(float(f(v)), [float(c) for c in v]) for v in f.subdivision_vertices()]
+            points = {v for R, _ in f.regions() for v in vertices(R)}
+            cand = [(float(f(v)), [float(c) for c in v]) for v in sorted(points)]
             bf = [float(c) for c in barycenter(f.domain)]
             mean = float(e_na(f))
 
