@@ -114,7 +114,7 @@ def _floor_sums(n: int, a: int, b: int, c: int) -> tuple[int, int, int]:
     m = (a * (n - 1) + b) // c
     f = g = h = 0
     if m:
-        # y_i = #{j < m : i > t_j}, t_j = (c j + c - b - 1) // a
+        # y_i = #{j in [0, m) : i > t_j}, t_j = (c j + c - b - 1) // a
         tf, tg, th = _floor_sums(m, c, c - b - 1, a)
         f = (n - 1) * m - tf
         g = (m * n * (n - 1) - th - tf) // 2
