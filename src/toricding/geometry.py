@@ -48,11 +48,19 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _text(x: Fraction) -> str:
+    """x as p/q, or p when x is an integer."""
+    try:
+        return str(x)
+    except ValueError:  # past Python's limit on the digits of an int's decimal string
+        raise InputTooLarge("value too long to print: it passes the digit limit") from None
+
+
 def show(x) -> str:
     """x for a message: a rational as p/q, a point or list as (p/q, ...)."""
     if isinstance(x, (tuple, list)):
         return f"({', '.join(map(show, x))})"
-    return str(_frac(x))
+    return _text(_frac(x))
 
 
 @dataclass(frozen=True)

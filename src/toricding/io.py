@@ -14,7 +14,7 @@ from typing import Sequence
 from . import rationalpoly as rp
 from .errors import DimensionMismatch, InputTooLarge
 from .functionals import DHMeasure, PLConcave
-from .geometry import AffineFn, HPolytope, facets_from_vertices
+from .geometry import AffineFn, HPolytope, _text, facets_from_vertices
 
 
 # density samples per DH piece in plot data
@@ -39,8 +39,7 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _text(Fraction(x))
 
 
 def format_float(x, digits: int) -> float:

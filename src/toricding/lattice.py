@@ -212,7 +212,8 @@ def level_moments(f: PLConcave, rho: Sequence[int], k: int) -> tuple:
     """(N_k, mean, second moment, pairing with the integer direction rho) of
     level k from one jump_weights call: sum mu / (k N_k), sum mu^2 / (k^2 N_k)
     and (1/k^2 N) <rho, sum mu u>  -  (1/k^2 N^2)(sum mu)<rho, sum u>, which
-    converge to e_na(f), dh_measure(f).moment(2) and inner_product(f, rho).
+    converge to e_na(f), the DH second moment (1/vol) int_P f^2 and
+    inner_product(f, rho).
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")

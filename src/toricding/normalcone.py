@@ -245,7 +245,7 @@ def verdict(P: FanoPolytope, c_grid: Sequence | None = None,
                 report.witness_c, report.witness_d_z = c, dz
                 statements.append(
                     f"destabilized: not relative Ding-semistable; "
-                    f"g_c with c = {c} has relative Ding invariant {dz} < 0"
+                    f"g_c with c = {show(c)} has relative Ding invariant {show(dz)} < 0"
                 )
                 break
     return report

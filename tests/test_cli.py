@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricding import cli, geometry, lattice, normalcone
+from toricding import cli, functionals, geometry, lattice, normalcone
 from toricding import io as tio
 from toricding.cli import main
 from toricding.errors import SingularGram
@@ -36,10 +36,41 @@ def tc_product_p2(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def long_triangle(tmp_path):
+    """A valid Fano triangle, normals (A, 1), (-1, 0), (0, -1) with all rhs 1 and
+    A = 1,500 sevens, and the step min(0, -x_1) on it: exact values whose
+    decimal strings pass Python's 4,300-digit limit."""
+    poly, tc = tmp_path / "triangle.json", tmp_path / "step.json"
+    poly.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": ["7" * 1500, 1], "rhs": 1},
+        {"normal": [-1, 0], "rhs": 1},
+        {"normal": [0, -1], "rhs": 1}]}))
+    tc.write_text(json.dumps({"affines": [{"gradient": ["0", "0"], "constant": "0"},
+                                          {"gradient": ["-1", "0"], "constant": "0"}]}))
+    return str(poly), str(tc)
+
+
+TOO_LONG = "error: value too long to print: it passes the digit limit\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_golden_without(monkeypatch, case, fn):
+    """The golden case's outputs, byte for byte, while every module's alias of fn raises."""
+    def refuse(*args):
+        raise AssertionError(f"{fn.__name__} called")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, refuse)
+    expected = json.loads(test_golden.GOLDEN.read_text())[case]
+    assert test_golden.run(expected["argv"]) == (
+        expected["exit"], expected["stdout"], expected.get("files", {}))
 
 
 class TestRationalRoundTrip:
@@ -318,7 +349,16 @@ class TestTcEval:
         assert err.startswith("internal error:")
 
 
+    def test_value_too_long_to_print_exit_1(self, capsys, long_triangle):
+        code, out, err = run(capsys, "tc-eval", *long_triangle)
+        assert (code, out, err) == (1, "", TOO_LONG)
+
+
 class TestReduce:
+    def test_value_too_long_to_print_exit_1(self, capsys, long_triangle):
+        code, out, err = run(capsys, "reduce", *long_triangle)
+        assert (code, out, err) == (1, "", TOO_LONG)
+
     def test_step(self, capsys, tc_step):
         code, out, _ = run(capsys, "reduce", str(POLYTOPE_DIR / "p1.json"), tc_step)
         data = json.loads(out)
@@ -330,16 +370,7 @@ class TestReduce:
         case for case, argv in test_golden.cases().items() if argv[0] == "reduce"))
     def test_golden_builds_no_vertex_points(self, monkeypatch, case):
         # candidates_used counts the regions' integer rows, never their points
-        def no_points(P):
-            raise AssertionError("vertex points built")
-
-        points = geometry.vertices
-        for module in list(sys.modules.values()):
-            if getattr(module, "vertices", None) is points:
-                monkeypatch.setattr(module, "vertices", no_points)
-        expected = json.loads(test_golden.GOLDEN.read_text())[case]
-        assert test_golden.run(expected["argv"]) == (
-            expected["exit"], expected["stdout"], expected.get("files", {}))
+        assert_golden_without(monkeypatch, case, geometry.vertices)
 
     def test_segment_csv(self, capsys, tc_step, tmp_path):
         csv_path = tmp_path / "seg.csv"
@@ -375,6 +406,16 @@ class TestReduce:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not csv_path.exists()
 
+    def test_segment_above_limit_refused_before_files(self, capsys, tmp_path):
+        n = cli.MAX_SEGMENT_STEPS + 1
+        missing, csv_path = str(tmp_path / "missing.json"), tmp_path / "seg.csv"
+        code, out, err = run(capsys, "reduce", missing, missing,
+                             "--segment", f"0;1;{n}", "--segment-csv", str(csv_path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: --segment N = {n} samples, "
+                       f"above the limit of {cli.MAX_SEGMENT_STEPS}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("option", ["--segment", "--segment-csv"])
     def test_segment_options_go_together(self, capsys, tmp_path, option):
         # checked before any file is read
@@ -387,6 +428,11 @@ class TestReduce:
 
 
 class TestNormalCone:
+    def test_value_too_long_to_print_exit_1(self, capsys, long_triangle):
+        # the witness D_Z of verdict's "destabilized" statement passes the digit limit
+        code, out, err = run(capsys, "normal-cone", "--polytope", long_triangle[0])
+        assert (code, out, err) == (1, "", TOO_LONG)
+
     def test_bl1p2_report(self, capsys, tmp_path):
         csv_path = tmp_path / "rows.csv"
         code, out, _ = run(
@@ -524,6 +570,12 @@ class TestOracle:
         first = rows[1].split(",")
         assert first[0] == "2" and first[1] == "5"
         assert float(first[2]) == -0.3
+
+    @pytest.mark.parametrize("case", sorted(
+        case for case, argv in test_golden.cases().items() if argv[0] == "oracle"))
+    def test_golden_builds_no_dh_measure(self, monkeypatch, case):
+        # the exact second moment is (1/vol) sum_R int_R a^2, not a DH measure's
+        assert_golden_without(monkeypatch, case, functionals.dh_measure)
 
     def test_csv_file_equals_stdout(self, capsys, tc_step, tmp_path):
         table = tmp_path / "oracle.csv"

@@ -23,7 +23,7 @@ from toricding import rationalpoly as rp
 from toricding.errors import DimensionMismatch, EmptyPolytope, InternalError
 from toricding.functionals import DHMeasure
 from toricding import geometry
-from toricding.geometry import vertices, volume
+from toricding.geometry import integrate_product, vertices, volume
 from toricding.lattice import level_moments
 
 from dh_reference import bspline, reference_dh_measure, upper_mass
@@ -118,6 +118,29 @@ class TestDHMeasure:
         assert m.moment(0) == 1
         assert m.moment(1) == e_na(f)
         assert m.max_support() == f.max_value()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_second_moment_is_region_integral(self, data):
+        # oracle reads the exact second moment as (1/vol) sum_R int_R a^2; a
+        # constant piece adds a constant region, an atom of the DH measure
+        f = data.draw(corpus_configurations())
+        affines = f.affines[:4]
+        if data.draw(st.booleans()):
+            level = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+            affines = affines[:3] + (AffineFn.const(level, f.domain.dim),)
+        f = PLConcave.make(affines, f.domain)
+        total = sum(integrate_product(R, a, a) for R, a in f.regions())
+        assert total / volume(f.domain) == dh_measure(f).moment(2)
+
+    @pytest.mark.parametrize("level, atom", [(Fraction(-1, 2), (Fraction(-1, 2), Fraction(3, 4))),
+                                             (Fraction(2), (Fraction(0), Fraction(1, 2)))])
+    def test_second_moment_with_atom(self, p1, level, atom):
+        # min(0, -x, level) on [-1, 1]: the constant regions are atoms
+        f = pl(p1, (0, 0), (-1, 0), (0, level))
+        assert dh_measure(f).atoms == (atom,)
+        total = sum(integrate_product(R, a, a) for R, a in f.regions())
+        assert total / volume(f.domain) == dh_measure(f).moment(2)
 
     def test_complementary_cdf_matches_sections(self, step_p2):
         assert_upper_mass_matches_sections(step_p2)
