@@ -14,7 +14,11 @@ the "summary" of --out is recomputed from all untraced runs: per
 workload, seed and end-to-end metric of BENCHMARK.json, the quartiles of
 each side and the number of pairs the change wins.  Beside each side's
 quartiles stand its runs whose result was not correct and its summed
-failed and attempted task counts.
+failed and attempted task counts.  Each entry also applies the acceptance
+rule: "gain_shown" when the change wins at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's interquartile range,
+"within_bound" when its median is no worse than the parent's by more than
+the metric's bound in BENCHMARK.json.  One line per entry is printed.
 """
 
 import argparse
@@ -31,7 +35,9 @@ def run_once(checkout: Path, args) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: list[dict], better_of: dict[str, str]) -> list[dict]:
+def summarize(runs: list[dict], end_to_end: list[dict]) -> list[dict]:
+    """The summary entries of the untraced runs, per workload, seed and metric
+    of end_to_end (BENCHMARK.json's list of {"name", "better", "bound"})."""
     out = []
     for key in sorted({(r["workload"], r["seed"]) for r in runs if not r["trace"]}):
         group = [r for r in runs if (r["workload"], r["seed"]) == key and not r["trace"]]
@@ -41,7 +47,8 @@ def summarize(runs: list[dict], better_of: dict[str, str]) -> list[dict]:
             outcome[side] = {"incorrect_runs": sum(not x["correct"] for x in results),
                              "failed": sum(x["failed"] for x in results),
                              "attempted": sum(x["attempted"] for x in results)}
-        for metric, better in better_of.items():
+        for spec in end_to_end:
+            metric, better = spec["name"], spec["better"]
             value = {(r["side"], r["pair"]): r["result"]["metrics"][metric]["value"] for r in group}
             sides = {side: sorted(v for (s, _), v in value.items() if s == side)
                      for side in ("parent", "change")}
@@ -55,8 +62,26 @@ def summarize(runs: list[dict], better_of: dict[str, str]) -> list[dict]:
                     continue
                 q1, med, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
                 entry[side] = {"median": med, "q1": q1, "q3": q3, **outcome[side]}
+            if "parent" in entry and "change" in entry:
+                base = entry["parent"]
+                diff = sign * (entry["change"]["median"] - base["median"])
+                entry["gain_shown"] = (wins >= 0.9 * len(pairs) > 0
+                                       and diff > base["q3"] - base["q1"])
+                entry["within_bound"] = diff >= -spec["bound"] * abs(base["median"])
             out.append(entry)
     return out
+
+
+def verdict_line(entry: dict) -> str:
+    """One summary entry as a line: the medians, the pairs won and the rule's two answers."""
+    head = f'{entry["workload"]} seed {entry["seed"]} {entry["metric"]}'
+    if "gain_shown" not in entry:
+        return f"{head}: runs of one side only"
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    change_pct = f" ({100 * (change - parent) / parent:+.1f}%)" if parent else ""
+    return (f'{head}: parent {parent:.4g} change {change:.4g}{change_pct}, '
+            f'change wins {entry["change_wins"]}/{entry["pairs"]}, '
+            f'gain_shown {entry["gain_shown"]}, within_bound {entry["within_bound"]}')
 
 
 def dump(doc: dict) -> str:
@@ -91,8 +116,10 @@ def main() -> None:
                                 "seconds": args.seconds, "result": result})
             args.out.write_text(dump(doc))
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    doc["summary"] = summarize(doc["runs"], {m["name"]: m["better"] for m in spec["end_to_end"]})
+    doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
     args.out.write_text(dump(doc))
+    for entry in doc["summary"]:
+        print(verdict_line(entry))
 
 
 if __name__ == "__main__":

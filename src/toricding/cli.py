@@ -23,10 +23,10 @@ from .functionals import (
     j_na,
     outside_calibrated_regime,
 )
-from .geometry import integrate_product, show, volume
+from .geometry import barycenter, integrate_product, show, volume
 from .lattice import level_moments
 from .normalcone import _default_grid, normal_cone_family, select_vertex, verdict, verify_family
-from .twisting import jna_twisted, reduce_jna
+from .twisting import _twisted, reduce_jna
 
 
 # Refuse a `reduce --segment` with more samples than this.  One sample took
@@ -48,6 +48,7 @@ def _int(text: str, option: str) -> int:
 
 def cmd_analyze(args) -> int:
     P = validate_fano(tio.load_polytope(args.polytope))
+    _create_outputs(args)
     ext = extremal_affine(P)
     dh = dh_of_vector_field(P, ext.theta.gradient)
     out = {
@@ -69,6 +70,7 @@ def cmd_tc_eval(args) -> int:
     rho = tio.parse_rational_list(args.rho) if args.rho else None
     P = validate_fano(tio.load_polytope(args.polytope))
     f = tio.load_test_config(args.tc, P)
+    _create_outputs(args)
     ext = extremal_affine(P)
     dh, energy = dh_measure(f), e_na(f)
     out = {
@@ -106,6 +108,7 @@ def cmd_reduce(args) -> int:
         raise tio.ParseError(
             f"--segment endpoints must have dimension {P.dim}, got {len(a)} and {len(b)}")
     f = tio.load_test_config(args.tc, P)
+    _create_outputs(args)
     rho_star, j_t = reduce_jna(f)
     out = {
         "j_na": _fr(j_na(f), args.digits),
@@ -115,11 +118,12 @@ def cmd_reduce(args) -> int:
     }
     sys.stdout.write(tio.dumps(out))
     if args.segment:
-        rows = []
+        # jna_twisted with its rho-free terms computed once for all samples
+        rows, energy, center = [], e_na(f), barycenter(f.domain)
         for i in range(steps + 1):
             t = Fraction(i, steps)
             rho = [x + t * (y - x) for x, y in zip(a, b)]
-            rows.append([float(t), float(jna_twisted(f, rho))])
+            rows.append([float(t), float(_twisted(f, rho, energy, center))])
         _save_csv(args.csvout, ["t", "j_twisted"], rows)
     return 0
 
@@ -127,6 +131,7 @@ def cmd_reduce(args) -> int:
 def cmd_normal_cone(args) -> int:
     grid = tio.parse_rational_list(args.grid or "")
     P = validate_fano(tio.load_polytope(args.polytope))
+    _create_outputs(args)
     verts, top = P.vertices(), select_vertex(P)
     idx = verts.index(top) if args.vertex == "auto" else _int(args.vertex, "--vertex")
     if not 0 <= idx < len(verts):
@@ -194,6 +199,7 @@ def cmd_oracle(args) -> int:
         raise tio.ParseError("k ladder must be strictly increasing")
     P = validate_fano(tio.load_polytope(args.polytope))
     f = tio.load_test_config(args.tc, P)
+    _create_outputs(args)
     rho = [1] + [0] * (P.dim - 1) if rho is None else [int(r) for r in rho]
     # the DH second moment (1/vol) int_P f^2, summed over the linearity regions
     second = sum(integrate_product(R, a, a) for R, a in f.regions()) / volume(f.domain)
@@ -224,6 +230,17 @@ def _write_csv(fh, header: list, rows: list) -> None:
     writer = csv.writer(fh)
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _create_outputs(args) -> None:
+    """Create the output files empty after the inputs are read, before any work,
+    so that a path that cannot be written fails first; _save_csv fills them."""
+    for path in (getattr(args, "csvout", None), getattr(args, "plot", None)):
+        if path:
+            try:
+                open(path, "w").close()
+            except OSError as exc:
+                raise tio.ParseError(str(exc)) from None
 
 
 def _save_csv(path: str, header: list, rows: list) -> None:

@@ -7,15 +7,16 @@ check and hull is one double-description computation (Motzkin et al.
 1953, Fukuda-Prodon 1996): the extreme rays of a cone {y : <h, y> <= 0},
 cut by one row at a time.  Each polytope has one cached record: the
 lifted integer rows (D v, D) of its vertices v, their tight facets, its
-simplices, pulled over faces read off those tight sets, with their
-integer determinants, its volume and its integer moment.  Building a polytope
-from outside (HPolytope.from_inequalities) computes the record, which
+simplices, pulled over faces (vertex bitmasks) read off those tight sets,
+with their integer determinants, its volume and its integer moment.  Building a
+polytope from outside (HPolytope.from_inequalities) computes the record, which
 checks boundedness; a linearity region cuts its parent's vertices and
 needs no check.  Rays are primitive integer vectors.  Linear algebra is
 fraction-free on integers (Bareiss 1968): one Gauss-Jordan routine for
-the starting cones, the vertex charts and the extremal Gram system, and
-a triangular elimination for simplex determinants.  Affine functions are
-cleared to integers once; values, integrals and region rows are integer sums.
+the starting cones, the vertex charts and the extremal Gram system, and one
+elimination per pulling step, shared by every simplex below it, for the
+simplex determinants.  Affine functions are cleared to integers once; values,
+integrals and region rows are integer sums.
 Points, volumes and integrals are fractions.Fraction.  Floats never
 enter this module.  Intended for desk-scale dimensions (n <= 5).
 """
@@ -301,12 +302,15 @@ def _record(P: HPolytope) -> _Record:
     D = lcm(*(y[-1] for y in rays))
     rows, tight = zip(*sorted((tuple(c * (D // y[-1]) for c in y[:-1]) + (D,), T)
                               for y, T in zip(rays, tight))) if rays else ((), ())
-    simplices = tuple((s, abs(_bareiss([rows[k] for k in s]))) for s in _pulling(P, tight))
+    simplices = _pulling(P, tight, rows)
     unit = factorial(P.dim) * D ** (P.dim + 1)
-    total = sum(det for _, det in simplices)
-    moment = tuple(sum(det * sum(rows[k][t] for k in s) for s, det in simplices)
-                   for t in range(P.dim + 1))
-    return _Record(tight, rows, simplices, unit, moment, Fraction(total, unit))
+    w = [0] * len(rows)  # the moment is sum_k w_k rows[k], w_k = sum of det_s over s holding k
+    for s, det in simplices:
+        for k in s:
+            w[k] += det
+    moment = tuple(sum(map(mul, w, (row[t] for row in rows))) for t in range(P.dim + 1))
+    return _Record(tight, rows, simplices, unit, moment,
+                   Fraction(sum(det for _, det in simplices), unit))
 
 
 def _nonempty(P: HPolytope) -> _Record:
@@ -328,46 +332,46 @@ def vertices(P: HPolytope) -> tuple[Point, ...]:
     return tuple(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in _nonempty(P).rows)
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968): every division is exact."""
-    m, sign, prev = [list(row) for row in rows], 1, 1
-    for k in range(len(m) - 1):
-        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv], sign = m[piv], m[k], -sign
-        pk, rest = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            row[k + 1:] = [(a * pk - row[k] * b) // prev for a, b in zip(row[k + 1:], rest)]
-        prev = pk
-    return sign * m[-1][-1]
+def _pulling(P: HPolytope, tight: Sequence[frozenset[int]], rows: Sequence[Sequence[int]]):
+    """The simplices of triangulate(P), as vertex indices with the |det| of
+    their rows, from the tight sets of P's vertices.
 
-
-def _pulling(P: HPolytope, tight: Sequence[frozenset[int]]):
-    """The simplices of triangulate(P), as vertex indices, from the tight
-    sets of P's vertices.
-
-    A face F is the set of its vertices.  Its facets, its maximal proper faces,
-    are the maximal sets F & on[i] over the rows i of P not tight on all of F,
-    redundant rows included (Ziegler, Lectures on Polytopes, 2.2); no
-    elimination is needed.  A nonempty P is lower-dimensional iff some row is
-    tight at every vertex (Schrijver, Theory of Linear and Integer Programming, 8.2)."""
+    A face F is the bitmask of its vertices.  Its facets, its maximal proper
+    faces, are the maximal nonzero F & on[i] != F over the rows i of P,
+    redundant rows included (Ziegler, Lectures on Polytopes, 2.2).  A nonempty
+    P is lower-dimensional iff some row is tight at every vertex (Schrijver,
+    Theory of Linear and Integer Programming, 8.2).  A simplex is a path of
+    apexes in a trie, and the fraction-free elimination (Bareiss 1968) of its
+    rows in that order is shared along the path: a face holds its vertices'
+    rows reduced by the apexes above.  Its apex's row pivots at its first
+    nonzero column c, and each other row y becomes (p y - y[c] pivot) // prev
+    without column c: Bareiss with columns permuted, so each division is
+    exact.  An edge's 2 x 2 minor over prev is +-det."""
     if not tight or frozenset.intersection(*tight):
         return ()
-    on = [frozenset(k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
+    on = [sum(1 << k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
+    out = []
 
-    def pull(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
-        if k == 0:
-            return [tuple(face)]
-        apex = min(face)
-        cuts = list(dict.fromkeys(face & on_facet for on_facet in on if not face <= on_facet))
-        return [(apex,) + s for sub in cuts
-                if apex not in sub and not any(sub < other for other in cuts)
-                for s in pull(sub, k - 1)]
+    def pull(face: int, k: int, prefix: tuple, red: dict, prev: int, above) -> None:
+        apex = (face & -face).bit_length() - 1
+        if k == 1:  # an edge: the last step leaves the 2 x 2 minor over prev
+            v = (face ^ 1 << apex).bit_length() - 1
+            (a, b), (x, y) = red[apex], red[v]
+            out.append((prefix + (apex, v), abs((a * y - b * x) // prev)))
+            return
+        top = red[apex]
+        c = next(j for j, x in enumerate(top) if x)
+        p, rest = top[c], top[:c] + top[c + 1:]
+        below = {v: [(p * a - y[c] * b) // prev for a, b in zip(y[:c] + y[c + 1:], rest)]
+                 for v, y in red.items() if face >> v & 1 and v != apex}
+        # face & on[i] = face & (F & on[i]): the distinct cuts of the face F above stand in for on
+        cuts = dict.fromkeys(cut for o in above if (cut := face & o) and cut != face)
+        for sub in cuts:
+            if not sub >> apex & 1 and not any(sub & o == sub != o for o in cuts):
+                pull(sub, k - 1, prefix + (apex,), below, p, cuts)
 
-    return pull(frozenset(range(len(tight))), P.dim)
+    pull((1 << len(tight)) - 1, P.dim, (), dict(enumerate(rows)), 1, on)
+    return tuple(out)
 
 
 def triangulate(P: HPolytope) -> tuple[tuple[Point, ...], ...]:

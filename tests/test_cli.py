@@ -51,6 +51,10 @@ def long_triangle(tmp_path):
     return str(poly), str(tc)
 
 
+def refuse(*args):
+    raise AssertionError("called")
+
+
 TOO_LONG = "error: value too long to print: it passes the digit limit\n"
 
 
@@ -185,6 +189,35 @@ class TestOutputPaths:
                 for a in argv]
         code, _, err = run(capsys, *argv, str(tmp_path))
         assert (code, err) == (1, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    @pytest.mark.parametrize("argv, work", [
+        (("analyze", "p1.json", "--emit-plot-data"), "cli.extremal_affine"),
+        (("tc-eval", "p1.json", "TC", "--emit-plot-data"), "cli.extremal_affine"),
+        # every segment sample takes the peak of the tilted pieces
+        (("reduce", "p1.json", "TC", "--segment", "0;1;2", "--segment-csv"),
+         "twisting._extreme"),
+        (("normal-cone", "--polytope", "bl1p2.json", "--csv"), "cli.select_vertex"),
+        (("oracle", "p1.json", "TC", "--k-ladder", "2,4", "--csv"), "cli.integrate_product"),
+    ], ids=["analyze", "tc-eval", "reduce", "normal-cone", "oracle"])
+    def test_fails_before_any_work(self, capsys, monkeypatch, tmp_path, tc_step, argv, work):
+        # the work raises if it runs: the file is created before it
+        monkeypatch.setattr(f"toricding.{work}", refuse)
+        argv = [tc_step if a == "TC" else str(POLYTOPE_DIR / a) if a.endswith(".json") else a
+                for a in argv]
+        missing = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, *argv, str(missing))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_normal_cone_plot_before_any_work(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "select_vertex", refuse)
+        rows = tmp_path / "rows.csv"
+        missing = tmp_path / "missing" / "plot.csv"
+        code, out, _ = run(capsys, "normal-cone", "--polytope", str(POLYTOPE_DIR / "bl1p2.json"),
+                           "--csv", str(rows), "--emit-plot-data", str(missing))
+        assert (code, out) == (1, "")
+        # a failing run leaves the output files it created empty
+        assert rows.read_text() == ""
 
 
 class TestAnalyze:

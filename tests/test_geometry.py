@@ -27,7 +27,6 @@ from toricding import validate_fano
 from toricding.errors import InputTooLarge
 from toricding.extremal import FanoPolytope, covariance
 from toricding.geometry import (
-    _bareiss,
     _cut,
     _extreme_rays,
     _gauss_jordan,
@@ -78,6 +77,24 @@ def reference_eliminate(rows):
     return m, pivots, det
 
 
+def bareiss(rows):
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968), one matrix at a time: every division is exact.  The
+    reference for the determinants the pulling recursion shares."""
+    m, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(m) - 1):
+        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        pk, rest = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(a * pk - row[k] * b) // prev for a, b in zip(row[k + 1:], rest)]
+        prev = pk
+    return sign * m[-1][-1]
+
+
 def contains(P, x):
     """Whether the point x satisfies every facet of P."""
     return all(sum(a * Fraction(c) for a, c in zip(n, x)) <= r for n, r in P.facets)
@@ -86,7 +103,7 @@ def contains(P, x):
 def _simplex_volume(simplex):
     """|det| of the lifted rows (D v, D) over n! D^(n+1), the points taken one by one."""
     D, rows = _lift([tuple(map(Fraction, v)) for v in simplex])
-    return Fraction(abs(_bareiss(rows)), factorial(len(rows) - 1) * D ** len(rows))
+    return Fraction(abs(bareiss(rows)), factorial(len(rows) - 1) * D ** len(rows))
 
 
 DIM5 = ("p5", "blp5", "p1x5")
@@ -666,7 +683,7 @@ class TestIntegerKernel:
         simplex, degenerate = case
         assert _simplex_volume(simplex) == reference_simplex_volume(simplex)
         rows = _lift(simplex)[1]
-        assert _bareiss(rows) == reference_eliminate(rows)[2]
+        assert bareiss(rows) == reference_eliminate(rows)[2]
         if degenerate:
             assert _simplex_volume(simplex) == 0
 
@@ -818,6 +835,31 @@ class TestIntegerMoments:
             a = data.draw(cleared_affines(R.dim))
             values, Q = _values(R, a)
             assert values == [a(v) * Q for v in vertices(R)]
+
+    @staticmethod
+    def assert_record_matches_references(P):
+        # each determinant by its own elimination, the moment as the triple sum
+        rec = _record(P)
+        for s, det in rec.simplices:
+            assert det == abs(bareiss([rec.rows[k] for k in s]))
+        assert rec.moment == tuple(
+            sum(det * sum(rec.rows[k][t] for k in s) for s, det in rec.simplices)
+            for t in range(P.dim + 1))
+
+    @pytest.mark.parametrize("P", [
+        *(pytest.param(load_fano(name).base, id=name)
+          for name in sorted(CORPUS_FILES) + list(DIM5)),
+        pytest.param(cross_polytope(4), id="4-cross-polytope"),
+        pytest.param(pyramid_over_square(), id="pyramid over a square"),
+    ])
+    def test_record_determinants_and_moment(self, P):
+        self.assert_record_matches_references(P)
+
+    @given(regions=fano_regions())
+    @settings(max_examples=40, deadline=None)
+    def test_record_determinants_and_moment_on_regions(self, regions):
+        for R in regions:
+            self.assert_record_matches_references(R)
 
     @pytest.mark.parametrize("name", ["blp3", "p4", "blp5"])
     def test_regions_with_common_denominator(self, name):
