@@ -69,6 +69,8 @@ def cmd_analyze(args) -> int:
 def cmd_tc_eval(args) -> int:
     rho = tio.parse_rational_list(args.rho) if args.rho else None
     P = validate_fano(tio.load_polytope(args.polytope))
+    if rho is not None and len(rho) != P.dim:
+        raise tio.ParseError("rho length does not match domain dimension")
     f = tio.load_test_config(args.tc, P)
     _create_outputs(args)
     ext = extremal_affine(P)
@@ -130,20 +132,21 @@ def cmd_reduce(args) -> int:
 
 def cmd_normal_cone(args) -> int:
     grid = tio.parse_rational_list(args.grid or "")
+    idx = None if args.vertex == "auto" else _int(args.vertex, "--vertex")
     P = validate_fano(tio.load_polytope(args.polytope))
-    _create_outputs(args)
-    verts, top = P.vertices(), select_vertex(P)
-    idx = verts.index(top) if args.vertex == "auto" else _int(args.vertex, "--vertex")
-    if not 0 <= idx < len(verts):
+    verts = P.vertices()
+    if idx is not None and not 0 <= idx < len(verts):
         raise tio.ParseError(f"vertex index {idx} outside 0..{len(verts) - 1}")
-    family = normal_cone_family(P, verts[idx])
+    _create_outputs(args)
+    top = select_vertex(P)
+    family = normal_cone_family(P, top if idx is None else verts[idx])
     grid = grid or _default_grid(family)
     bad = [c for c in grid if not 0 < c < family.c_max]
     if bad:
         raise tio.ParseError(f"c values {', '.join(map(show, bad))} outside (0, {family.c_max})")
     rows = verify_family(family, grid)
     # verdict reads a family only when vartheta >= 1: the one at the theta-maximizing vertex
-    stability = verdict(P, grid, family if verts[idx] == top else None)
+    stability = verdict(P, grid, family if family.chart.vertex == top else None)
     out = {
         "vertex": tio.vector_to_strings(family.chart.vertex),
         "ord": tio.affine_to_dict(family.chart.ord),
@@ -198,6 +201,8 @@ def cmd_oracle(args) -> int:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise tio.ParseError("k ladder must be strictly increasing")
     P = validate_fano(tio.load_polytope(args.polytope))
+    if rho is not None and len(rho) != P.dim:
+        raise tio.ParseError("rho length does not match domain dimension")
     f = tio.load_test_config(args.tc, P)
     _create_outputs(args)
     rho = [1] + [0] * (P.dim - 1) if rho is None else [int(r) for r in rho]

@@ -21,7 +21,7 @@ from .geometry import (
     AffineFn,
     HPolytope,
     Point,
-    _frac,
+    _centred,
     _gauss_jordan,
     _lift,
     _values,
@@ -80,8 +80,7 @@ class ExtremalData:
 
 def covariance(P: FanoPolytope) -> tuple[tuple[Fraction, ...], ...]:
     """cov_ij = int_P (x_i - b_i)(x_j - b_j) dx by integrate_product for i <= j, mirrored."""
-    centred = [AffineFn.make([int(t == i) for t in range(P.dim)], -bi)
-               for i, bi in enumerate(P.barycenter())]
+    centred = [_centred(P.base, [int(t == i) for t in range(P.dim)]) for i in range(P.dim)]
     upper = {(i, j): integrate_product(P.base, xi, xj)
              for i, xi in enumerate(centred) for j, xj in enumerate(centred) if i <= j}
     return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(P.dim)) for i in range(P.dim))
@@ -99,7 +98,7 @@ def extremal_affine(P: FanoPolytope) -> ExtremalData:
     if pivots != list(range(P.dim)):
         raise SingularGram("covariance matrix is singular")
     g = [Fraction(row[-1], p) for row in m]
-    theta = AffineFn(tuple(g), -sum(gi * bi for gi, bi in zip(g, b)))
+    theta = _centred(P.base, g)
     values, Q = _values(P.base, theta)
     return ExtremalData(b=b, cov=cov, theta=theta, vartheta=Fraction(max(values), Q))
 
@@ -114,7 +113,4 @@ def dh_of_vector_field(P: FanoPolytope, a: Sequence):
 
     if len(a) != P.dim:
         raise DimensionMismatch("vector length does not match polytope dimension")
-    b = P.barycenter()
-    shift = -sum((_frac(ai) * bi for ai, bi in zip(a, b)), Fraction(0))
-    affine = AffineFn(tuple(_frac(ai) for ai in a), shift)
-    return dh_measure(PLConcave((affine,), P.base))
+    return dh_measure(PLConcave((_centred(P.base, a),), P.base))

@@ -25,11 +25,10 @@ from .extremal import ExtremalData, FanoPolytope
 from .geometry import (
     AffineFn,
     HPolytope,
+    _centred,
     _divided,
-    _frac,
     _record,
     _values,
-    barycenter,
     integrate_product,
     region_subdivision as _region_subdivision,
     vertices,  # unused here; perfbench/tests asserts that its tracer rebinds this alias
@@ -226,9 +225,7 @@ def inner_product(f: PLConcave, rho: Sequence) -> Fraction:
     P = f.domain
     if len(rho) != P.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
-    b = barycenter(P)
-    shift = -sum((_frac(r) * bi for r, bi in zip(rho, b)), Fraction(0))
-    tilt = AffineFn(tuple(_frac(r) for r in rho), shift)
+    tilt = _centred(P, rho)
     total = Fraction(0)
     for R, a in f.regions():
         total += integrate_product(R, a, tilt)

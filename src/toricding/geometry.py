@@ -398,6 +398,12 @@ def barycenter(P: HPolytope) -> Point:
     return tuple(Fraction(c, total) for c in m)
 
 
+def _centred(P: HPolytope, a: Sequence) -> AffineFn:
+    """x -> <a, x - b> for the barycenter b of P."""
+    a = tuple(map(_frac, a))
+    return AffineFn(a, -sum(map(mul, a, barycenter(P)), Fraction(0)))
+
+
 def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
     """Exact integral of a(x) b(x) over P from a and b at P's vertices, each taken once.
 

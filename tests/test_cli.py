@@ -219,6 +219,28 @@ class TestOutputPaths:
         # a failing run leaves the output files it created empty
         assert rows.read_text() == ""
 
+    @pytest.mark.parametrize("argv, work, message", [
+        (("tc-eval", "p2.json", "step2.json", "--rho", "1", "--emit-plot-data"),
+         "cli.extremal_affine", "rho length does not match domain dimension"),
+        (("oracle", "p2.json", "step2.json", "--rho", "1", "--csv"),
+         "cli.integrate_product", "rho length does not match domain dimension"),
+        (("normal-cone", "--polytope", "p2.json", "--vertex", "99", "--csv"),
+         "cli.select_vertex", "vertex index 99 outside 0..2"),
+        (("normal-cone", "--polytope", "p2.json", "--vertex", "abc", "--csv"),
+         "cli.select_vertex", "--vertex expects an integer, got 'abc'"),
+    ], ids=["tc-eval-rho", "oracle-rho", "normal-cone-vertex-range", "normal-cone-vertex-abc"])
+    def test_argument_error_before_any_output(self, capsys, monkeypatch, tmp_path,
+                                              argv, work, message):
+        # an argument checked against the loaded polytope fails before any work
+        # and before the output file is created
+        monkeypatch.setattr(f"toricding.{work}", refuse)
+        argv = [str(POLYTOPE_DIR / a) if a.startswith("p2") else
+                str(GOLDEN_DIR / a) if a.startswith("step") else a for a in argv]
+        path = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not path.exists()
+
 
 class TestAnalyze:
     def test_p2(self, capsys):
