@@ -6,10 +6,13 @@
 Runs, through toricding.cli.main, every argv of tests/golden/cli_outputs.json
 ("{out}" a fresh temporary directory, from the root of the checkout) and, for
 each of the seeds 0-2, every task of each benchmark workload of perfbench/workloads.py
-(read, not changed).  Prints one line per set: its name, its task count and a
+(read, not changed).  Prints one line per set: its name, its task count, a
 sha256 over each task's argv, exit code, stdout, stderr and the files it
-wrote under "{out}", with the input and output directories masked.  Two
-checkouts that print the same lines behave the same on this traffic.
+wrote under "{out}", with the input and output directories masked, and the
+number of kernel records (geometry._record misses) the set built, with the
+package's four caches emptied before each set.  Two checkouts that print the
+same hashes behave the same on this traffic; the record count is a
+deterministic measure of the kernel's work.
 
 With --lines it then lists, per module of src/toricding, the statement lines
 (lines that carry bytecode) that no task ran, and the public functions and
@@ -60,13 +63,25 @@ def digest(results: list[list]) -> str:
     return h.hexdigest()
 
 
+def counted(run) -> tuple[list, int]:
+    """(run(), the kernel records it built), the package's four caches emptied first."""
+    from toricding import extremal, geometry, lattice
+
+    for cache in (geometry._record, geometry._region_subdivision_cached,
+                  extremal.extremal_affine, lattice._fiber_rows):
+        cache.cache_clear()
+    return run(), geometry._record.cache_info().misses
+
+
 def traffic(main):
-    """(set name, task results) per set: the goldens, then each workload and seed."""
+    """(set name, task results, kernel records built) per set: the goldens,
+    then each workload and seed."""
     golden = json.loads((REPO / "tests" / "golden" / "cli_outputs.json").read_text())
     cwd = os.getcwd()
     os.chdir(REPO)
     try:
-        yield "golden", [run_task(main, golden[case]["argv"]) for case in sorted(golden)]
+        yield "golden", *counted(
+            lambda: [run_task(main, golden[case]["argv"]) for case in sorted(golden)])
     finally:
         os.chdir(cwd)
     for workload in workloads.WORKLOADS:
@@ -74,9 +89,9 @@ def traffic(main):
             files, tasks = workloads.build_inputs(workload, seed)
             with tempfile.TemporaryDirectory() as root:
                 workloads.write_inputs(files, Path(root))
-                yield f"{workload}:{seed}", [
+                yield f"{workload}:{seed}", *counted(lambda: [
                     run_task(main, workloads.resolve(task.argv, Path(root)), root)
-                    for task in tasks]
+                    for task in tasks])
 
 
 def statement_lines(path: Path) -> set[int]:
@@ -140,8 +155,8 @@ def main() -> int:
         sys.settrace(tracer)  # before the import, so module-level lines count
     from toricding.cli import main as cli_main
 
-    for name, results in traffic(cli_main):
-        print(f"{name:10s} {len(results):3d} {digest(results)}", flush=True)
+    for name, results, records in traffic(cli_main):
+        print(f"{name:10s} {len(results):3d} {digest(results)} {records:5d}", flush=True)
     sys.settrace(None)
     if args.lines:
         for path, module in modules.items():

@@ -23,7 +23,7 @@ from .functionals import (
     j_na,
     outside_calibrated_regime,
 )
-from .geometry import barycenter, integrate_product, show, volume
+from .geometry import _signed_product, barycenter, integrate_product, show, volume
 from .lattice import level_moments
 from .normalcone import _default_grid, normal_cone_family, select_vertex, verdict, verify_family
 from .twisting import _twisted, reduce_jna
@@ -206,9 +206,10 @@ def cmd_oracle(args) -> int:
     f = tio.load_test_config(args.tc, P)
     _create_outputs(args)
     rho = [1] + [0] * (P.dim - 1) if rho is None else [int(r) for r in rho]
-    # the DH second moment (1/vol) int_P f^2, summed over the linearity regions
-    second = sum(integrate_product(R, a, a) for R, a in f.regions()) / volume(f.domain)
-    exact = (e_na(f), second, inner_product(f, rho))
+    # the DH second moment: (1/vol) int_P a0^2 plus int_R (a - a0)(a + a0) per other region R
+    a0, others, *_ = f._split()
+    second = integrate_product(f.domain, a0, a0) + sum(_signed_product(R, a, a0) for R, a in others)
+    exact = (e_na(f), second / volume(f.domain), inner_product(f, rho))
     header = ["k", "N_k", "mean", "second_moment", "gabor_inner", "exact_mean",
               "exact_second_moment", "exact_inner", "err_mean", "err_second", "err_inner"]
     table = []

@@ -28,6 +28,8 @@ from .geometry import (
     _centred,
     _divided,
     _record,
+    _region_subdivision_cached,
+    _signed_product,
     _values,
     integrate_product,
     region_subdivision as _region_subdivision,
@@ -75,12 +77,17 @@ class PLConcave:
         row (D v, D) over its gcd is the primitive ray of v, an integer key."""
         return len({_divided(row) for R, _ in self.regions() for row in _record(R).rows})
 
+    def _split(self):
+        """(a0, the regions but a0's R0, min and max of f at P's vertices, all regions)."""
+        return _region_subdivision_cached(self.domain, self.affines)
+
     def max_value(self) -> Fraction:
-        # on each region f is that region's affine, largest at a vertex
-        return max(_extreme(max, a, R) for R, a in self.regions())
+        # a region's affine is largest at its vertices, R0's are P's or in other regions
+        _, others, _, high, _ = self._split()
+        return max([high] + [_extreme(max, a, R) for R, a in others])
 
     def min_value(self) -> Fraction:
-        return min(_extreme(min, a, self.domain) for a in self.affines)
+        return self._split()[2]
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,8 @@ def _inverse_taylor(tau: int, knots: Counter) -> tuple[list[int], int]:
 def dh_measure(f: PLConcave) -> DHMeasure:
     """Exact pushforward of Lebesgue/vol(P) under f.
 
-    A constant region is an atom.  On a non-constant region, f = T / Q at
+    A constant region is an atom, a constant a0's of volume vol(P) minus the
+    other regions' (no record of R0).  On a non-constant region, f = T / Q at
     its vertices, T = <q (g, c), (D v, D)> integers and Q = q D, and a
     simplex s pushes forward to vol(s) n Q [T_s](. - Q lambda)_+^(n-1), the
     divided difference over its knots T_s (Curry-Schoenberg).  By partial
@@ -155,10 +163,12 @@ def dh_measure(f: PLConcave) -> DHMeasure:
     """
     n = f.domain.dim
     vol = volume(f.domain)
-    atoms = []
+    a0, others, *_ = f._split()
+    mass = a0.is_constant and vol - sum(volume(R) for R, _ in others)
+    atoms = [(a0.constant, mass / vol)] if mass else []
     # knot lambda_k -> coefficients c_m of (lambda_k - lambda)_+^m, m < n
     powers: dict[Fraction, list[Fraction]] = {}
-    for R, a in f.regions():
+    for R, a in others if a0.is_constant else f.regions():
         if a.is_constant:
             atoms.append((a.constant, volume(R) / vol))
             continue
@@ -197,13 +207,17 @@ def dh_measure(f: PLConcave) -> DHMeasure:
 
 
 def e_na(f: PLConcave) -> Fraction:
-    """Monge-Ampere energy: the mean (1/vol) int_P f dx, where a region R
-    adds int_R a = <q (g, c), moment> / ((n+1) unit q D) from its record."""
-    n, total = f.domain.dim, Fraction(0)
-    for R, a in f.regions():
+    """Monge-Ampere energy: the mean (1/vol) int_P f dx, int_P a0 plus int_R (a - a0)
+    per region R other than a0's, where a cleared row G over q integrates on a
+    record to <G, moment> / ((n+1) unit q D)."""
+    a0, others, *_ = f._split()
+    P, n, (G0, q0), total = f.domain, f.domain.dim, a0.cleared, Fraction(0)
+    for R, a in ((P, a0),) + others:
         rec, (G, q) = _record(R), a.cleared
+        if R is not P:  # a - a0 is q0 (g, c) - q (g0, c0) over q q0
+            G, q = [q0 * x - q * y for x, y in zip(G, G0)], q * q0
         total += Fraction(sum(map(mul, G, rec.moment)), (n + 1) * rec.unit * q * rec.rows[0][-1])
-    return total / volume(f.domain)
+    return total / volume(P)
 
 
 def j_na(f: PLConcave) -> Fraction:
@@ -221,14 +235,14 @@ def d_na(f: PLConcave) -> Fraction:
 
 
 def inner_product(f: PLConcave, rho: Sequence) -> Fraction:
-    """(1/vol) int_P f(x) <rho, x - b> dx, exact."""
+    """(1/vol) int_P f(x) <rho, x - b> dx, exact: int_P a0 <rho, x - b> plus
+    int_R (a - a0) <rho, x - b> per region R other than a0's."""
     P = f.domain
     if len(rho) != P.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
     tilt = _centred(P, rho)
-    total = Fraction(0)
-    for R, a in f.regions():
-        total += integrate_product(R, a, tilt)
+    a0, others, *_ = f._split()
+    total = integrate_product(P, a0, tilt) + sum(_signed_product(R, a, a0, tilt) for R, a in others)
     return total / volume(P)
 
 

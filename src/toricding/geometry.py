@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import eq, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -411,38 +411,58 @@ def integrate_product(P: HPolytope, a: AffineFn, b: AffineFn) -> Fraction:
       int a b = vol * (sum_w a(w) b(w) + sum_w a(w) * sum_w b(w)) / ((n+1)(n+2))
     summed in integers: vol = det / unit and a(w) = value / Q from _values.
     """
-    n = P.dim
-    if any(len(f.gradient) != n for f in (a, b)):
-        raise DimensionMismatch(f"affine dimension does not match polytope dim {n}")
-    (va, Qa), (vb, Qb) = _values(P, a), _values(P, b)
-    rec, total = _record(P), 0
+    if any(len(f.gradient) != P.dim for f in (a, b)):
+        raise DimensionMismatch(f"affine dimension does not match polytope dim {P.dim}")
+    return _product(P, *_values(P, a), *_values(P, b))
+
+
+def _product(P: HPolytope, va: Sequence[int], Qa: int, vb: Sequence[int], Qb: int) -> Fraction:
+    """int_P a b for a = va / Qa and b = vb / Qb at the rows of P's record."""
+    rec, n, total = _record(P), P.dim, 0
     for s, det in rec.simplices:
         sa, sb = [va[k] for k in s], [vb[k] for k in s]
         total += det * (sum(map(mul, sa, sb)) + sum(sa) * sum(sb))
     return Fraction(total, rec.unit * Qa * Qb * (n + 1) * (n + 2))
 
 
+def _signed_product(R: HPolytope, a: AffineFn, a0: AffineFn, b: AffineFn | None = None) -> Fraction:
+    """int_R (a - a0) b, or int_R (a - a0)(a + a0) without b; a -+ a0 is q0 G -+ q G0 over q q0."""
+    (G, q), (G0, q0), rows = a.cleared, a0.cleared, _nonempty(R).rows
+    minus, plus = ([q0 * x + s * q * y for x, y in zip(G, G0)] for s in (-1, 1))
+    Q = q * q0 * rows[0][-1]
+    vb, Qb = _values(R, b) if b else ([sum(map(mul, plus, row)) for row in rows], Q)
+    return _product(R, [sum(map(mul, minus, row)) for row in rows], Q, vb, Qb)
+
+
 def region_subdivision(P: HPolytope, affines: Sequence[AffineFn]):
     """Linearity regions of min(affines) on P.
 
-    Returns [(region, affine)] with empty and lower-dimensional regions
-    pruned; region volumes sum to volume(P).
-    """
-    return list(_region_subdivision_cached(P, tuple(affines)))
+    Returns [(region, affine)] in piece order with empty and lower-dimensional
+    regions pruned; region volumes sum to volume(P).  Unlike the functionals,
+    which read a0's region through P, this builds every region's record."""
+    a0, *_, regions = _region_subdivision_cached(P, tuple(affines))
+    return [(R, a) for R, a in regions if a is not a0 or _record(R).simplices]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
+    """(a0, the other regions, min and max of min(affines) at P's vertices, all regions
+    (R, a) in piece order): a0 is the first piece lowest at the most vertices of P.
+    The others are pruned, which records them; a0's region is left unrecorded."""
     if not affines:
         raise ValueError("need at least one affine piece")
-    uniq: list[AffineFn] = []
-    for a in affines:
-        if len(a.gradient) != P.dim:
-            raise DimensionMismatch("affine dimension does not match polytope")
-        if a not in uniq:
-            uniq.append(a)
-    regions = ((_region(P, a, uniq), a) for a in uniq)
-    return tuple((R, a) for R, a in regions if R is not None and _record(R).simplices)
+    uniq = list(dict.fromkeys(affines))
+    if any(len(a.gradient) != P.dim for a in uniq):
+        raise DimensionMismatch("affine dimension does not match polytope")
+    values = [_values(P, a) for a in uniq]
+    Q = lcm(*(Qa for _, Qa in values))
+    scaled = [[v * (Q // Qa) for v in va] for va, Qa in values]
+    low = [min(column) for column in zip(*scaled)]  # Q f at each vertex of P
+    a0 = max(zip(uniq, scaled), key=lambda p: sum(map(eq, p[1], low)))[0]
+    regions = tuple((R, a) for R, a in ((_region(P, a, uniq), a) for a in uniq)
+                    if R is not None and (a is a0 or _record(R).simplices))
+    others = tuple((R, a) for R, a in regions if a is not a0)
+    return a0, others, Fraction(min(low), Q), Fraction(max(low), Q), regions
 
 
 def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytope | None:

@@ -1,0 +1,50 @@
+"""Per-region references for the sums that the library reads through the
+domain's record.
+
+The library reads the region R0 of one piece a0 through P: f = a0 + sum over
+the other regions R of (a - a0) 1_R almost everywhere.  Each reference here
+sums over every region of f.regions(), R0 included, in integers on each
+region's own record, as the library did before.
+"""
+
+from fractions import Fraction
+from operator import mul
+
+from toricding.functionals import _extreme
+from toricding.geometry import _centred, _record, integrate_product, volume
+
+
+def region_e_na(f):
+    """(1/vol) sum over the regions R of int_R a = <q (g, c), moment> / ((n+1) unit q D)."""
+    n, total = f.domain.dim, Fraction(0)
+    for R, a in f.regions():
+        rec, (G, q) = _record(R), a.cleared
+        total += Fraction(sum(map(mul, G, rec.moment)), (n + 1) * rec.unit * q * rec.rows[0][-1])
+    return total / volume(f.domain)
+
+
+def region_inner_product(f, rho):
+    """(1/vol) sum over the regions R of int_R a <rho, x - b>."""
+    tilt = _centred(f.domain, rho)
+    return sum(integrate_product(R, a, tilt) for R, a in f.regions()) / volume(f.domain)
+
+
+def region_second_moment(f):
+    """(1/vol) sum over the regions R of int_R a^2, the DH second moment."""
+    return sum(integrate_product(R, a, a) for R, a in f.regions()) / volume(f.domain)
+
+
+def region_max_value(f):
+    """The largest value of each region's affine at the region's vertices."""
+    return max(_extreme(max, a, R) for R, a in f.regions())
+
+
+def region_min_value(f):
+    """The least value of any piece at the domain's vertices."""
+    return min(_extreme(min, a, f.domain) for a in f.affines)
+
+
+def region_atoms(f):
+    """The atom (a, vol(R) / vol(P)) of each constant region (R, a), sorted."""
+    vol = volume(f.domain)
+    return tuple(sorted((a.constant, volume(R) / vol) for R, a in f.regions() if a.is_constant))
