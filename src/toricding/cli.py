@@ -120,12 +120,9 @@ def cmd_reduce(args) -> int:
     }
     sys.stdout.write(tio.dumps(out))
     if args.segment:
-        # jna_twisted with its rho-free terms computed once for all samples
-        rows, energy, center = [], e_na(f), barycenter(f.domain)
-        for i in range(steps + 1):
-            t = Fraction(i, steps)
-            rho = [x + t * (y - x) for x, y in zip(a, b)]
-            rows.append([float(t), float(_twisted(f, rho, energy, center))])
+        center = barycenter(f.domain)  # computed once for all samples; e_na(f) is cached
+        rows = [[float(t), float(_twisted(f, [x + t * (y - x) for x, y in zip(a, b)], center))]
+                for t in (Fraction(i, steps) for i in range(steps + 1))]
         _save_csv(args.csvout, ["t", "j_twisted"], rows)
     return 0
 
@@ -137,13 +134,13 @@ def cmd_normal_cone(args) -> int:
     verts = P.vertices()
     if idx is not None and not 0 <= idx < len(verts):
         raise tio.ParseError(f"vertex index {idx} outside 0..{len(verts) - 1}")
-    _create_outputs(args)
     top = select_vertex(P)
     family = normal_cone_family(P, top if idx is None else verts[idx])
     grid = grid or _default_grid(family)
     bad = [c for c in grid if not 0 < c < family.c_max]
     if bad:
         raise tio.ParseError(f"c values {', '.join(map(show, bad))} outside (0, {family.c_max})")
+    _create_outputs(args)
     rows = verify_family(family, grid)
     # verdict reads a family only when vartheta >= 1: the one at the theta-maximizing vertex
     stability = verdict(P, grid, family if family.chart.vertex == top else None)

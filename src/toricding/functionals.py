@@ -15,8 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from operator import mul
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from . import rationalpoly as rp
@@ -78,12 +77,12 @@ class PLConcave:
         return len({_divided(row) for R, _ in self.regions() for row in _record(R).rows})
 
     def _split(self):
-        """(a0, the regions but a0's R0, min and max of f at P's vertices, all regions)."""
+        """(a0, the regions but a0's R0, min and max of f at P's vertices, mean, all regions)."""
         return _region_subdivision_cached(self.domain, self.affines)
 
     def max_value(self) -> Fraction:
         # a region's affine is largest at its vertices, R0's are P's or in other regions
-        _, others, _, high, _ = self._split()
+        _, others, _, high, *_ = self._split()
         return max([high] + [_extreme(max, a, R) for R, a in others])
 
     def min_value(self) -> Fraction:
@@ -126,24 +125,31 @@ class DHMeasure:
         return max(candidates)
 
 
-def _inverse_taylor(tau: int, knots: Counter) -> tuple[list[int], int]:
-    """(e, p_0): prod_{t != tau} (z - t)^(-knots[t]) = sum_k e_k (z - tau)^k / p_0^(k+1)
-    up to k = r - 1, r = knots[tau].
-
-    p(tau + u) = prod_{t != tau} (u + tau - t)^knots[t] is expanded in
-    integers up to u^(r-1); its inverse series has e_0 = 1 and
-    e_k = -sum_{i=1..k} p_i e_(k-i) p_0^(i-1).
-    """
+def _partial_fractions(tau: int, knots: Counter, n: int) -> tuple[list[int], int]:
+    """(w, p_0^r): knot tau, of multiplicity r = knots[tau], adds w_m / p_0^r (tau - z)_+^m
+    to [knots](. - z)_+^(n-1), w_(n-1-j) = C(n-1, j) e_(r-1-j) p_0^j for j < r, where
+    e_k / p_0^(k+1) are the Taylor coefficients at tau of 1/p, p = prod_{t != tau} (z - t)^knots[t]
+    = sum_i p_i (z - tau)^i in integers: e_0 = 1, e_k = -sum_{i=1..k} p_i e_(k-i) p_0^(i-1)."""
     r = knots[tau]
     p = [1] + [0] * (r - 1)
-    for t, mult in knots.items():
+    for t in knots.elements():
         if t != tau:
-            for _ in range(mult):
-                p = [(tau - t) * c + (p[k - 1] if k else 0) for k, c in enumerate(p)]
+            p = [(tau - t) * c + (p[k - 1] if k else 0) for k, c in enumerate(p)]
     e = [1]
     for k in range(1, r):
         e.append(-sum(p[i] * e[k - i] * p[0] ** (i - 1) for i in range(1, k + 1)))
-    return e, p[0]
+    return [0] * (n - r) + [comb(n - 1, j) * e[r - 1 - j] * p[0] ** j
+                            for j in reversed(range(r))], p[0] ** r
+
+
+def _add(acc: dict, key: int, nums: list[int], d: int) -> None:
+    """acc[key] += nums / d in integers, acc[key] = [D, numerators], rescaled to lcm(D, d)."""
+    entry = acc.setdefault(key, [d] + [0] * len(nums))
+    if entry[0] % d:
+        k = d // gcd(entry[0], d)
+        entry[:] = [x * k for x in entry]
+    s = entry[0] // d
+    entry[1:] = [y + x * s for y, x in zip(entry[1:], nums)]
 
 
 def dh_measure(f: PLConcave) -> DHMeasure:
@@ -153,71 +159,56 @@ def dh_measure(f: PLConcave) -> DHMeasure:
     other regions' (no record of R0).  On a non-constant region, f = T / Q at
     its vertices, T = <q (g, c), (D v, D)> integers and Q = q D, and a
     simplex s pushes forward to vol(s) n Q [T_s](. - Q lambda)_+^(n-1), the
-    divided difference over its knots T_s (Curry-Schoenberg).  By partial
-    fractions a knot tau of multiplicity r <= n adds
-        sum_{j<r} C(n-1, j) eta_(r-1-j) (tau - Q lambda)_+^(n-1-j),
-    eta the Taylor coefficients at tau of prod_{t != tau} (z - t)^(-r_t).
-    As (tau - Q lambda)^m = Q^m (tau/Q - lambda)^m, these powers are summed
-    per knot tau/Q over all regions and expanded, in one sweep from the
-    top knot down, into the density on each interval between knots.
+    divided difference over its knots T_s (Curry-Schoenberg), split per knot by
+    partial fractions and summed per knot tau in integers.  With L the lcm of the
+    regions' Q and t = L/Q, (tau - Q lambda)^m = (K - L lambda)^m / t^m on the
+    integer grid K = tau t, where all regions' knots merge; one sweep from the top
+    knot down, over one common denominator, gives the density between knots.
     """
-    n = f.domain.dim
-    vol = volume(f.domain)
+    n, vol = f.domain.dim, volume(f.domain)
     a0, others, *_ = f._split()
     mass = a0.is_constant and vol - sum(volume(R) for R, _ in others)
-    atoms = [(a0.constant, mass / vol)] if mass else []
-    # knot lambda_k -> coefficients c_m of (lambda_k - lambda)_+^m, m < n
-    powers: dict[Fraction, list[Fraction]] = {}
-    for R, a in others if a0.is_constant else f.regions():
-        if a.is_constant:
-            atoms.append((a.constant, volume(R) / vol))
-            continue
-        rec, (value, Q) = _record(R), _values(R, a)
-        local: dict[int, list[Fraction]] = {}
+    regions = others if a0.is_constant else f.regions()
+    atoms = [(a0.constant, mass / vol)] * bool(mass) + [
+        (a.constant, volume(R) / vol) for R, a in regions if a.is_constant]
+    sloped = [(_record(R), *_values(R, a)) for R, a in regions if not a.is_constant]
+    L = lcm(*(Q for *_, Q in sloped))
+    knots: dict[int, list] = {}  # K -> [D, w_m]: (K - L lambda)_+^m weighs n w_m / (D vol)
+    for rec, value, Q in sloped:
+        local: dict[int, list] = {}
         for s, det in rec.simplices:
-            knots = Counter(value[k] for k in s)
-            for tau, r in knots.items():
-                e, p0 = _inverse_taylor(tau, knots)
-                c = local.setdefault(tau, [0] * n)
-                for j in range(r):
-                    c[n - 1 - j] += Fraction(det * comb(n - 1, j) * e[r - 1 - j], p0 ** (r - j))
-        scale = [Fraction(n * Q ** (m + 1), rec.unit) / vol for m in range(n)]
-        for tau, c in local.items():
-            total = powers.setdefault(Fraction(tau, Q), [0] * n)
-            for m, cm in enumerate(c):
-                if cm:
-                    total[m] += cm * scale[m]
-    pieces = []
-    density = [Fraction(0)] * n
-    cuts = sorted(powers, reverse=True)
+            mult = Counter(value[k] for k in s)
+            for tau in mult:
+                w, d = _partial_fractions(tau, mult, n)
+                _add(local, tau, [det * x for x in w], d)
+        t = L // Q
+        for tau, (d, *w) in local.items():
+            _add(knots, tau * t, [x * Q * t ** (n - 1 - m) for m, x in enumerate(w)],
+                 d * rec.unit * t ** (n - 1))
+    D = lcm(*(d for d, *_ in knots.values()))
+    pieces, density = [], [0] * n
+    cuts = sorted(knots, reverse=True)
     for hi, lo in zip(cuts, cuts[1:]):
-        # c (hi - lambda)^m = sum_i c C(m, i) hi^(m-i) (-lambda)^i
-        for m, cm in enumerate(powers[hi]):
-            if cm:
-                for i in range(m + 1):
-                    density[i] += (-1) ** i * comb(m, i) * hi ** (m - i) * cm
+        # w (hi - L lambda)^m = sum_i w C(m, i) hi^(m-i) (-L lambda)^i
+        d, *w = knots[hi]
+        for m, wm in ((m, wm * (D // d)) for m, wm in enumerate(w) if wm):
+            for i in range(m + 1):
+                density[i] += comb(m, i) * hi ** (m - i) * wm
         coeffs = rp.trim(density)
-        if not coeffs:
-            continue
         if pieces and pieces[-1][0] == hi and pieces[-1][2] == coeffs:
-            pieces[-1] = (lo, pieces[-1][1], coeffs)
-        else:
-            pieces.append((lo, hi, coeffs))
-    return DHMeasure(tuple(sorted(atoms)), tuple(reversed(pieces)))
+            pieces[-1][0] = lo
+        elif coeffs:  # an interval of zero density is no piece and parts its neighbours
+            pieces.append([lo, hi, coeffs])
+    # the density is n w / (D vol), w (-L)^i the coefficient of lambda^i
+    return DHMeasure(tuple(sorted(atoms)), tuple((Fraction(lo, L), Fraction(hi, L), tuple(
+        Fraction(n * vol.denominator * (-L) ** i * w, D * vol.numerator)
+        for i, w in enumerate(coeffs)))
+        for lo, hi, coeffs in reversed(pieces)))
 
 
 def e_na(f: PLConcave) -> Fraction:
-    """Monge-Ampere energy: the mean (1/vol) int_P f dx, int_P a0 plus int_R (a - a0)
-    per region R other than a0's, where a cleared row G over q integrates on a
-    record to <G, moment> / ((n+1) unit q D)."""
-    a0, others, *_ = f._split()
-    P, n, (G0, q0), total = f.domain, f.domain.dim, a0.cleared, Fraction(0)
-    for R, a in ((P, a0),) + others:
-        rec, (G, q) = _record(R), a.cleared
-        if R is not P:  # a - a0 is q0 (g, c) - q (g0, c0) over q q0
-            G, q = [q0 * x - q * y for x, y in zip(G, G0)], q * q0
-        total += Fraction(sum(map(mul, G, rec.moment)), (n + 1) * rec.unit * q * rec.rows[0][-1])
-    return total / volume(P)
+    """Monge-Ampere energy: the mean (1/vol) int_P f dx, read from the cached split (_mean)."""
+    return f._split()[4]
 
 
 def j_na(f: PLConcave) -> Fraction:

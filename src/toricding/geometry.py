@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
-from operator import eq, mul
+from operator import eq, gt, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -446,9 +446,9 @@ def region_subdivision(P: HPolytope, affines: Sequence[AffineFn]):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
-    """(a0, the other regions, min and max of min(affines) at P's vertices, all regions
-    (R, a) in piece order): a0 is the first piece lowest at the most vertices of P.
-    The others are pruned, which records them; a0's region is left unrecorded."""
+    """(a0, the other regions, min and max of f at P's vertices, f's mean (_mean), all regions
+    (R, a) in piece order): a0 is the first piece lowest at the most vertices of P.  A piece
+    above another at every vertex of P gets no region; pruning the others records all but R0."""
     if not affines:
         raise ValueError("need at least one affine piece")
     uniq = list(dict.fromkeys(affines))
@@ -459,10 +459,22 @@ def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
     scaled = [[v * (Q // Qa) for v in va] for va, Qa in values]
     low = [min(column) for column in zip(*scaled)]  # Q f at each vertex of P
     a0 = max(zip(uniq, scaled), key=lambda p: sum(map(eq, p[1], low)))[0]
-    regions = tuple((R, a) for R, a in ((_region(P, a, uniq), a) for a in uniq)
+    live = (a for a, va in zip(uniq, scaled) if not any(all(map(gt, va, vb)) for vb in scaled))
+    regions = tuple((R, a) for R, a in ((_region(P, a, uniq), a) for a in live)
                     if R is not None and (a is a0 or _record(R).simplices))
     others = tuple((R, a) for R, a in regions if a is not a0)
-    return a0, others, Fraction(min(low), Q), Fraction(max(low), Q), regions
+    return a0, others, Fraction(min(low), Q), Fraction(max(low), Q), _mean(P, a0, others), regions
+
+
+def _mean(P: HPolytope, a0: AffineFn, others) -> Fraction:
+    """(1/vol) int_P f = int_P a0 + sum_R int_R (a - a0), each <G, moment> / ((n+1) unit q D)."""
+    n, (G0, q0), total = P.dim, a0.cleared, Fraction(0)
+    for R, a in ((P, a0),) + others:
+        rec, (G, q) = _record(R), a.cleared
+        if R is not P:  # a - a0 is q0 (g, c) - q (g0, c0) over q q0
+            G, q = [q0 * x - q * y for x, y in zip(G, G0)], q * q0
+        total += Fraction(sum(map(mul, G, rec.moment)), (n + 1) * rec.unit * q * rec.rows[0][-1])
+    return total / _record(P).volume
 
 
 def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytope | None:

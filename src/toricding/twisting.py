@@ -31,13 +31,13 @@ def jna_twisted(f: PLConcave, rho: Sequence) -> Fraction:
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
-    return _twisted(f, tuple(_frac(r) for r in rho), e_na(f), barycenter(f.domain))
+    return _twisted(f, tuple(_frac(r) for r in rho), barycenter(f.domain))
 
 
-def _twisted(f: PLConcave, rho: Sequence[Fraction], energy: Fraction, b) -> Fraction:
-    """jna_twisted(f, rho) from its rho-free terms energy = e_na(f) and b = barycenter(f.domain)."""
+def _twisted(f: PLConcave, rho: Sequence[Fraction], b) -> Fraction:
+    """jna_twisted(f, rho) from b = barycenter(f.domain)."""
     return max(_extreme(max, AffineFn(tuple(map(sum, zip(a.gradient, rho))), a.constant), R)
-               for R, a in f.regions()) - (energy + _dot(rho, b))
+               for R, a in f.regions()) - (e_na(f) + _dot(rho, b))
 
 
 def reduce_jna(f: PLConcave):

@@ -1,16 +1,24 @@
-"""Reference DH measure: Cox-de Boor B-splines per simplex, summed and canonicalised.
+"""Reference DH measures.
 
-An independent route to what dh_measure computes from truncated powers
-per knot.  It shares only the polytope kernel (regions, simplices,
-volumes) with dh_measure, so the two agree only if the knot coefficients
-are right.
+reference_dh_measure sums Cox-de Boor B-splines per simplex and
+canonicalises them: an independent route to what dh_measure computes from
+truncated powers per knot.  It shares only the polytope kernel (regions,
+simplices, volumes) with dh_measure, so the two agree only if the knot
+coefficients are right.
+
+fraction_dh_measure is dh_measure's own route, truncated powers per knot,
+summed in Fractions per knot and per density coefficient: dh_measure sums
+the same terms in integers over common denominators, so the two must agree
+exactly.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 from toricding import rationalpoly as rp
 from toricding.functionals import DHMeasure
-from toricding.geometry import _record, vertices, volume
+from toricding.geometry import _record, _values, vertices, volume
 
 from conftest import poly_add, poly_multiply, poly_scale
 
@@ -106,3 +114,67 @@ def upper_mass(m, lam):
         if hi > lam:
             total += rp.integrate(coeffs, max(lo, lam), hi)
     return total
+
+
+def inverse_taylor(tau, knots):
+    """(e, p_0): prod_{t != tau} (z - t)^(-knots[t]) = sum_k e_k (z - tau)^k / p_0^(k+1)
+    up to k = r - 1, r = knots[tau]."""
+    r = knots[tau]
+    p = [1] + [0] * (r - 1)
+    for t, mult in knots.items():
+        if t != tau:
+            for _ in range(mult):
+                p = [(tau - t) * c + (p[k - 1] if k else 0) for k, c in enumerate(p)]
+    e = [1]
+    for k in range(1, r):
+        e.append(-sum(p[i] * e[k - i] * p[0] ** (i - 1) for i in range(1, k + 1)))
+    return e, p[0]
+
+
+def fraction_dh_measure(f):
+    """dh_measure with Fraction knot sums: each knot tau of a simplex adds
+    C(n-1, j) eta_(r-1-j) / p_0^(r-j) to the coefficient of (tau - Q lambda)_+^(n-1-j),
+    the knots tau/Q of all regions are summed as Fractions, and the density
+    on each interval is expanded from them in Fractions, from the top knot down."""
+    n = f.domain.dim
+    vol = volume(f.domain)
+    a0, others, *_ = f._split()
+    mass = a0.is_constant and vol - sum(volume(R) for R, _ in others)
+    atoms = [(a0.constant, mass / vol)] if mass else []
+    powers = {}  # knot lambda_k -> coefficients c_m of (lambda_k - lambda)_+^m, m < n
+    for R, a in others if a0.is_constant else f.regions():
+        if a.is_constant:
+            atoms.append((a.constant, volume(R) / vol))
+            continue
+        rec, (value, Q) = _record(R), _values(R, a)
+        local = {}
+        for s, det in rec.simplices:
+            knots = Counter(value[k] for k in s)
+            for tau, r in knots.items():
+                e, p0 = inverse_taylor(tau, knots)
+                c = local.setdefault(tau, [0] * n)
+                for j in range(r):
+                    c[n - 1 - j] += Fraction(det * comb(n - 1, j) * e[r - 1 - j], p0 ** (r - j))
+        scale = [Fraction(n * Q ** (m + 1), rec.unit) / vol for m in range(n)]
+        for tau, c in local.items():
+            total = powers.setdefault(Fraction(tau, Q), [0] * n)
+            for m, cm in enumerate(c):
+                if cm:
+                    total[m] += cm * scale[m]
+    pieces = []
+    density = [Fraction(0)] * n
+    cuts = sorted(powers, reverse=True)
+    for hi, lo in zip(cuts, cuts[1:]):
+        # c (hi - lambda)^m = sum_i c C(m, i) hi^(m-i) (-lambda)^i
+        for m, cm in enumerate(powers[hi]):
+            if cm:
+                for i in range(m + 1):
+                    density[i] += (-1) ** i * comb(m, i) * hi ** (m - i) * cm
+        coeffs = rp.trim(density)
+        if not coeffs:
+            continue
+        if pieces and pieces[-1][0] == hi and pieces[-1][2] == coeffs:
+            pieces[-1] = (lo, pieces[-1][1], coeffs)
+        else:
+            pieces.append((lo, hi, coeffs))
+    return DHMeasure(tuple(sorted(atoms)), tuple(reversed(pieces)))

@@ -1,17 +1,27 @@
 """Per-region references for the sums that the library reads through the
-domain's record.
+domain's record, and for the regions themselves.
 
 The library reads the region R0 of one piece a0 through P: f = a0 + sum over
-the other regions R of (a - a0) 1_R almost everywhere.  Each reference here
-sums over every region of f.regions(), R0 included, in integers on each
-region's own record, as the library did before.
+the other regions R of (a - a0) 1_R almost everywhere.  Each sum here is over
+every region of f.regions(), R0 included, in integers on each region's own
+record, as the library did before.  The library gives no region to a piece
+that lies above another at every vertex of P; piece_regions cuts one for
+every piece and prunes by the records, as the library did before.
 """
 
 from fractions import Fraction
 from operator import mul
 
 from toricding.functionals import _extreme
-from toricding.geometry import _centred, _record, integrate_product, volume
+from toricding.geometry import _centred, _record, _region, integrate_product, volume
+
+
+def piece_regions(f):
+    """[(R, a)] in piece order: every distinct piece's region, cut by every
+    piece's row, empty and lower-dimensional ones pruned by their records."""
+    pieces = list(dict.fromkeys(f.affines))
+    cut = ((_region(f.domain, a, pieces), a) for a in pieces)
+    return [(R, a) for R, a in cut if R is not None and _record(R).simplices]
 
 
 def region_e_na(f):

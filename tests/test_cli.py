@@ -196,7 +196,8 @@ class TestOutputPaths:
         # every segment sample takes the peak of the tilted pieces
         (("reduce", "p1.json", "TC", "--segment", "0;1;2", "--segment-csv"),
          "twisting._extreme"),
-        (("normal-cone", "--polytope", "bl1p2.json", "--csv"), "cli.select_vertex"),
+        # the family is built first, to check --grid against c_max
+        (("normal-cone", "--polytope", "bl1p2.json", "--csv"), "cli.verify_family"),
         (("oracle", "p1.json", "TC", "--k-ladder", "2,4", "--csv"), "cli.integrate_product"),
     ], ids=["analyze", "tc-eval", "reduce", "normal-cone", "oracle"])
     def test_fails_before_any_work(self, capsys, monkeypatch, tmp_path, tc_step, argv, work):
@@ -210,7 +211,7 @@ class TestOutputPaths:
         assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
     def test_normal_cone_plot_before_any_work(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "select_vertex", refuse)
+        monkeypatch.setattr(cli, "verify_family", refuse)
         rows = tmp_path / "rows.csv"
         missing = tmp_path / "missing" / "plot.csv"
         code, out, _ = run(capsys, "normal-cone", "--polytope", str(POLYTOPE_DIR / "bl1p2.json"),
@@ -507,7 +508,7 @@ class TestNormalCone:
         header = csv_path.read_text().splitlines()[0]
         assert header == "c,j_na,j_t_na,d_na,pairing_with_extremal,d_z_na"
 
-    def test_grid_out_of_range(self, capsys):
+    def test_grid_out_of_range(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
             "normal-cone",
@@ -522,6 +523,12 @@ class TestNormalCone:
                            "--grid", "5,1/2,-1/3")
         assert code == 1
         assert err == "error: c values 5, -1/3 outside (0, 2)\n"
+        # the grid is checked against c_max before any output file is created
+        csv_path, plot = tmp_path / "x.csv", tmp_path / "plot.csv"
+        code, out, err = run(capsys, "normal-cone", "--polytope", str(POLYTOPE_DIR / "p2.json"),
+                             "--grid", "5", "--csv", str(csv_path), "--emit-plot-data", str(plot))
+        assert (code, out, err) == (1, "", "error: c values 5 outside (0, 3)\n")
+        assert not csv_path.exists() and not plot.exists()
 
     def test_grid_above_order_at_origin(self, capsys):
         # on p1, ord(0) = ord(b) = 1 < c_max = 2: at c = 3/2, g_c(0) = g_c(b) = -1/2,
