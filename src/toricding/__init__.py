@@ -63,7 +63,7 @@ from .normalcone import (
     verify_family,
     vertex_chart,
 )
-from .twisting import jna_twisted, reduce_jna
+from .twisting import reduce_jna
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -72,21 +72,26 @@ class PLConcave:
         return _region_subdivision(self.domain, self.affines)
 
     def region_vertex_count(self) -> int:
-        """The number of distinct vertices of the linearity regions: a record
-        row (D v, D) over its gcd is the primitive ray of v, an integer key."""
-        return len({_divided(row) for R, _ in self.regions() for row in _record(R).rows})
+        """The number of distinct vertices of the linearity regions, as primitive rays
+        (D v, D) / gcd of the rows of P and of the regions but R0.  Regions meet face to face
+        (R & R' = R & {a = a'}), so a vertex v of R0 not of P, which R0 alone does not surround
+        in P, lies in another region R and is a vertex of its face R0 & R."""
+        _, others, *_ = self._split()
+        polytopes = [self.domain] + [R for R, _ in others]
+        return len({_divided(row) for R in polytopes for row in _record(R).rows})
 
     def _split(self):
-        """(a0, the regions but a0's R0, min and max of f at P's vertices, mean, all regions)."""
+        """(a0, the regions but a0's R0, (Q f at P's vertices, Q), mean, all regions)."""
         return _region_subdivision_cached(self.domain, self.affines)
 
     def max_value(self) -> Fraction:
         # a region's affine is largest at its vertices, R0's are P's or in other regions
-        _, others, _, high, *_ = self._split()
-        return max([high] + [_extreme(max, a, R) for R, a in others])
+        _, others, (low, Q), *_ = self._split()
+        return max([Fraction(max(low), Q)] + [_extreme(max, a, R) for R, a in others])
 
     def min_value(self) -> Fraction:
-        return self._split()[2]
+        low, Q = self._split()[2]
+        return Fraction(min(low), Q)
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,6 @@ class DHMeasure:
             weighted = tuple([Fraction(0)] * d + list(coeffs))  # lambda^d * density
             val += rp.integrate(weighted, lo, hi)
         return val
-
-    def max_support(self) -> Fraction:
-        candidates = [loc for loc, _ in self.atoms] + [hi for _, hi, _ in self.pieces]
-        return max(candidates)
 
 
 def _partial_fractions(tau: int, knots: Counter, n: int) -> tuple[list[int], int]:
@@ -208,7 +209,7 @@ def dh_measure(f: PLConcave) -> DHMeasure:
 
 def e_na(f: PLConcave) -> Fraction:
     """Monge-Ampere energy: the mean (1/vol) int_P f dx, read from the cached split (_mean)."""
-    return f._split()[4]
+    return f._split()[3]
 
 
 def j_na(f: PLConcave) -> Fraction:

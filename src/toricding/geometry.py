@@ -72,10 +72,6 @@ class AffineFn:
     constant: Fraction
 
     @staticmethod
-    def make(gradient: Iterable, constant=0) -> "AffineFn":
-        return AffineFn(tuple(_frac(g) for g in gradient), _frac(constant))
-
-    @staticmethod
     def const(value, dim: int) -> "AffineFn":
         return AffineFn((Fraction(0),) * dim, _frac(value))
 
@@ -446,9 +442,10 @@ def region_subdivision(P: HPolytope, affines: Sequence[AffineFn]):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
-    """(a0, the other regions, min and max of f at P's vertices, f's mean (_mean), all regions
-    (R, a) in piece order): a0 is the first piece lowest at the most vertices of P.  A piece
-    above another at every vertex of P gets no region; pruning the others records all but R0."""
+    """(a0, the other regions, (Q f at P's vertices, Q), f's mean (_mean), all regions (R, a)
+    in piece order): a0 is the first piece lowest at the most vertices of P, a constant one
+    first among those.  A piece above another at every vertex of P gets no region; pruning
+    the others records all but R0."""
     if not affines:
         raise ValueError("need at least one affine piece")
     uniq = list(dict.fromkeys(affines))
@@ -458,12 +455,12 @@ def _region_subdivision_cached(P: HPolytope, affines: tuple[AffineFn, ...]):
     Q = lcm(*(Qa for _, Qa in values))
     scaled = [[v * (Q // Qa) for v in va] for va, Qa in values]
     low = [min(column) for column in zip(*scaled)]  # Q f at each vertex of P
-    a0 = max(zip(uniq, scaled), key=lambda p: sum(map(eq, p[1], low)))[0]
+    a0 = max(zip(uniq, scaled), key=lambda p: (sum(map(eq, p[1], low)), p[0].is_constant))[0]
     live = (a for a, va in zip(uniq, scaled) if not any(all(map(gt, va, vb)) for vb in scaled))
     regions = tuple((R, a) for R, a in ((_region(P, a, uniq), a) for a in live)
                     if R is not None and (a is a0 or _record(R).simplices))
     others = tuple((R, a) for R, a in regions if a is not a0)
-    return a0, others, Fraction(min(low), Q), Fraction(max(low), Q), _mean(P, a0, others), regions
+    return a0, others, (low, Q), _mean(P, a0, others), regions
 
 
 def _mean(P: HPolytope, a0: AffineFn, others) -> Fraction:

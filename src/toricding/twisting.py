@@ -15,29 +15,29 @@ smallest point of that hull is one of its generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .errors import DimensionMismatch
 from .functionals import PLConcave, _extreme, e_na
-from .geometry import AffineFn, _dot, _frac, barycenter
-
-
-def jna_twisted(f: PLConcave, rho: Sequence) -> Fraction:
-    """J of the twisted configuration, evaluated on the untwisted subdivision.
-
-    Tilting every piece equally keeps the linearity regions, so the max
-    of f + <rho, .> is attained at a vertex of a region R, where f is
-    R's affine: the max over R of the tilted piece a + <rho, .>, in integers.
-    """
-    if len(rho) != f.domain.dim:
-        raise DimensionMismatch("rho length does not match domain dimension")
-    return _twisted(f, tuple(_frac(r) for r in rho), barycenter(f.domain))
+from .geometry import AffineFn, _dot, _values, barycenter
 
 
 def _twisted(f: PLConcave, rho: Sequence[Fraction], b) -> Fraction:
-    """jna_twisted(f, rho) from b = barycenter(f.domain)."""
-    return max(_extreme(max, AffineFn(tuple(map(sum, zip(a.gradient, rho))), a.constant), R)
-               for R, a in f.regions()) - (e_na(f) + _dot(rho, b))
+    """J of the twisted configuration f + <rho, .>, from b = barycenter(f.domain).
+
+    Tilting every piece equally keeps the linearity regions, so the max of
+    f + <rho, .> is at a vertex of a region, where f is the region's piece.  A
+    vertex of R0 is one of P or of another region (PLConcave.region_vertex_count),
+    so the peak is the larger of f + <rho, .> at P's vertices, in integers over the
+    lcm L of their denominators, and each other region's max of its tilted piece.
+    """
+    _, others, (low, Q), mean, _ = f._split()
+    tilt, Qt = _values(f.domain, AffineFn(tuple(rho), Fraction(0)))
+    L = lcm(Q, Qt)
+    peak = Fraction(max(x * (L // Q) + y * (L // Qt) for x, y in zip(low, tilt)), L)
+    peaks = [_extreme(max, AffineFn(tuple(map(sum, zip(a.gradient, rho))), a.constant), R)
+             for R, a in others]
+    return max([peak] + peaks) - (mean + _dot(rho, b))
 
 
 def reduce_jna(f: PLConcave):

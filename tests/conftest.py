@@ -10,7 +10,8 @@ from toricding import AffineFn, HPolytope, PLConcave, validate_fano
 from toricding import io as tio
 from toricding import rationalpoly as rp
 from toricding.errors import DimensionMismatch
-from toricding.geometry import _frac, _normalized
+from toricding.geometry import _frac, _normalized, barycenter
+from toricding.twisting import _twisted
 
 REPO = Path(__file__).resolve().parent.parent
 POLYTOPE_DIR = REPO / "polytopes"
@@ -152,10 +153,19 @@ def corpus(p1, p2, bl1p2, p1xp1):
     return {"p1": p1, "p2": p2, "bl1p2": bl1p2, "p1xp1": p1xp1}
 
 
+def affine(gradient, constant=0):
+    """AffineFn from a gradient and a constant given as ints, Fractions or strings."""
+    return AffineFn(tuple(_frac(g) for g in gradient), _frac(constant))
+
+
 def pl(domain, *rows):
     """PLConcave from (gradient..., constant) rows."""
-    affines = [AffineFn.make(row[:-1], row[-1]) for row in rows]
-    return PLConcave.make(affines, domain)
+    return PLConcave.make([affine(row[:-1], row[-1]) for row in rows], domain)
+
+
+def twisted_j(f, rho):
+    """J of the twisted configuration f + <rho, .>, as `reduce --segment` samples it."""
+    return _twisted(f, tuple(_frac(r) for r in rho), barycenter(f.domain))
 
 
 @pytest.fixture(scope="session")

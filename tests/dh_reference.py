@@ -116,6 +116,11 @@ def upper_mass(m, lam):
     return total
 
 
+def max_support(m):
+    """The top of the support of the DH measure m: its last atom or density piece."""
+    return max([loc for loc, _ in m.atoms] + [hi for _, hi, _ in m.pieces])
+
+
 def inverse_taylor(tau, knots):
     """(e, p_0): prod_{t != tau} (z - t)^(-knots[t]) = sum_k e_k (z - tau)^k / p_0^(k+1)
     up to k = r - 1, r = knots[tau]."""

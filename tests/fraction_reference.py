@@ -17,6 +17,8 @@ from toricding.geometry import (
     volume,
 )
 
+from region_reference import region_tilted_peak
+
 
 def reference_e_na(f):
     """(1/vol) sum over the regions R of volume(R) a(barycenter(R))."""
@@ -71,8 +73,7 @@ def reference_c_max(family):
 def reference_jna_twisted(f, rho):
     """The peak of a(v) + <rho, v> over the vertices v of each region (R, a),
     less the mean of f + <rho, .>."""
-    peak = max(a(v) + _dot(rho, v) for R, a in f.regions() for v in vertices(R))
-    return peak - (reference_e_na(f) + _dot(rho, barycenter(f.domain)))
+    return region_tilted_peak(f, rho) - (reference_e_na(f) + _dot(rho, barycenter(f.domain)))
 
 
 def reference_edge_directions(P, v):

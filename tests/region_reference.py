@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from toricding.functionals import _extreme
-from toricding.geometry import _centred, _record, _region, integrate_product, volume
+from toricding.geometry import _centred, _dot, _record, _region, integrate_product, vertices, volume
 
 
 def piece_regions(f):
@@ -47,6 +47,17 @@ def region_second_moment(f):
 def region_max_value(f):
     """The largest value of each region's affine at the region's vertices."""
     return max(_extreme(max, a, R) for R, a in f.regions())
+
+
+def region_vertex_count(f):
+    """The number of distinct points among the vertices of the regions."""
+    return len({v for R, _ in f.regions() for v in vertices(R)})
+
+
+def region_tilted_peak(f, rho):
+    """The largest value of each region's tilted affine a + <rho, .> at the region's vertices:
+    the peak of f + <rho, .>."""
+    return max(a(v) + _dot(rho, v) for R, a in f.regions() for v in vertices(R))
 
 
 def region_min_value(f):

@@ -8,7 +8,6 @@ import random
 from fractions import Fraction
 
 from toricding import (
-    AffineFn,
     PLConcave,
     covariance,
     d_na,
@@ -21,13 +20,22 @@ from toricding import (
     g_c,
     inner_product,
     j_na,
-    jna_twisted,
     normal_cone_family,
     reduce_jna,
 )
 from toricding.lattice import level_moments
 
-from conftest import lagrange_interpolate, make_bl1p2, make_p1, make_p1xp1, make_p2, pl, twist
+from conftest import (
+    affine,
+    lagrange_interpolate,
+    make_bl1p2,
+    make_p1,
+    make_p1xp1,
+    make_p2,
+    pl,
+    twist,
+    twisted_j,
+)
 from dh_reference import upper_mass
 from lattice_reference import vol_distribution
 
@@ -119,7 +127,7 @@ def test_criterion_06_product_calibration():
         for _ in range(20):
             a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(P.dim)]
             kappa = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            f = PLConcave.make([AffineFn.make(a, kappa)], P)
+            f = PLConcave.make([affine(a, kappa)], P)
             assert d_z_na(f, ext) == 0, (name, a, kappa)
             rho_star, j_t = reduce_jna(f)
             assert j_t == 0, (name, a, kappa)
@@ -169,13 +177,13 @@ def test_criterion_08_convexity_suite():
         f = pl(P, *rows)
         r1, r2 = rand_rho(), rand_rho()
         mid = [(a + b) / 2 for a, b in zip(r1, r2)]
-        lhs = jna_twisted(f, mid)
-        rhs = (jna_twisted(f, r1) + jna_twisted(f, r2)) / 2
+        lhs = twisted_j(f, mid)
+        rhs = (twisted_j(f, r1) + twisted_j(f, r2)) / 2
         assert lhs <= rhs, (i, rows, r1, r2)
         _, j_t = reduce_jna(f)
         for _ in range(20):
             rho = rand_rho()
-            assert j_t <= jna_twisted(f, rho), (i, rows, rho)
+            assert j_t <= twisted_j(f, rho), (i, rows, rho)
         if i % 25 == 0:
             track(dh_measure(f), e_na(f))
     ok(8, "midpoint convexity and reduced J <= twisted J hold exactly on 100 random instances")

@@ -15,7 +15,7 @@ PUBLIC = [
     "barycenter", "covariance", "d_na", "d_z_na", "dh_closed_form", "dh_measure",
     "dh_of_vector_field", "e_na", "errors", "extremal", "extremal_affine",
     "facets_from_vertices", "functionals", "g_c",
-    "geometry", "inner_product", "integrate_product", "j_na", "jna_twisted",
+    "geometry", "inner_product", "integrate_product", "j_na",
     "jump_weights", "lattice", "level_moments", "normal_cone_family", "normalcone",
     "rationalpoly", "reduce_jna", "select_vertex", "triangulate",
     "twisting", "validate_fano", "verdict", "verify_family", "vertex_chart",

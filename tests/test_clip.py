@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricding import AffineFn, vertices, volume
+from toricding import vertices, volume
 from toricding import geometry
 from toricding.errors import EmptyPolytope, NonSmoothVertex, UnboundedPolytope
 from toricding.normalcone import _edge_directions
 
-from conftest import CORPUS_FILES, load_corpus
+from conftest import CORPUS_FILES, affine, load_corpus
 
 
 def _echelon(rows):
@@ -149,7 +149,7 @@ def configurations(draw, P):
     dim = P.dim
     verts = vertices(P)
     grad = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
-    first = AffineFn.make(draw(grad), draw(st.fractions(-2, 2, max_denominator=3)))
+    first = affine(draw(grad), draw(st.fractions(-2, 2, max_denominator=3)))
     affines = [first]
     for _ in range(draw(st.integers(1, {1: 5, 2: 5, 3: 4, 4: 3}[dim]))):
         mode = draw(st.sampled_from(("free", "vertex", "far", "parallel")))
@@ -161,7 +161,7 @@ def configurations(draw, P):
             c = 100
         else:
             c = draw(st.fractions(-2, 2, max_denominator=3))
-        affines.append(AffineFn.make(g, c))
+        affines.append(affine(g, c))
     return affines
 
 
@@ -180,7 +180,7 @@ def test_corpus_vertices_match_reference():
 
 
 def aff(*row):
-    return AffineFn.make(row[:-1], row[-1])
+    return affine(row[:-1], row[-1])
 
 
 class TestDegenerate:

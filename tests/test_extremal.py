@@ -16,9 +16,9 @@ from toricding import (
 from toricding import extremal
 from toricding import io as tio
 from toricding.errors import DimensionMismatch, SingularGram
-from toricding.geometry import AffineFn, integrate_product
+from toricding.geometry import integrate_product
 
-from conftest import CORPUS_FILES, REPO, futaki_pairing, load_corpus
+from conftest import CORPUS_FILES, REPO, affine, futaki_pairing, load_corpus
 from lattice_reference import lattice_points
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -69,7 +69,7 @@ class TestCovariance:
             P = load_corpus(name)
         else:
             P = validate_fano(tio.load_polytope(str(REPO / "tests" / "golden" / f"{name}.json")))
-        centered = [AffineFn.make([int(t == i) for t in range(P.dim)], -bi)
+        centered = [affine([int(t == i) for t in range(P.dim)], -bi)
                     for i, bi in enumerate(P.barycenter())]
         assert covariance(P) == tuple(tuple(integrate_product(P.base, xi, xj) for xj in centered)
                                       for xi in centered)
@@ -154,10 +154,10 @@ class TestFutakiPairing:
             futaki_pairing(p2, [1])
 
     def test_equals_minus_ding_of_product(self, bl1p2):
-        from toricding import AffineFn, PLConcave, d_na
+        from toricding import PLConcave, d_na
 
         for a in ([1, 0], [Fraction(2, 3), Fraction(-1, 5)], [-2, 7]):
-            f = PLConcave.make([AffineFn.make(a, 0)], bl1p2)
+            f = PLConcave.make([affine(a, 0)], bl1p2)
             assert futaki_pairing(bl1p2, a) == -d_na(f)
 
     @given(a1=rational, a2=rational, s=rational)

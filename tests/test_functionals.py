@@ -26,7 +26,7 @@ from toricding import geometry
 from toricding.geometry import integrate_product, vertices, volume
 from toricding.lattice import level_moments
 
-from dh_reference import bspline, reference_dh_measure, upper_mass
+from dh_reference import bspline, max_support, reference_dh_measure, upper_mass
 from fraction_reference import (
     reference_e_na,
     reference_max_value,
@@ -37,6 +37,7 @@ from fraction_reference import (
 from conftest import (
     CORPUS_FILES,
     REPO,
+    affine,
     clip,
     lagrange_interpolate,
     load_corpus,
@@ -108,7 +109,7 @@ class TestDHMeasure:
         m = dh_measure(step_p2)
         assert m.moment(0) == 1
         assert m.moment(1) == e_na(step_p2)
-        assert m.max_support() == step_p2.max_value()
+        assert max_support(m) == step_p2.max_value()
 
     @given(f=corpus_configurations())
     @settings(max_examples=40, deadline=None)
@@ -117,7 +118,7 @@ class TestDHMeasure:
         m = dh_measure(f)
         assert m.moment(0) == 1
         assert m.moment(1) == e_na(f)
-        assert m.max_support() == f.max_value()
+        assert max_support(m) == f.max_value()
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -452,7 +453,7 @@ class TestRelativeDing:
             for _ in range(5):
                 a = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(P.dim)]
                 kappa = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                f = PLConcave.make([AffineFn.make(a, kappa)], P)
+                f = PLConcave.make([affine(a, kappa)], P)
                 assert d_z_na(f, ext) == 0
 
     def test_reduces_to_ding_when_theta_zero(self, p2, step_p2):

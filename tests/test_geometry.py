@@ -38,7 +38,7 @@ from toricding.geometry import (
 )
 from toricding.normalcone import _default_grid, g_c, normal_cone_family
 
-from conftest import CORPUS_FILES, REPO, clip, load_corpus, pl
+from conftest import CORPUS_FILES, REPO, affine, clip, load_corpus, pl
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -362,24 +362,23 @@ class TestHash:
         assert (after.hits, after.misses) == (before.hits + 4, before.misses)
 
     def test_equal_affines_hash_equal(self):
-        a = AffineFn.make([1, Fraction(1, 2)], Fraction(-2, 3))
-        b = AffineFn.make([Fraction(3, 3), Fraction(2, 4)], Fraction(-4, 6))
+        a = affine([1, Fraction(1, 2)], Fraction(-2, 3))
+        b = affine([Fraction(3, 3), Fraction(2, 4)], Fraction(-4, 6))
         assert a.cleared == ((6, 3, -4), 6)  # cached on a, no part in equality
         assert a == b and a is not b
         assert hash(a) == hash(b) == hash((a.gradient, a.constant))
-        assert a != AffineFn.make([1, Fraction(1, 2)], 0)
-        assert hash(a) != hash(AffineFn.make([1, Fraction(1, 2)], 0))
+        assert a != affine([1, Fraction(1, 2)], 0)
+        assert hash(a) != hash(affine([1, Fraction(1, 2)], 0))
         assert {a: 1}[b] == 1 and len({a, b}) == 1
 
 
 def coordinate(dim, i):
     """The affine function x -> x_i."""
-    return AffineFn.make([int(t == i) for t in range(dim)])
+    return affine([int(t == i) for t in range(dim)])
 
 
 def affines(dim):
-    return st.builds(lambda g, c: AffineFn.make(g, c),
-                     st.lists(rational, min_size=dim, max_size=dim), rational)
+    return st.builds(affine, st.lists(rational, min_size=dim, max_size=dim), rational)
 
 
 class TestIntegrateProduct:
@@ -780,7 +779,7 @@ def cleared_affines(dim):
     return st.one_of(
         st.just(AffineFn.const(0, dim)),
         twelfths.map(lambda c: AffineFn.const(c, dim)),
-        st.builds(AffineFn.make, st.lists(twelfths, min_size=dim, max_size=dim), twelfths))
+        st.builds(affine, st.lists(twelfths, min_size=dim, max_size=dim), twelfths))
 
 
 @st.composite
@@ -869,7 +868,7 @@ class TestIntegerMoments:
         f = tio.load_test_config(str(REPO / "tests" / "golden" / f"mix{P.dim}.json"), P)
         regions = f.regions()
         assert any(denominator(R) > 1 for R, _ in regions)
-        rho = AffineFn.make([Fraction(1, 2 + t) for t in range(P.dim)], Fraction(-1, 7))
+        rho = affine([Fraction(1, 2 + t) for t in range(P.dim)], Fraction(-1, 7))
         for R, a in regions:
             assert integrate_product(R, a, rho) == reference_integral(R, a, rho)
             assert covariance(FanoPolytope(R)) == reference_covariance(R)

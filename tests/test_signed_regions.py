@@ -2,9 +2,10 @@
 
 The functionals read the linearity region R0 of one piece a0 through P's
 cached record: f = a0 + sum over the other regions R of (a - a0) 1_R almost
-everywhere.  These tests hold that route to the per-region one exactly, count
-the records it builds, and tie inner_product to dh_measure and covariance by
-the polarization identity of twisting.
+everywhere, and a vertex of R0 is one of P or of another region.  These tests
+hold that route to the per-region one exactly, count the records it builds,
+and tie inner_product to dh_measure and covariance by the polarization
+identity of twisting.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ from toricding.functionals import dh_measure, e_na, inner_product
 from toricding.geometry import _dot, barycenter, volume
 from toricding.normalcone import _default_grid, g_c, normal_cone_family
 
-from conftest import CORPUS_FILES, REPO, load_corpus, pl, twist
+from conftest import CORPUS_FILES, REPO, load_corpus, pl, twist, twisted_j
 from region_reference import (
     region_atoms,
     region_e_na,
@@ -34,6 +35,8 @@ from region_reference import (
     region_max_value,
     region_min_value,
     region_second_moment,
+    region_tilted_peak,
+    region_vertex_count,
 )
 
 CORPUS = {name: load_corpus(name) for name in sorted(CORPUS_FILES)}
@@ -101,20 +104,22 @@ class TestSignedRoute:
         assert oracle_exact(f, name, rho) == (0, [0.0, 0.0, 0.0])
 
     def test_tie_leaves_a_lower_dimensional_r0(self):
-        f = config(CORPUS["p1xp1"].base,
-                   [(0, 0, 0, 0, 0), (-1, 0, 0, 0, -1), (-2, 0, 0, 0, -1)])
-        a0, *_, regions = geometry._region_subdivision_cached(f.domain, f.affines)
-        R0 = next(R for R, a in regions if a is a0)
-        assert a0 == f.affines[0] and volume(R0) == 0
-        assert [a for _, a in f.regions()] == list(f.affines[1:])
+        # three pieces lowest at two vertices each: the constant one wins, first or not
+        for pieces, k in (([(0, 0, 0, 0, 0), (-1, 0, 0, 0, -1), (-2, 0, 0, 0, -1)], 0),
+                          ([(-1, 0, 0, 0, -1), (0, 0, 0, 0, 0), (-2, 0, 0, 0, -1)], 1)):
+            f = config(CORPUS["p1xp1"].base, pieces)
+            a0, *_, regions = geometry._region_subdivision_cached(f.domain, f.affines)
+            R0 = next(R for R, a in regions if a is a0)
+            assert a0 == f.affines[k] and volume(R0) == 0
+            assert [a for _, a in f.regions()] == [a for a in f.affines if a != a0]
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_g_c_reads_the_big_region_through_p(self, name):
         family = normal_cone_family(CORPUS[name])
         for c in _default_grid(family):
             f = g_c(family, c)
-            # in dim 1 both pieces are lowest at one vertex, and the first is a0
-            assert f._split()[0].is_constant == (CORPUS[name].dim > 1)
+            # in dim 1 both pieces are lowest at one vertex, and the tie goes to the constant
+            assert f._split()[0].is_constant
             assert e_na(f) == region_e_na(f)
             assert inner_product(f, family.ext.theta.gradient) == region_inner_product(
                 f, family.ext.theta.gradient)
@@ -123,6 +128,7 @@ class TestSignedRoute:
 
 
 @pytest.mark.parametrize("path, records", [
+    ("polytopes/p1.json", 9),
     ("polytopes/p2.json", 9),
     ("polytopes/stretched.json", 9),
     ("tests/golden/p1x4.json", 9),
@@ -134,6 +140,46 @@ def test_normal_cone_records(capsys, path, records):
     clear_caches()
     assert cli.main(["normal-cone", "--polytope", str(REPO / path)]) == 0
     assert geometry._record.cache_info().misses == records
+
+
+def assert_vertices_through_p(f, rho):
+    """region_vertex_count and the twisted J equal their per-region references exactly."""
+    b = barycenter(f.domain)
+    assert f.region_vertex_count() == region_vertex_count(f)
+    assert twisted_j(f, rho) == region_tilted_peak(f, rho) - (region_e_na(f) + _dot(rho, b))
+
+
+class TestVerticesThroughP:
+    """The regions' vertices are P's and the other regions': R0's record is never built."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    @settings(max_examples=12, deadline=None)
+    @given(pieces=rows, rho=st.tuples(*[entry] * 5))
+    # on the square (P1)^2 the constant second piece wins a three-way tie, and its region is
+    # the facet x_1 = -1
+    @example(pieces=[(-1, 0, 0, 0, -1), (0, 0, 0, 0, 0), (-2, 0, 0, 0, -1)], rho=(1, -1, 0, 0, 0))
+    # the same tie with the constant piece first
+    @example(pieces=[(0, 0, 0, 0, 0), (-1, 0, 0, 0, -1), (-2, 0, 0, 0, -1)], rho=(0, 1, 0, 0, 0))
+    def test_corpus(self, name, pieces, rho):
+        assert_vertices_through_p(config(CORPUS[name].base, pieces), rho[:CORPUS[name].dim])
+
+    @pytest.mark.parametrize("name", sorted(DIM5))
+    @settings(max_examples=3, deadline=None)
+    @given(pieces=st.lists(st.tuples(*[entry] * 6), min_size=1, max_size=2),
+           rho=st.tuples(*[entry] * 5))
+    def test_dim5(self, name, pieces, rho):
+        assert_vertices_through_p(pl(DIM5[name].base, *pieces), rho)
+
+    @pytest.mark.parametrize("segment", [[], ["--segment", "0,0;1,-1;8"]])
+    def test_reduce_records(self, segment):
+        """reduce builds the records of P and of the two regions other than R0, with or
+        without --segment; it built R0's too, 4 in all."""
+        clear_caches()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            csv = ["--segment-csv", str(Path(tmp) / "segment.csv")] * bool(segment)
+            assert cli.main(["reduce", str(REPO / "polytopes" / "p2.json"),
+                             str(REPO / "tests" / "golden" / "mix2.json"), *segment, *csv]) == 0
+        assert geometry._record.cache_info().misses == 3
 
 
 def dh_variance(m):

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricding import (
-    AffineFn,
     PLConcave,
     dh_measure,
     e_na,
     j_na,
-    jna_twisted,
     reduce_jna,
 )
 from toricding import io as tio
@@ -19,7 +17,7 @@ from toricding import validate_fano
 from toricding.errors import DimensionMismatch
 from toricding.geometry import barycenter, vertices
 
-from conftest import REPO, pl, twist
+from conftest import REPO, affine, pl, twist, twisted_j
 
 small_rational = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 pl_rows_p2 = st.lists(
@@ -40,7 +38,7 @@ class TestTwist:
 
     def test_componentwise(self, step_p1):
         g = twist(step_p1, [1])
-        assert g.affines == (AffineFn.make([1], 0), AffineFn.make([0], 0))
+        assert g.affines == (affine([1], 0), affine([0], 0))
 
     def test_dimension_mismatch(self, step_p1):
         with pytest.raises(DimensionMismatch):
@@ -50,13 +48,13 @@ class TestTwist:
 class TestJnaTwisted:
     def test_affine_to_zero(self, p2):
         f = pl(p2, (1, -1, Fraction(1, 2)))
-        assert jna_twisted(f, [-1, 1]) == 0
+        assert twisted_j(f, [-1, 1]) == 0
 
     def test_step_half(self, step_p1):
-        assert jna_twisted(step_p1, [Fraction(1, 2)]) == Fraction(1, 4)
+        assert twisted_j(step_p1, [Fraction(1, 2)]) == Fraction(1, 4)
 
     def test_step_two(self, step_p1):
-        assert jna_twisted(step_p1, [2]) == Fraction(5, 4)
+        assert twisted_j(step_p1, [2]) == Fraction(5, 4)
 
     @given(rows=pl_rows_p2, r=st.tuples(small_rational, small_rational))
     @settings(max_examples=30, deadline=None)
@@ -64,7 +62,7 @@ class TestJnaTwisted:
         from conftest import make_p2
 
         f = pl(make_p2(), *rows)
-        assert jna_twisted(f, list(r)) == j_na(twist(f, list(r)))
+        assert twisted_j(f, list(r)) == j_na(twist(f, list(r)))
 
     @given(
         rows=pl_rows_p2,
@@ -77,8 +75,8 @@ class TestJnaTwisted:
 
         f = pl(make_p2(), *rows)
         mid = [(a + b) / 2 for a, b in zip(r1, r2)]
-        lhs = jna_twisted(f, mid)
-        rhs = (jna_twisted(f, list(r1)) + jna_twisted(f, list(r2))) / 2
+        lhs = twisted_j(f, mid)
+        rhs = (twisted_j(f, list(r1)) + twisted_j(f, list(r2))) / 2
         assert lhs <= rhs
 
     def test_twist_covariance_of_mean(self, step_p2):
@@ -117,7 +115,7 @@ class TestReduce:
         _, j_t = reduce_jna(step_p2)
         for _ in range(20):
             rho = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(2)]
-            assert j_t <= jna_twisted(step_p2, rho)
+            assert j_t <= twisted_j(step_p2, rho)
 
     @given(rows=pl_rows_p2, r=st.tuples(small_rational, small_rational))
     @settings(max_examples=15, deadline=None)
@@ -149,16 +147,16 @@ class TestReduce:
             return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(P.dim)]
 
         for _ in range(3):
-            pieces = [AffineFn.make(rand_gradient(), Fraction(rng.randint(-4, 4), 3))
+            pieces = [affine(rand_gradient(), Fraction(rng.randint(-4, 4), 3))
                       for _ in range(rng.randint(1, 3))]
             top = min(a(b) for a in pieces)
-            forced = AffineFn.make(rand_gradient(), 0)
-            pieces.append(AffineFn.make(forced.gradient, top - forced(b)))
+            forced = affine(rand_gradient(), 0)
+            pieces.append(affine(forced.gradient, top - forced(b)))
             f = PLConcave.make(pieces, P)
             rho_star, j_t = reduce_jna(f)
-            assert jna_twisted(f, rho_star) == j_t
+            assert twisted_j(f, rho_star) == j_t
             minimizers = [rho for rho in (tuple(-g for g in a.gradient) for a in pieces)
-                          if jna_twisted(f, rho) == j_t]
+                          if twisted_j(f, rho) == j_t]
             assert tuple(-g for g in pieces[-1].gradient) in minimizers
             assert len(set(minimizers)) >= 2
             assert all(rho_star <= rho for rho in minimizers)

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricding import io as tio
-from toricding import jna_twisted, normal_cone_family, validate_fano
+from toricding import normal_cone_family, validate_fano
 from toricding.errors import NonSmoothVertex
 from toricding.extremal import FanoPolytope, extremal_affine
 from toricding.geometry import _record, vertices
 from toricding.normalcone import _edge_directions, select_vertex
 
-from conftest import CORPUS_FILES, REPO, pl
+from conftest import CORPUS_FILES, REPO, pl, twisted_j
 from fraction_reference import (
     reference_c_max,
     reference_edge_directions,
@@ -70,7 +70,7 @@ def test_extremal_vertex_on_regions(f):
 @settings(max_examples=60, deadline=None)
 def test_jna_twisted(f, data):
     rho = data.draw(st.lists(entry, min_size=f.domain.dim, max_size=f.domain.dim))
-    assert jna_twisted(f, rho) == reference_jna_twisted(f, rho)
+    assert twisted_j(f, rho) == reference_jna_twisted(f, rho)
 
 
 @pytest.mark.parametrize("name", NAMES)
