@@ -30,8 +30,8 @@ from .twisting import _twisted, reduce_jna
 
 
 # Refuse a `reduce --segment` with more samples than this.  One sample took
-# 0.09-0.75 ms on the dim 1-5 goldens and a 12-piece dim 4 configuration
-# (2 vCPUs), so 10^5 of them take 9-75 s.
+# 0.03-0.17 ms on the dim 1-5 goldens and a 12-piece dim 4 configuration
+# (2 vCPUs), so 10^5 of them take 3-17 s.
 MAX_SEGMENT_STEPS = 10**5
 
 

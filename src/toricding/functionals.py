@@ -41,12 +41,6 @@ def _domain_base(domain) -> HPolytope:
     return domain.base if isinstance(domain, FanoPolytope) else domain
 
 
-def _extreme(pick, a: AffineFn, P: HPolytope) -> Fraction:
-    """pick (max or min) of a over the vertices of P, in integers."""
-    values, Q = _values(P, a)
-    return Fraction(pick(values), Q)
-
-
 @dataclass(frozen=True)
 class PLConcave:
     """min of finitely many affine functions over a polytope."""
@@ -72,22 +66,25 @@ class PLConcave:
         return _region_subdivision(self.domain, self.affines)
 
     def region_vertex_count(self) -> int:
-        """The number of distinct vertices of the linearity regions, as primitive rays
-        (D v, D) / gcd of the rows of P and of the regions but R0.  Regions meet face to face
-        (R & R' = R & {a = a'}), so a vertex v of R0 not of P, which R0 alone does not surround
-        in P, lies in another region R and is a vertex of its face R0 & R."""
-        _, others, *_ = self._split()
-        polytopes = [self.domain] + [R for R, _ in others]
-        return len({_divided(row) for R in polytopes for row in _record(R).rows})
+        """The number of distinct vertices of the linearity regions: the blocks' primitive rows."""
+        return len({_divided(row) for rows, *_ in self._blocks() for row in rows})
 
     def _split(self):
         """(a0, the regions but a0's R0, (Q f at P's vertices, Q), mean, all regions)."""
         return _region_subdivision_cached(self.domain, self.affines)
 
-    def max_value(self) -> Fraction:
-        # a region's affine is largest at its vertices, R0's are P's or in other regions
+    def _blocks(self):
+        """[(rows (D v, D), V, Qb)] with f = V / Qb at each row: P's vertices, then each
+        region but R0 with its piece.  Regions meet face to face (R & R' = R & {a = a'}), so a
+        vertex of R0 not of P, which R0 alone does not surround in P, lies in another region R
+        and is a vertex of its face R0 & R: the rows hold every vertex of every region."""
         _, others, (low, Q), *_ = self._split()
-        return max([Fraction(max(low), Q)] + [_extreme(max, a, R) for R, a in others])
+        return [(_record(self.domain).rows, low, Q)] + [
+            (_record(R).rows, *_values(R, a)) for R, a in others]
+
+    def max_value(self) -> Fraction:
+        # each region's affine is largest at one of its vertices
+        return max(Fraction(max(V), Qb) for _, V, Qb in self._blocks())
 
     def min_value(self) -> Fraction:
         low, Q = self._split()[2]

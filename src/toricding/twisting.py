@@ -15,29 +15,25 @@ smallest point of that hull is one of its generators.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .functionals import PLConcave, _extreme, e_na
-from .geometry import AffineFn, _dot, _values, barycenter
+from .functionals import PLConcave, e_na
+from .geometry import AffineFn, _dot, barycenter
 
 
 def _twisted(f: PLConcave, rho: Sequence[Fraction], b) -> Fraction:
     """J of the twisted configuration f + <rho, .>, from b = barycenter(f.domain).
 
-    Tilting every piece equally keeps the linearity regions, so the max of
-    f + <rho, .> is at a vertex of a region, where f is the region's piece.  A
-    vertex of R0 is one of P or of another region (PLConcave.region_vertex_count),
-    so the peak is the larger of f + <rho, .> at P's vertices, in integers over the
-    lcm L of their denominators, and each other region's max of its tilted piece.
+    Tilting every piece equally keeps the linearity regions, so the max of f + <rho, .> is
+    at a row (D v, D) of f's vertex blocks (PLConcave._blocks), where f = V / Qb; with
+    rho = G / q it is (q V + Qb / D <G, (D v, D)>) / (q Qb) in integers.
     """
-    _, others, (low, Q), mean, _ = f._split()
-    tilt, Qt = _values(f.domain, AffineFn(tuple(rho), Fraction(0)))
-    L = lcm(Q, Qt)
-    peak = Fraction(max(x * (L // Q) + y * (L // Qt) for x, y in zip(low, tilt)), L)
-    peaks = [_extreme(max, AffineFn(tuple(map(sum, zip(a.gradient, rho))), a.constant), R)
-             for R, a in others]
-    return max([peak] + peaks) - (mean + _dot(rho, b))
+    G, q = AffineFn(tuple(rho), Fraction(0)).cleared
+    peak = max(Fraction(max(q * v + Qb // row[-1] * sum(map(mul, G, row))
+                            for row, v in zip(rows, V)), q * Qb)
+               for rows, V, Qb in f._blocks())
+    return peak - (e_na(f) + _dot(rho, b))
 
 
 def reduce_jna(f: PLConcave):

@@ -3,16 +3,16 @@ domain's record, and for the regions themselves.
 
 The library reads the region R0 of one piece a0 through P: f = a0 + sum over
 the other regions R of (a - a0) 1_R almost everywhere.  Each sum here is over
-every region of f.regions(), R0 included, in integers on each region's own
-record, as the library did before.  The library gives no region to a piece
-that lies above another at every vertex of P; piece_regions cuts one for
-every piece and prunes by the records, as the library did before.
+every region of f.regions(), R0 included, on each region's own record, as
+the library did before; the extrema are taken in Fractions at the vertices.
+The library gives no region to a piece that lies above another at every
+vertex of P; piece_regions cuts one for every piece and prunes by the
+records, as the library did before.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from toricding.functionals import _extreme
 from toricding.geometry import _centred, _dot, _record, _region, integrate_product, vertices, volume
 
 
@@ -45,8 +45,8 @@ def region_second_moment(f):
 
 
 def region_max_value(f):
-    """The largest value of each region's affine at the region's vertices."""
-    return max(_extreme(max, a, R) for R, a in f.regions())
+    """The largest value of each region's affine at the region's vertices, in Fractions."""
+    return max(a(v) for R, a in f.regions() for v in vertices(R))
 
 
 def region_vertex_count(f):
@@ -61,8 +61,8 @@ def region_tilted_peak(f, rho):
 
 
 def region_min_value(f):
-    """The least value of any piece at the domain's vertices."""
-    return min(_extreme(min, a, f.domain) for a in f.affines)
+    """The least value of any piece at the domain's vertices, in Fractions."""
+    return min(a(v) for a in f.affines for v in vertices(f.domain))
 
 
 def region_atoms(f):

@@ -193,9 +193,9 @@ class TestOutputPaths:
     @pytest.mark.parametrize("argv, work", [
         (("analyze", "p1.json", "--emit-plot-data"), "cli.extremal_affine"),
         (("tc-eval", "p1.json", "TC", "--emit-plot-data"), "cli.extremal_affine"),
-        # every segment sample takes the peak of the tilted pieces
+        # every segment sample is one twisted J
         (("reduce", "p1.json", "TC", "--segment", "0;1;2", "--segment-csv"),
-         "twisting._extreme"),
+         "cli._twisted"),
         # the family is built first, to check --grid against c_max
         (("normal-cone", "--polytope", "bl1p2.json", "--csv"), "cli.verify_family"),
         (("oracle", "p1.json", "TC", "--k-ladder", "2,4", "--csv"), "cli.integrate_product"),

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricding import cli, extremal, geometry, lattice, validate_fano
+from toricding import cli, extremal, geometry, lattice, twisting, validate_fano
 from toricding import io as tio
 from toricding.extremal import covariance
 from toricding.functionals import dh_measure, e_na, inner_product
@@ -180,6 +180,17 @@ class TestVerticesThroughP:
             assert cli.main(["reduce", str(REPO / "polytopes" / "p2.json"),
                              str(REPO / "tests" / "golden" / "mix2.json"), *segment, *csv]) == 0
         assert geometry._record.cache_info().misses == 3
+
+    def test_segment_tilts_once_per_sample(self, monkeypatch):
+        """Each of the 51 samples builds one AffineFn, its rho, and no tilted piece per region."""
+        made = []
+        monkeypatch.setattr(twisting, "AffineFn",
+                            lambda *args: made.append(args) or geometry.AffineFn(*args))
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["reduce", str(REPO / "polytopes" / "p2.json"),
+                             str(REPO / "tests" / "golden" / "mix2.json"), "--segment",
+                             "0,0;1,-1;50", "--segment-csv", str(Path(tmp) / "segment.csv")]) == 0
+        assert len(made) == 51
 
 
 def dh_variance(m):
