@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotCanonicalFano, OriginNotInterior, SingularGram
@@ -22,8 +22,10 @@ from .geometry import (
     HPolytope,
     Point,
     _centred,
+    _divided,
     _gauss_jordan,
     _lift,
+    _text,
     _values,
     barycenter,
     integrate_product,
@@ -55,19 +57,21 @@ class FanoPolytope:
 
 
 def validate_fano(P: HPolytope) -> FanoPolytope:
-    """Accept iff every normalized facet has rhs exactly 1.
+    """Accept iff every facet is a row (l, 1), l primitive: rhs 1 over its primitive normal.
 
     rhs <= 0 means the origin is not interior; any other rhs != 1 means
     the polytope is not in anticanonical presentation.  With every rhs 1
     the origin is strictly inside every facet, so P is full-dimensional.
     """
-    for normal, rhs in P.facets:
+    if all(b == 1 and gcd(*a) == 1 for *a, b in P.facets):
+        return FanoPolytope(P)
+    # each row as (primitive normal, rhs), in the order of the normals
+    facets = sorted((_divided(a), Fraction(b, gcd(*a))) for *a, b in P.facets)
+    for normal, rhs in facets:
         if rhs <= 0:
-            raise OriginNotInterior(f"facet {normal} has rhs {rhs} <= 0")
-    for normal, rhs in P.facets:
-        if rhs != 1:
-            raise NotCanonicalFano(f"facet {normal} has rhs {rhs} != 1")
-    return FanoPolytope(P)
+            raise OriginNotInterior(f"facet {_text(normal)} has rhs {_text(rhs)} <= 0")
+    normal, rhs = next(f for f in facets if f[1] != 1)
+    raise NotCanonicalFano(f"facet {_text(normal)} has rhs {_text(rhs)} != 1")
 
 
 @dataclass(frozen=True)

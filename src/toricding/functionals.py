@@ -217,8 +217,8 @@ def j_na(f: PLConcave) -> Fraction:
 def d_na(f: PLConcave) -> Fraction:
     """Ding invariant f(0) - mean; the origin must be interior."""
     P = f.domain
-    # <n, 0> = 0 < r on every facet
-    if not all(r > 0 for _, r in P.facets):
+    # <a, 0> = 0 < b on every facet
+    if not all(row[-1] > 0 for row in P.facets):
         raise ValueError("Ding invariant needs the origin interior to the domain")
     return min(a.constant for a in f.affines) - e_na(f)  # f(0), each a(0) its constant
 

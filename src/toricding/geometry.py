@@ -5,13 +5,14 @@ exact integrals of a product of two affine functions over bounded
 rational H-polytopes, and convex hulls.  Every vertex set, boundedness
 check and hull is one double-description computation (Motzkin et al.
 1953, Fukuda-Prodon 1996): the extreme rays of a cone {y : <h, y> <= 0},
-cut by one row at a time.  Each polytope has one cached record: the
-lifted integer rows (D v, D) of its vertices v, their tight facets, its
-simplices, pulled over faces (vertex bitmasks) read off those tight sets,
-with their integer determinants, its volume and its integer moment.  Building a
-polytope from outside (HPolytope.from_inequalities) computes the record, which
-checks boundedness; a linearity region cuts its parent's vertices and
-needs no check.  Rays are primitive integer vectors.  Linear algebra is
+cut by one row at a time.  A facet <a, x> <= b is one primitive integer row
+(a, b).  Each polytope has one cached record: the lifted integer rows (D v, D)
+of its vertices v, the bitmasks of their tight facets, its simplices, pulled
+over faces (vertex bitmasks) read off those, with their integer determinants,
+its volume and its integer moment.  Building a polytope from outside
+(HPolytope.from_inequalities) computes the record, which checks boundedness;
+a linearity region cuts its parent's vertices and needs no check.  Rays are
+primitive integer vectors.  Linear algebra is
 fraction-free on integers (Bareiss 1968): one Gauss-Jordan routine for
 the starting cones, the vertex charts and the extremal Gram system, and one
 elimination per pulling step, shared by every simplex below it, for the
@@ -49,8 +50,8 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _text(x: Fraction) -> str:
-    """x as p/q, or p when x is an integer."""
+def _text(x) -> str:
+    """str(x): a rational as p/q, or p when it is an integer."""
     try:
         return str(x)
     except ValueError:  # past Python's limit on the digits of an int's decimal string
@@ -100,28 +101,35 @@ class AffineFn:
         return self._hash
 
 
-def _primitive(normal: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], Fraction]:
-    """Scale <normal, x> <= rhs so the normal is a primitive integer vector."""
-    fracs = [_frac(a) for a in normal]
-    if all(a == 0 for a in fracs):
+def _primitive(normal: Sequence, rhs) -> tuple[int, ...]:
+    """<normal, x> <= rhs cleared to one primitive integer row (a_1, ..., a_n, b)."""
+    *row, _ = _lift([tuple(map(_frac, normal)) + (_frac(rhs),)])[1][0]
+    if not any(row[:-1]):
         raise ZeroFacetNormal("zero facet normal")
-    denom = lcm(*(a.denominator for a in fracs))
-    ints = [int(a * denom) for a in fracs]
-    g = gcd(*ints)
-    return tuple(a // g for a in ints), _frac(rhs) * Fraction(denom, g)
+    return _divided(row)
+
+
+def _tighten(tight: dict, n: tuple[int, ...], row: tuple[int, ...]) -> None:
+    """Keep as tight[n] the tighter of the primitive rows row and tight[n], both
+    of primitive normal n: (g n, b) is tighter than (g' n, b') iff b g' < b' g,
+    and g' / g is the ratio of the l1 norms of the two rows' normals."""
+    old = tight.setdefault(n, row)
+    if old is not row and row[-1] * sum(map(abs, old[:-1])) < old[-1] * sum(map(abs, row[:-1])):
+        tight[n] = row
 
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Bounded rational polytope {x : <normal_i, x> <= rhs_i}.
+    """Bounded rational polytope {x : <a, x> <= b for each facet (a, b)}.
 
-    Facet normals are primitive integer vectors; facets are sorted and
-    deduplicated, so equal polytope descriptions compare equal.  A linearity
-    region's parent, the polytope it was cut from, takes no part in equality.
+    Each facet is one primitive integer row (a_1, ..., a_n, b), the tightest
+    of its primitive normal; facets are sorted, so equal polytope descriptions
+    compare equal.  A linearity region's parent, the polytope it was cut
+    from, takes no part in equality.
     """
 
     dim: int
-    facets: tuple[tuple[tuple[int, ...], Fraction], ...]
+    facets: tuple[tuple[int, ...], ...]
     parent: "HPolytope | None" = field(default=None, compare=False, repr=False)
 
     @staticmethod
@@ -142,14 +150,14 @@ class HPolytope:
 
 
 def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]]) -> HPolytope:
-    """Primitive normals with the tightest rhs each; boundedness unchecked."""
+    """Primitive rows, the tightest one per primitive normal; boundedness unchecked."""
     tight = {}
     for normal, rhs in rows:
         if len(normal) != dim:
             raise DimensionMismatch("facet normal has wrong length")
-        n, r = _primitive(normal, rhs)
-        tight[n] = min(tight[n], r) if n in tight else r
-    return HPolytope(dim, tuple(sorted(tight.items())))
+        row = _primitive(normal, rhs)
+        _tighten(tight, _divided(row[:-1]), row)
+    return HPolytope(dim, tuple(sorted(tight.values())))
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -187,13 +195,13 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[
 def _divided(y: Sequence[int]) -> tuple[int, ...]:
     """The integer vector y over the gcd of its entries: a primitive vector."""
     g = gcd(*y)
-    return tuple(c // g for c in y)
+    return tuple(y) if g == 1 else tuple(c // g for c in y)
 
 
 class _Record(NamedTuple):
     """What the kernel knows of one polytope; rows are () when it is empty."""
 
-    tight: tuple[frozenset[int], ...]  # per vertex, indices of the facets tight there
+    tight: tuple[int, ...]  # per vertex, the bitmask of the facets tight there
     rows: tuple[tuple[int, ...], ...]  # per vertex v, the lifted row (D v, D), sorted
     simplices: tuple[tuple[tuple[int, ...], int], ...]  # (vertex indices, |det| of their rows)
     unit: int  # n! D^(n+1): a simplex has volume det / unit
@@ -212,51 +220,51 @@ def _cut(rays: list, tight: list, rows: Iterable[tuple[int, Sequence]]) -> tuple
     """Cut the cone spanned by rays with <h, y> <= 0 for each (i, h) of rows.
 
     Rays and rows are integer vectors; a row is used as it comes and each
-    ray it adds is primitive.  tight[k] holds the indices of the rows
-    already cut by that are tight at rays[k].  A row keeps the rays on its
-    side, adding i to the tight sets of those on it, and adds the ray where
+    ray it adds is primitive.  tight[k] is the bitmask of the rows already
+    cut by that are tight at rays[k].  A row keeps the rays on its side,
+    adding bit i to the tight sets of those on it, and adds the ray where
     it crosses each edge of the cone.  Two rays span an edge iff no other
     ray is tight at every row both are (the double-description step).
     """
     for i, h in rows:
-        slack = [sum(map(mul, h, y)) for y in rays]
+        slack, bit = [sum(map(mul, h, y)) for y in rays], 1 << i
         out = [w for w, s in enumerate(slack) if s > 0]
-        cut = [(y, T | {i} if s == 0 else T) for y, T, s in zip(rays, tight, slack) if s <= 0]
+        cut = [(y, T | bit if s == 0 else T) for y, T, s in zip(rays, tight, slack) if s <= 0]
         for u, su in enumerate(slack if out else ()):
             if su >= 0:
                 continue
             for w in out:
                 Z = tight[u] & tight[w]
-                if len(Z) >= len(h) - 2 and not any(
-                        Z <= T for k, T in enumerate(tight) if k != u and k != w):
+                if Z.bit_count() >= len(h) - 2 and not any(
+                        Z & T == Z for k, T in enumerate(tight) if k != u and k != w):
                     sw = slack[w]
                     y = [sw * a - su * b for a, b in zip(rays[u], rays[w])]
-                    cut.append((_divided(y), Z | {i}))
+                    cut.append((_divided(y), Z | bit))
         rays, tight = [y for y, _ in cut], [T for _, T in cut]
     return rays, tight
 
 
-def _extreme_rays(rows: Sequence[Sequence]) -> tuple[list, list] | None:
-    """Extreme rays of {y : <h, y> <= 0 for h in rows}, as primitive integer
-    vectors with tight sets indexing rows; None when the rows do not span,
-    so the cone is not pointed.
+def _extreme_rays(rows: Sequence[Sequence[int]]) -> tuple[list, list] | None:
+    """Extreme rays of {y : <h, y> <= 0 for h in rows}, integer rows, as
+    primitive integer vectors with tight sets, bitmasks over rows; None when
+    the rows do not span, so the cone is not pointed.
 
-    Each row is scaled to a primitive integer one, once.  Reducing [H^T | I]
-    picks the first independent rows B as the pivot columns and leaves
-    p (H_B^{-1})^T in the right half, p the last pivot.  The rays of the
-    simplicial cone {H_B y <= 0} are the negated columns of H_B^{-1}, ray j
-    tight at every row of B but its j-th; the remaining rows cut it.
+    Reducing [H^T | I] picks the first independent rows B as the pivot
+    columns and leaves p (H_B^{-1})^T in the right half, p the last pivot.
+    The rays of the simplicial cone {H_B y <= 0} are the negated columns of
+    H_B^{-1}, ray j tight at every row of B but its j-th; the remaining rows
+    cut it.  Scaling a row by a positive integer changes no ray.
     """
     d = len(rows[0])
-    rows = [_primitive(h, 0)[0] for h in rows]
     m, basis, p = _gauss_jordan([list(col) + [int(i == j) for j in range(d)]
                                  for i, col in enumerate(zip(*rows))])
     if basis[-1] >= len(rows):
         return None
     sign = -1 if p > 0 else 1
     rays = [_divided([sign * c for c in row[len(rows):]]) for row in m]
-    tight = [frozenset(basis) - {b} for b in basis]
-    return _cut(rays, tight, ((i, h) for i, h in enumerate(rows) if i not in basis))
+    B = sum(1 << b for b in basis)
+    return _cut(rays, [B ^ 1 << b for b in basis],
+                ((i, h) for i, h in enumerate(rows) if not B >> i & 1))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -272,7 +280,7 @@ def _record(P: HPolytope) -> _Record:
         raise InputTooLarge("vertex enumeration supports dim <= 5")
     m = len(P.facets)
     if P.parent is None:
-        cone = _extreme_rays([n + (-r,) for n, r in P.facets] + [(0,) * P.dim + (-1,)])
+        cone = _extreme_rays([row[:-1] + (-row[-1],) for row in P.facets] + [(0,) * P.dim + (-1,)])
         if cone is None:
             raise UnboundedPolytope("facet normals do not span the ambient space")
         rays, tight = cone
@@ -281,20 +289,18 @@ def _record(P: HPolytope) -> _Record:
             raise UnboundedPolytope(
                 "interval missing a bound" if P.dim == 1 else f"recession direction {show(d)}")
     else:
-        parent, rhs = _record(P.parent), dict(P.parent.facets)
-        index = {n: i for i, (n, r) in enumerate(P.facets) if rhs.get(n) == r}
-        of_P = [index.get(n, m + k) for k, (n, _) in enumerate(P.parent.facets)]
+        parent, index = _record(P.parent), {row: i for i, row in enumerate(P.facets)}
+        # the bit of each parent facet in P; index keeps P's rows that are not the parent's
+        bit = [1 << index.pop(row, m + k) for k, row in enumerate(P.parent.facets)]
         rays, tight = _cut([_divided(row) for row in parent.rows],
-                           [frozenset(of_P[k] for k in T) for T in parent.tight],
-                           # (d n, -num) for r = num / d is primitive, as n is
-                           ((i, tuple(r.denominator * a for a in n) + (-r.numerator,))
-                            for i, (n, r) in enumerate(P.facets) if n not in index))
+                           [sum(b for k, b in enumerate(bit) if T >> k & 1) for T in parent.tight],
+                           ((i, row[:-1] + (-row[-1],)) for row, i in index.items()))
     # a primitive ray (x, t) is the vertex x / t, and t is its least denominator;
     # the simplex on the lifted rows S has volume |det S| / (n! D^{n+1}), so
     # the volume and the barycenter are sums of integers.  No tight set holds
     # an index >= m: without a parent, m is the row t >= 0, tight only at a
     # recession ray, which raised above; in a region, m + k is a parent facet
-    # <n, x> <= r that P carries as <n, x> <= r' < r, so no vertex of P is on it.
+    # <a, x> <= b that P carries tighter, so no vertex of P is on it.
     D = lcm(*(y[-1] for y in rays))
     rows, tight = zip(*sorted((tuple(c * (D // y[-1]) for c in y[:-1]) + (D,), T)
                               for y, T in zip(rays, tight))) if rays else ((), ())
@@ -328,7 +334,7 @@ def vertices(P: HPolytope) -> tuple[Point, ...]:
     return tuple(tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in _nonempty(P).rows)
 
 
-def _pulling(P: HPolytope, tight: Sequence[frozenset[int]], rows: Sequence[Sequence[int]]):
+def _pulling(P: HPolytope, tight: Sequence[int], rows: Sequence[Sequence[int]]):
     """The simplices of triangulate(P), as vertex indices with the |det| of
     their rows, from the tight sets of P's vertices.
 
@@ -343,9 +349,9 @@ def _pulling(P: HPolytope, tight: Sequence[frozenset[int]], rows: Sequence[Seque
     nonzero column c, and each other row y becomes (p y - y[c] pivot) // prev
     without column c: Bareiss with columns permuted, so each division is
     exact.  An edge's 2 x 2 minor over prev is +-det."""
-    if not tight or frozenset.intersection(*tight):
+    on = [sum(1 << k for k, T in enumerate(tight) if T >> i & 1) for i in range(len(P.facets))]
+    if not tight or (1 << len(tight)) - 1 in on:
         return ()
-    on = [sum(1 << k for k, T in enumerate(tight) if i in T) for i in range(len(P.facets))]
     out = []
 
     def pull(face: int, k: int, prefix: tuple, red: dict, prev: int, above) -> None:
@@ -477,9 +483,10 @@ def _mean(P: HPolytope, a0: AffineFn, others) -> Fraction:
 def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytope | None:
     """P cut by a_j <= a_i for every affine a_i, with parent P; None when
     a parallel affine lies strictly below a_j."""
-    (Gj, qj), tight = aj.cleared, dict(P.facets)
+    # P's rows are the tightest of their normals already: only a new row is compared
+    (Gj, qj), tight = aj.cleared, {_divided(row[:-1]): row for row in P.facets}
     for ai in affines:
-        # a_j <= a_i  <=>  <h, x> + k <= 0 for (h, k) = q_i (g_j, c_j) - q_j (g_i, c_i)
+        # a_j <= a_i  <=>  <h, x> <= -k for (h, k) = q_i (g_j, c_j) - q_j (g_i, c_i)
         Gi, qi = ai.cleared
         *h, k = (qi * x - qj * y for x, y in zip(Gj, Gi))
         g = gcd(*h)
@@ -487,9 +494,9 @@ def _region(P: HPolytope, aj: AffineFn, affines: Sequence[AffineFn]) -> HPolytop
             if k > 0:
                 return None
             continue
-        n, r = tuple(c // g for c in h), Fraction(-k, g)
-        tight[n] = min(tight[n], r) if n in tight else r
-    return HPolytope(P.dim, tuple(sorted(tight.items())), P)
+        e = gcd(g, k)
+        _tighten(tight, tuple(c // g for c in h), tuple(c // e for c in h) + (-k // e,))
+    return HPolytope(P.dim, tuple(sorted(tight.values())), P)
 
 
 def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
@@ -504,7 +511,8 @@ def facets_from_vertices(points: Sequence[Sequence]) -> HPolytope:
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise DimensionMismatch("points of mixed dimension")
-    cone = _extreme_rays([p + (-1,) for p in pts])
+    D, rows = _lift(pts)
+    cone = _extreme_rays([row[:-1] + (-D,) for row in rows])
     if cone is None:
         raise EmptyPolytope("points do not span a full-dimensional hull")
     return _normalized(dim, ((y[:-1], y[-1]) for y in cone[0]))

@@ -32,25 +32,22 @@ MAX_LATTICE_POINTS = 10**7
 def _fiber_rows(base: HPolytope):
     """Per coordinate i, the rows that bound u_i once u_0..u_{i-1} are fixed.
 
-    Level i holds inequalities <a, x> <= num/d, a integer, that hold on the
+    Level i holds integer rows (a_0..a_i, b), <a, x> <= b, that hold on the
     projection of base onto coordinates 0..i and whose i-th coefficient is
-    nonzero, as (d a_0..d a_{i-1}, d |a_i|, num), split into upper bounds
-    (a_i > 0) and lower bounds (a_i < 0).  Rows with a zero i-th
-    coefficient hold on the projection onto 0..i-1, which the outer levels
-    enforce.  The last level reads base's own facets; a redundant row is a
+    nonzero, as (a_0..a_{i-1}, |a_i|, b), split into upper bounds (a_i > 0)
+    and lower bounds (a_i < 0).  Rows with a zero i-th coefficient hold on
+    the projection onto 0..i-1, which the outer levels enforce.  The last
+    level reads base's own facet rows as they are; a redundant row is a
     valid bound too.  A lower level takes the facets of the hull of the
     projected lifted rows (D v, D) of base's vertices: the primitive
-    extreme rays (a, r) of {(a, r) : <a, D v> <= r D}, with d = 1.
+    extreme rays (a, b) of {(a, b) : <a, D v> <= b D}.
     """
     rows = _record(base).rows
-    hulls = [[(y[:i], y[i], y[-1]) for y in _extreme_rays(
-        list(dict.fromkeys(row[:i + 1] + (-row[-1],) for row in rows)))[0]]
-        for i in range(base.dim - 1)]
-    facets = [(tuple(r.denominator * a for a in n[:-1]), r.denominator * n[-1], r.numerator)
-              for n, r in base.facets]
-    return tuple((tuple((pre, c, num) for pre, c, num in level if c > 0),
-                  tuple((pre, -c, num) for pre, c, num in level if c < 0))
-                 for level in hulls + [facets])
+    levels = [_extreme_rays(list(dict.fromkeys(row[:i + 1] + (-row[-1],) for row in rows)))[0]
+              for i in range(base.dim - 1)] + [base.facets]
+    return tuple((tuple((y[:i], y[i], y[-1]) for y in level if y[i] > 0),
+                  tuple((y[:i], -y[i], y[-1]) for y in level if y[i] < 0))
+                 for i, level in enumerate(levels))
 
 
 def _fibers(base: HPolytope, k: int):

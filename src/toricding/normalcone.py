@@ -89,10 +89,11 @@ def _edge_directions(P: FanoPolytope, v: Point) -> list[tuple[int, ...]]:
     rec = _record(P.base)
     D = rec.rows[0][-1]
     k = {row: k for k, row in enumerate(rec.rows)}.get(tuple(D * c for c in v) + (D,))
-    if k is None or len(rec.tight[k]) != P.dim:
+    if k is None or rec.tight[k].bit_count() != P.dim:
         raise NonSmoothVertex(f"{show(v)} is not a vertex with {P.dim} tight facets")
     return sorted(_divided([a - b for a, b in zip(w, rec.rows[k][:-1])])
-                  for w, T in zip(rec.rows, rec.tight) if len(T & rec.tight[k]) == P.dim - 1)
+                  for w, T in zip(rec.rows, rec.tight)
+                  if (T & rec.tight[k]).bit_count() == P.dim - 1)
 
 
 def vertex_chart(P: FanoPolytope, v: Point) -> VertexChart:

@@ -83,9 +83,19 @@ def futaki_pairing(P, a):
     return sum((_frac(ai) * bi for ai, bi in zip(a, P.barycenter())), Fraction(0))
 
 
+def pairs(P):
+    """P's facets as (a, b) pairs, each row (a_1, ..., a_n, b) meaning <a, x> <= b."""
+    return [(row[:-1], row[-1]) for row in P.facets]
+
+
+def indices(mask):
+    """The set of the indices of the set bits of a bitmask."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def clip(P, normal, rhs):
     """Intersect P with the halfspace <normal, x> <= rhs."""
-    return _normalized(P.dim, P.facets + ((normal, rhs),))
+    return _normalized(P.dim, pairs(P) + [(normal, rhs)])
 
 
 def make_p1():

@@ -17,6 +17,7 @@ from toricding.geometry import (
     volume,
 )
 
+from conftest import indices, pairs
 from region_reference import region_tilted_peak
 
 
@@ -49,7 +50,7 @@ def reference_region(P, aj, affines):
                 return None
             continue
         rows.append((diff, ai.constant - aj.constant))
-    return HPolytope(P.dim, _normalized(P.dim, P.facets + tuple(rows)).facets, P)
+    return HPolytope(P.dim, _normalized(P.dim, pairs(P) + rows).facets, P)
 
 
 def reference_vartheta(P):
@@ -81,5 +82,5 @@ def reference_edge_directions(P, v):
     n facets tight at v, each made primitive."""
     verts, tight = vertices(P.base), _record(P.base).tight
     at_v = tight[verts.index(v)]
-    return sorted(_primitive([a - b for a, b in zip(w, v)], 0)[0]
-                  for w, T in zip(verts, tight) if len(T & at_v) == P.dim - 1)
+    return sorted(_primitive([a - b for a, b in zip(w, v)], 0)[:-1]
+                  for w, T in zip(verts, tight) if len(indices(T & at_v)) == P.dim - 1)

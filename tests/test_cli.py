@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -119,6 +121,71 @@ class TestPolytopeIngestion:
         from toricding import vertices
 
         assert vertices(P) == ((-1,), (Fraction(1, 3),))
+
+
+# an integer literal past Python's 4,300-digit limit, written into the JSON text
+HUGE = "9" * 4301
+
+
+@st.composite
+def polytope_files(draw):
+    """The text of a polytope file around P^n (n = 1..3), {-x_i <= 1, sum x_i <= 1},
+    with one or two changes: extra non-primitive or rational normals, a dropped
+    facet, rhs non-unit, zero or negative, a zero normal, a wrong dim, an
+    integer past the digit limit in the file or long enough to pass it in a
+    product, or P^n's vertices, some dropped, with extra points near or far."""
+    n = draw(st.integers(1, 3))
+    facets = [{"normal": [-int(i == j) for j in range(n)], "rhs": 1} for i in range(n)]
+    facets.append({"normal": [1] * n, "rhs": 1})
+    doc = {"dim": n, "facets": facets}
+    long = st.builds(lambda s, k: s * (10 ** 2500 + k), st.sampled_from([1, -1]), st.integers(0, 9))
+    for kind in draw(st.lists(st.sampled_from(
+            ["plain", "extra", "drop", "rhs", "zero", "dim", "huge", "long", "vertices", "far"]),
+            min_size=1, max_size=2)):
+        if kind == "extra":  # a multiple of a normal, or a rational one
+            k, row = draw(st.integers(2, 3)), draw(st.sampled_from(facets))
+            normal = [k * a for a in row["normal"]]
+            if draw(st.booleans()):
+                normal[0] = draw(st.sampled_from(["1/2", "3/2"]))
+            facets.append({"normal": normal, "rhs": draw(st.sampled_from([k, 1, "1/3", k + 1]))})
+        elif kind == "drop":
+            facets.pop(draw(st.integers(0, len(facets) - 1)))
+        elif kind == "rhs" and facets:
+            draw(st.sampled_from(facets))["rhs"] = draw(st.sampled_from(
+                [0, -1, "-1/2", 2, "1/3", "7/2", 10 ** 2500]))
+        elif kind == "zero":
+            facets.append({"normal": [0] * n, "rhs": draw(st.sampled_from([1, -1]))})
+        elif kind == "dim":
+            doc["dim"] = n + draw(st.sampled_from([1, -1]))
+        elif kind == "huge" and facets:
+            draw(st.sampled_from(facets))["rhs"] = HUGE
+        elif kind == "long" and facets:
+            draw(st.sampled_from(facets))["normal"][0] = draw(long)
+        elif kind in ("vertices", "far"):  # far points give rows past the digit limit
+            corners = [[-1] * n] + [[n if i == j else -1 for j in range(n)] for i in range(n)]
+            kept = draw(st.lists(st.sampled_from(corners), unique_by=tuple, min_size=1))
+            coord = long if kind == "far" else st.one_of(st.integers(-2, 2), st.just("1/3"))
+            extra = st.lists(coord, min_size=n, max_size=n)
+            extra = draw(st.lists(extra, min_size=2 * (kind == "far"), max_size=3))
+            doc = {"vertices": kept + extra}
+    return json.dumps(doc).replace(f'"{HUGE}"', HUGE)
+
+
+class TestPolytopeExitCodes:
+    """analyze on a polytope file exits 0 or 1, with nothing on stdout at 1:
+    no input reaches an internal error (exit 3)."""
+
+    @given(text=polytope_files())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_exit_zero_or_one(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("polytope") / "P.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path)])
+        assert code in (0, 1), err.getvalue()
+        assert code == 0 or out.getvalue() == ""
+        assert code == 1 or err.getvalue() == ""
 
 
 class TestMalformedFiles:

@@ -17,7 +17,7 @@ from toricding import geometry
 from toricding.errors import EmptyPolytope, NonSmoothVertex, UnboundedPolytope
 from toricding.normalcone import _edge_directions
 
-from conftest import CORPUS_FILES, affine, load_corpus
+from conftest import CORPUS_FILES, affine, indices, load_corpus, pairs
 
 
 def _echelon(rows):
@@ -41,16 +41,16 @@ def _echelon(rows):
 def exhaustive(P):
     """Reference enumeration: the feasible solutions of every nonsingular
     dim-subset of facets, sorted, with the facets tight at each."""
-    found = set()
-    for subset in itertools.combinations(P.facets, P.dim):
+    found, rows = set(), pairs(P)
+    for subset in itertools.combinations(rows, P.dim):
         m, pivots = _echelon([list(n) + [r] for n, r in subset])
         if pivots != list(range(P.dim)):
             continue
         x = tuple(m[t][-1] / m[t][t] for t in range(P.dim))
-        if all(sum(a * c for a, c in zip(n, x)) <= r for n, r in P.facets):
+        if all(sum(a * c for a, c in zip(n, x)) <= r for n, r in rows):
             found.add(x)
     verts = tuple(sorted(found))
-    tight = tuple(frozenset(i for i, (n, r) in enumerate(P.facets)
+    tight = tuple(frozenset(i for i, (n, r) in enumerate(rows)
                             if sum(a * c for a, c in zip(n, v)) == r) for v in verts)
     return verts, tight
 
@@ -80,7 +80,7 @@ def dot(a, b):
 def bounded(P):
     """Reference: the recession cone {d : Ld <= 0} is trivial iff L has rank
     n and no (n-1)-subset of normals carries a ray of it."""
-    normals = [n for n, _ in P.facets]
+    normals = [n for n, _ in pairs(P)]
     if not normals or len(_echelon(normals)[1]) < P.dim:
         return False
     if P.dim == 1:
@@ -118,9 +118,9 @@ def hull(points):
 
 
 def record_vertices(P):
-    """(vertices, tight sets) of P's record, with no vertices when P is empty."""
+    """(vertices, tight sets as index sets) of P's record, with no vertices when P is empty."""
     rec = geometry._record(P)
-    return vertices(P) if rec.rows else (), rec.tight
+    return vertices(P) if rec.rows else (), tuple(map(indices, rec.tight))
 
 
 def assert_regions_match(P, affines):
@@ -176,7 +176,7 @@ def test_clip_matches_exhaustive_on_corpus(name, data):
 def test_corpus_vertices_match_reference():
     for name in CORPUS_FILES:
         P = load_corpus(name).base
-        assert (vertices(P), geometry._record(P).tight) == exhaustive(P)
+        assert record_vertices(P) == exhaustive(P)
 
 
 def aff(*row):
@@ -290,7 +290,7 @@ def test_edge_directions(name):
     n = P.dim
     smooth = 0
     for v in vertices(P.base):
-        normals = [a for a, r in P.base.facets if dot(a, v) == r]
+        normals = [a for a, r in pairs(P.base) if dot(a, v) == r]
         if len(normals) != n:
             continue
         smooth += 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from toricding import io as tio
 from toricding.errors import DimensionMismatch, SingularGram
 from toricding.geometry import integrate_product
 
-from conftest import CORPUS_FILES, REPO, affine, futaki_pairing, load_corpus
+from conftest import CORPUS_FILES, REPO, affine, futaki_pairing, load_corpus, pairs
 from lattice_reference import lattice_points
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -29,8 +30,8 @@ class TestValidateFano:
         assert p2.volume() == Fraction(9, 2)
 
     def test_bl1p2_accepted(self, bl1p2):
-        for _, rhs in bl1p2.base.facets:
-            assert rhs == 1
+        for normal, rhs in pairs(bl1p2.base):
+            assert rhs == 1 and gcd(*normal) == 1
 
     def test_shifted_interval_rejected(self):
         # [0, 2] as {-x <= 0, x <= 2}
@@ -40,6 +41,23 @@ class TestValidateFano:
     def test_wrong_rhs_rejected(self):
         with pytest.raises(NotCanonicalFano):
             validate_fano(HPolytope.from_inequalities(1, [([-1], 1), ([1], 2)]))
+
+    @pytest.mark.parametrize("dim, rows, error, message", [
+        (2, [((1, 0), Fraction(1, 3)), ((2, 1), 5), ((-1, -1), 1), ((0, -1), 1), ((-1, 1), 1)],
+         NotCanonicalFano, "facet (1, 0) has rhs 1/3 != 1"),
+        # the rows (2, 1, -5) and (3, 0, -1) sort apart from their primitive normals
+        (2, [((1, 0), Fraction(-1, 3)), ((2, 1), -5), ((-1, 0), 10), ((0, -1), 10),
+             ((-1, 1), 10)], OriginNotInterior, "facet (1, 0) has rhs -1/3 <= 0"),
+        (2, [((1, 0), 2), ((3, 3), 1), ((-1, 0), 1), ((0, -1), 1)],
+         NotCanonicalFano, "facet (1, 0) has rhs 2 != 1"),
+        (1, [((2,), Fraction(-1, 2)), ((-1,), 1)], OriginNotInterior,
+         "facet (1,) has rhs -1/4 <= 0"),
+        (1, [((3,), 1), ((-2,), 3)], NotCanonicalFano, "facet (-1,) has rhs 3/2 != 1"),
+    ])
+    def test_messages_name_the_first_facet_by_primitive_normal(self, dim, rows, error, message):
+        with pytest.raises(error) as info:
+            validate_fano(HPolytope.from_inequalities(dim, rows))
+        assert str(info.value) == message
 
     def test_nonprimitive_scaling_rejected(self):
         # {3x <= 1} normalizes to rhs 1/3

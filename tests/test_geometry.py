@@ -22,6 +22,7 @@ from toricding import (
     vertices,
     volume,
 )
+from toricding import geometry
 from toricding import io as tio
 from toricding import validate_fano
 from toricding.errors import InputTooLarge
@@ -38,7 +39,7 @@ from toricding.geometry import (
 )
 from toricding.normalcone import _default_grid, g_c, normal_cone_family
 
-from conftest import CORPUS_FILES, REPO, affine, clip, load_corpus, pl
+from conftest import CORPUS_FILES, REPO, affine, clip, indices, load_corpus, pairs, pl
 
 rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -97,7 +98,7 @@ def bareiss(rows):
 
 def contains(P, x):
     """Whether the point x satisfies every facet of P."""
-    return all(sum(a * Fraction(c) for a, c in zip(n, x)) <= r for n, r in P.facets)
+    return all(sum(a * Fraction(c) for a, c in zip(n, x)) <= r for n, r in pairs(P))
 
 
 def _simplex_volume(simplex):
@@ -133,7 +134,7 @@ class TestVertices:
         verts = vertices(P)
         for v in verts:
             assert contains(P, v)
-        for normal, rhs in P.facets:
+        for normal, rhs in pairs(P):
             on_facet = [v for v in verts if sum(a * c for a, c in zip(normal, v)) == rhs]
             assert len(on_facet) >= P.dim
 
@@ -257,7 +258,7 @@ class TestPullingTriangulation:
         # x1 + x2 <= 2 touches the 4-cube in a square: a row that defines
         # no facet yet holds as many vertices as a facet of P needs
         P = clip(cube(4), (1, 1, 0, 0), 2)
-        assert ((1, 1, 0, 0), 2) in P.facets
+        assert (1, 1, 0, 0, 2) in P.facets
         self.assert_valid(P)
         assert volume(P) == 16
 
@@ -381,6 +382,100 @@ def affines(dim):
     return st.builds(affine, st.lists(rational, min_size=dim, max_size=dim), rational)
 
 
+def reference_tightest(rows):
+    """{primitive normal: least rhs} over rational rows (normal, rhs), each
+    scaled in fractions by the gcd of its cleared normal."""
+    tight = {}
+    for normal, rhs in rows:
+        d = lcm(*(Fraction(a).denominator for a in normal))
+        g = Fraction(gcd(*(int(a * d) for a in normal)), d)
+        n = tuple(int(a / g) for a in normal)
+        tight[n] = min(tight.get(n, rhs / g), rhs / g)
+    return tight
+
+
+def as_pairs(P):
+    """P's rows as {primitive normal: rhs}, the rhs a Fraction."""
+    return {tuple(a // gcd(*n) for a in n): Fraction(b, gcd(*n)) for n, b in pairs(P)}
+
+
+def is_primitive_row(row):
+    return type(row) is tuple and all(type(c) is int for c in row) and gcd(*row) == 1
+
+
+class TestIntegerRows:
+    """Facets are primitive integer rows and tight sets bitmasks: a recorded
+    polytope and a region's record are read without comparing or hashing a Fraction."""
+
+    @pytest.fixture
+    def fraction_calls(self, monkeypatch):
+        calls = []
+        for name in ("__eq__", "__hash__"):
+            def counted(*args, method=getattr(Fraction, name)):
+                calls.append(method.__name__)
+                return method(*args)
+            monkeypatch.setattr(Fraction, name, counted)
+        return calls
+
+    def test_reading_a_recorded_polytope(self, fraction_calls):
+        path = str(CORPUS_FILES["bl1p2"])
+        P = tio.load_polytope(path)
+        volume(P)
+        Q = tio.load_polytope(path)  # equal to P, a different object
+        fraction_calls.clear()
+        vol = volume(Q)
+        assert fraction_calls == []
+        assert Q is not P and vol == volume(P) == 4
+
+    def test_recording_a_region(self, fraction_calls):
+        P = tio.load_polytope(str(CORPUS_FILES["bl1p2"]))
+        pieces = [affine([1, 0], Fraction(1, 3)), affine([0, Fraction(1, 2)], 0)]
+        R = geometry._region(P, pieces[0], pieces)
+        fraction_calls.clear()
+        assert _record(R).rows
+        assert fraction_calls == []
+
+    @given(name=st.sampled_from(sorted(CORPUS_FILES)), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_primitive_integers(self, name, data):
+        P = load_corpus(name).base
+        pieces = list(dict.fromkeys(data.draw(st.lists(affines(P.dim), min_size=1, max_size=4))))
+        regions = [(R, a) for a in pieces if (R := geometry._region(P, a, pieces)) is not None]
+        for Q in [P] + [R for R, _ in regions]:
+            assert all(map(is_primitive_row, Q.facets))
+            assert list(Q.facets) == sorted(set(Q.facets))
+        for R, a in regions:
+            # a_j <= a_i as the Fraction row <g_j - g_i, x> <= c_i - c_j, the tightest kept
+            rows = [([x - y for x, y in zip(a.gradient, b.gradient)], b.constant - a.constant)
+                    for b in pieces if b.gradient != a.gradient]
+            assert as_pairs(R) == reference_tightest(pairs(P) + rows)
+            # each tight set is an int bitmask over R's facets
+            assert all(type(T) is int and T >> len(R.facets) == 0 for T in _record(R).tight)
+
+    @given(dim=st.integers(1, 3), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_normalized_keeps_the_tightest_row(self, dim, data):
+        normal = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+        rows = data.draw(st.lists(st.tuples(normal, rational), min_size=1, max_size=6))
+        # parallel copies, scaled by an integer or a fraction, with their own rhs
+        scales = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+        rows += [([s * a for a in n], r) for (n, _), s, r in data.draw(st.lists(
+            st.tuples(st.sampled_from(rows), scales, rational), max_size=4))]
+        P = geometry._normalized(dim, rows)
+        assert all(map(is_primitive_row, P.facets)) and list(P.facets) == sorted(P.facets)
+        assert as_pairs(P) == reference_tightest(rows)
+
+    def test_parallel_rows_with_different_denominators(self):
+        # 2 x <= 1 is x <= 1/2, and x <= 1/3 is tighter: the row (3, 0, 1)
+        P = geometry._normalized(2, [((2, 0), 1), ((1, 0), Fraction(1, 3)), ((0, 1), 1),
+                                     ((-1, -1), Fraction(5, 2))])
+        assert P.facets == ((-2, -2, 5), (0, 1, 1), (3, 0, 1))
+        assert as_pairs(P) == {(1, 0): Fraction(1, 3), (0, 1): 1, (-1, -1): Fraction(5, 2)}
+        Q = geometry._normalized(2, [((4, 0), 1), ((1, 0), Fraction(1, 3)), ((0, 1), 1),
+                                     ((-1, -1), 3)])
+        assert Q.facets == ((-1, -1, 3), (0, 1, 1), (4, 0, 1))
+
+
 class TestIntegrateProduct:
     def test_square_of_x(self):
         P = hp(1, (1, 1), (-1, 1))
@@ -463,7 +558,8 @@ def reference_triangulation(P):
     verts = vertices(P) if rec.rows else ()
     if not verts or affine_rank(verts) < P.dim:
         return ()
-    on = [frozenset(k for k, T in enumerate(rec.tight) if i in T) for i in range(len(P.facets))]
+    on = [frozenset(k for k, T in enumerate(rec.tight) if i in indices(T))
+          for i in range(len(P.facets))]
 
     def pull(face, k):
         if k == 0:
@@ -607,18 +703,23 @@ TRIANGULATION_DIGESTS = {
 }
 
 
+def cleared(row):
+    """A rational row times the lcm of its denominators: an integer row."""
+    d = lcm(*(Fraction(c).denominator for c in row))
+    return tuple(int(c * d) for c in row)
+
+
 def reference_extreme_rays(rows):
     """The extreme rays by fraction elimination: the basis B from the
     transpose, the starting rays the primitive negated columns of H_B^{-1}."""
     d = len(rows[0])
-    rows = [_primitive(h, 0)[0] for h in rows]
     basis = reference_eliminate(list(zip(*rows)))[1]
     if len(basis) < d:
         return None
     m = reference_eliminate([list(rows[b]) + [int(i == j) for j in range(d)]
                              for i, b in enumerate(basis)])[0]
-    rays = [_primitive([-row[d + j] for row in m], 0)[0] for j in range(d)]
-    tight = [frozenset(basis) - {b} for b in basis]
+    rays = [_primitive([-row[d + j] for row in m], 0)[:-1] for j in range(d)]
+    tight = [sum(1 << c for c in basis if c != b) for b in basis]
     return _cut(rays, tight, ((i, h) for i, h in enumerate(rows) if i not in basis))
 
 
@@ -692,6 +793,7 @@ class TestIntegerKernel:
         rows = data.draw(st.lists(st.tuples(*[rational] * (dim + 1)), min_size=dim + 1,
                                   max_size=dim + 5))
         assume(all(any(h) for h in rows))
+        rows = [cleared(h) for h in rows]
         cone = _extreme_rays(rows)
         assume(cone is not None)
         rays, tight = cone
@@ -699,7 +801,10 @@ class TestIntegerKernel:
         for y, T in zip(rays, tight):
             slack = [sum(a * c for a, c in zip(h, y)) for h in rows]
             assert all(v <= 0 for v in slack)
-            assert T == {i for i, v in enumerate(slack) if v == 0}
+            assert indices(T) == {i for i, v in enumerate(slack) if v == 0}
+        # a row scaled by a positive integer bounds the same halfspace
+        scale = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+        assert _extreme_rays([[s * c for c in h] for s, h in zip(scale, rows)]) == cone
 
     @given(dim=st.integers(1, 4), flat=st.booleans(), data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -710,13 +815,14 @@ class TestIntegerKernel:
             # every row misses the last coordinate: the rows do not span
             rows = [h[:-1] + (0,) for h in rows]
         assume(all(any(h) for h in rows))
+        rows = [cleared(h) for h in rows]
         assert _extreme_rays(rows) == reference_extreme_rays(rows)
 
     @pytest.mark.parametrize("name", sorted(CORPUS_FILES) + list(DIM5))
     def test_extreme_rays_match_reference_on_corpus(self, name):
         P = load_fano(name).base
-        cone = [n + (-r,) for n, r in P.facets] + [(0,) * P.dim + (-1,)]
-        hull = [v + (-1,) for v in vertices(P)]
+        cone = [n + (-r,) for n, r in pairs(P)] + [(0,) * P.dim + (-1,)]
+        hull = [cleared(v + (-1,)) for v in vertices(P)]
         for rows in (cone, hull):
             assert _extreme_rays(rows) == reference_extreme_rays(rows)
 
@@ -742,7 +848,7 @@ class TestIntegerKernel:
         for Q in [P] + [R for R, _ in f.regions()]:
             rec = _record(Q)
             for v, T in zip(vertices(Q), rec.tight):
-                assert T == {i for i, (n, r) in enumerate(Q.facets)
+                assert indices(T) == {i for i, (n, r) in enumerate(pairs(Q))
                              if sum(a * c for a, c in zip(n, v)) == r}
 
     @pytest.mark.parametrize("name", sorted(TRIANGULATION_DIGESTS))

@@ -23,7 +23,7 @@ from toricding import lattice
 from toricding.errors import DimensionMismatch, EmptyPolytope, InputTooLarge
 from toricding.lattice import _envelope, _floor_sums
 
-from conftest import CORPUS_FILES, REPO, load_corpus as corpus, pl
+from conftest import CORPUS_FILES, REPO, load_corpus as corpus, pairs, pl
 from dh_reference import upper_mass
 from lattice_reference import lattice_points, vol_distribution, weight_measure
 from test_golden import GOLDEN, run
@@ -37,7 +37,7 @@ def box_scan(P, k):
     ranges = [range(math.ceil(k * min(v[i] for v in verts)),
                     math.floor(k * max(v[i] for v in verts)) + 1) for i in range(base.dim)]
     return [u for u in product(*ranges)
-            if all(sum(a * x for a, x in zip(n, u)) <= k * r for n, r in base.facets)]
+            if all(sum(a * x for a, x in zip(n, u)) <= k * r for n, r in pairs(base))]
 
 
 def jumps(f, k, points):

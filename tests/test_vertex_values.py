@@ -15,7 +15,7 @@ from toricding.extremal import FanoPolytope, extremal_affine
 from toricding.geometry import _record, vertices
 from toricding.normalcone import _edge_directions, select_vertex
 
-from conftest import CORPUS_FILES, REPO, pl, twisted_j
+from conftest import CORPUS_FILES, REPO, indices, pl, twisted_j
 from fraction_reference import (
     reference_c_max,
     reference_edge_directions,
@@ -44,7 +44,7 @@ def configurations(draw):
 def simple_vertices(P):
     """The vertices of P with exactly dim tight facets."""
     rec = _record(P.base)
-    return [v for v, T in zip(vertices(P.base), rec.tight) if len(T) == P.dim]
+    return [v for v, T in zip(vertices(P.base), rec.tight) if len(indices(T)) == P.dim]
 
 
 def assert_extremal_vertex(P):
