@@ -9,7 +9,11 @@ other: even pairs run the parent first, odd pairs the change.  Every
 result line is appended to the "runs" list of --out with its workload,
 seed, side, pair and order, so several invocations build one file;
 pairs are numbered on from the last one of the same workload and seed.
-With --trace 1 the result lines hold the per-layer metrics.  At the end
+With --trace 1 the result lines hold the per-layer metrics.  Before the
+first pair, `scripts/traffic.py` runs once in each checkout that has no
+lines in the "traffic" list of --out yet, and each line it prints (per set
+of tasks: its hash, kernel records and Fraction equality and hash calls) is
+kept there with its side.  At the end
 the "summary" of --out is recomputed from all untraced runs: per
 workload, seed and end-to-end metric of BENCHMARK.json, the quartiles of
 each side and the number of pairs the change wins.  Beside each side's
@@ -33,6 +37,12 @@ def run_once(checkout: Path, args) -> dict:
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def traffic_lines(checkout: Path) -> list[str]:
+    proc = subprocess.run([sys.executable, "scripts/traffic.py"], cwd=checkout,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> list[dict]:
@@ -104,6 +114,10 @@ def main() -> None:
     args = parser.parse_args()
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    traffic = doc.setdefault("traffic", [])
+    for side in ("parent", "change"):
+        if not any(t["side"] == side for t in traffic):
+            traffic += [{"side": side, "line": line} for line in traffic_lines(getattr(args, side))]
     this = (args.workload, args.seed, args.trace)
     start = 1 + max((r["pair"] for r in doc["runs"]
                      if (r["workload"], r["seed"], r["trace"]) == this), default=-1)

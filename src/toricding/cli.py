@@ -61,8 +61,8 @@ def cmd_analyze(args) -> int:
         "vartheta_float": tio.format_float(ext.vartheta, args.digits),
         "dh_extremal": tio.dh_to_dict(dh, dh.moment(1), args.digits),
     }
-    sys.stdout.write(tio.dumps(out))
     _emit_density_plot(args.plot, dh)
+    sys.stdout.write(tio.dumps(out))
     return 0
 
 
@@ -86,8 +86,8 @@ def cmd_tc_eval(args) -> int:
     }
     if rho is not None:
         out["inner_product_rho"] = _fr(inner_product(f, rho), args.digits)
-    sys.stdout.write(tio.dumps(out))
     _emit_density_plot(args.plot, dh)
+    sys.stdout.write(tio.dumps(out))
     return 0
 
 
@@ -118,12 +118,13 @@ def cmd_reduce(args) -> int:
         "rho_star": tio.vector_to_strings(rho_star),
         "candidates_used": f.region_vertex_count(),
     }
-    sys.stdout.write(tio.dumps(out))
     if args.segment:
         center = barycenter(f.domain)  # computed once for all samples; e_na(f) is cached
-        rows = [[float(t), float(_twisted(f, [x + t * (y - x) for x, y in zip(a, b)], center))]
-                for t in (Fraction(i, steps) for i in range(steps + 1))]
+        ts = [Fraction(i, steps) for i in range(steps + 1)]
+        js = [_twisted(f, [x + t * (y - x) for x, y in zip(a, b)], center) for t in ts]
+        rows = [list(map(tio.format_float, row)) for row in zip(ts, js)]
         _save_csv(args.csvout, ["t", "j_twisted"], rows)
+    sys.stdout.write(tio.dumps(out))
     return 0
 
 
@@ -172,14 +173,14 @@ def cmd_normal_cone(args) -> int:
             "statements": stability.statements,
         },
     }
-    sys.stdout.write(tio.dumps(out))
     header = ["c", "j_na", "j_t_na", "d_na", "pairing_with_extremal", "d_z_na"]
-    table = [[float(x) for x in (r.c, r.j, r.j_t, r.d, r.pairing, r.d_z)] for r in rows]
+    table = [list(map(tio.format_float, (r.c, r.j, r.j_t, r.d, r.pairing, r.d_z))) for r in rows]
     if args.csvout:
         _save_csv(args.csvout, header, table)
     if args.plot:
         # the plot data leaves out the pairing column
         _save_csv(args.plot, header[:4] + header[5:], [row[:4] + row[5:] for row in table])
+    sys.stdout.write(tio.dumps(out))
     return 0
 
 
@@ -213,7 +214,7 @@ def cmd_oracle(args) -> int:
     for k in ladder:
         N_k, *level = level_moments(f, rho, k)
         errs = [abs(x - e) for x, e in zip(level, exact)]
-        table.append([k, N_k, *map(float, (*level, *exact, *errs))])
+        table.append([k, N_k, *map(tio.format_float, (*level, *exact, *errs))])
     _write_csv(sys.stdout, header, table)
     if args.csvout:
         _save_csv(args.csvout, header, table)
@@ -223,9 +224,9 @@ def cmd_oracle(args) -> int:
 def _emit_density_plot(path: str | None, dh) -> None:
     if not path:
         return
-    rows = [[float(lam), float(dens)] for lam, dens in tio.density_samples(dh)]
+    rows = [list(map(tio.format_float, row)) for row in tio.density_samples(dh)]
     rows += [[], ["atom_location", "atom_mass"]]
-    rows += [[float(loc), float(mass)] for loc, mass in dh.atoms]
+    rows += [list(map(tio.format_float, atom)) for atom in dh.atoms]
     _save_csv(path, ["lambda", "density"], rows)
 
 

@@ -16,8 +16,8 @@ primitive integer vectors.  Linear algebra is
 fraction-free on integers (Bareiss 1968): one Gauss-Jordan routine for
 the starting cones, the vertex charts and the extremal Gram system, and one
 elimination per pulling step, shared by every simplex below it, for the
-simplex determinants.  Affine functions are cleared to integers once; values,
-integrals and region rows are integer sums.
+simplex determinants.  An affine function is its integer row, cleared once:
+its equality, hash, values, integrals and region rows read that row.
 Points, volumes and integrals are fractions.Fraction.  Floats never
 enter this module.  Intended for desk-scale dimensions (n <= 5).
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import eq, gt, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -67,10 +67,17 @@ def show(x) -> str:
 
 @dataclass(frozen=True)
 class AffineFn:
-    """x -> <gradient, x> + constant."""
+    """x -> <gradient, x> + constant.  Its identity, which equality and the hash
+    read, is the canonical integer row cleared = (q (g, c), q), q the lcm of the
+    denominators: the value at x is <q (g, c), (D x, D)> / (q D) for any D clearing x."""
 
-    gradient: tuple[Fraction, ...]
-    constant: Fraction
+    gradient: tuple[Fraction, ...] = field(compare=False)
+    constant: Fraction = field(compare=False)
+    cleared: tuple[tuple[int, ...], int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        q, (row,) = _lift([self.gradient + (self.constant,)])
+        object.__setattr__(self, "cleared", (row[:-1], q))
 
     @staticmethod
     def const(value, dim: int) -> "AffineFn":
@@ -83,22 +90,7 @@ class AffineFn:
 
     @property
     def is_constant(self) -> bool:
-        return all(g == 0 for g in self.gradient)
-
-    @cached_property
-    def cleared(self) -> tuple[tuple[int, ...], int]:
-        """(q (g, c), q) for q the lcm of the denominators: the value at x is
-        <q (g, c), (D x, D)> / (q D) for any D clearing x."""
-        q, (row,) = _lift([self.gradient + (self.constant,)])
-        return row[:-1], q
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.gradient, self.constant))
-
-    def __hash__(self) -> int:
-        # the dataclass hash of the fields, computed once per instance
-        return self._hash
+        return not any(self.cleared[0][:-1])
 
 
 def _primitive(normal: Sequence, rhs) -> tuple[int, ...]:
@@ -139,14 +131,6 @@ class HPolytope:
         P = _normalized(dim, rows)
         _record(P)
         return P
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.dim, self.facets))
-
-    def __hash__(self) -> int:
-        # the fields that take part in equality, hashed once per instance
-        return self._hash
 
 
 def _normalized(dim: int, rows: Iterable[tuple[Sequence, object]]) -> HPolytope:

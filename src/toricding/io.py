@@ -42,7 +42,7 @@ def format_rational(x: Fraction) -> str:
     return _text(Fraction(x))
 
 
-def format_float(x, digits: int) -> float:
+def format_float(x, digits: int = 17) -> float:
     try:
         value = float(x)
     except OverflowError:

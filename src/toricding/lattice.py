@@ -147,21 +147,19 @@ def _envelope(lines, lo: int, hi: int) -> tuple[tuple[int, int, int, int], ...]:
 def jump_weights(f: PLConcave, k: int) -> tuple:
     """(N_k, sum mu, sum mu^2, sum u, sum mu u) over the lattice points u of
     the dilated domain, mu = floor(k f(u/k)); the last two are n-vectors."""
-    # k f(u/k) = min_j (<g_j, u> + k c_j) = min_j (<G_j, u> + C_j) / D over
-    # one common denominator D, and floor(min) = min(floor) as floor is
-    # monotone.  Along the fiber q + (y,), piece j is the line A_j + s_j x,
-    # A_j a progression along ys; each sloped run of their lower envelope is
-    # one floor sum, and with one slope s_j the fiber is one run.
+    # k f(u/k) = min_j (<G_j, u> + k C_j) / D for (G_j, C_j) the cleared row
+    # of piece j over D, the lcm of the q's, and floor(min) = min(floor) as
+    # floor is monotone.  Along the fiber q + (y,), piece j is the line
+    # A_j + s_j x, A_j a progression along ys; each sloped run of their lower
+    # envelope is one floor sum, and with one slope s_j the fiber is one run.
     n = f.domain.dim
-    consts = [k * a.constant for a in f.affines]
-    D = math.lcm(*(g.denominator for a in f.affines for g in a.gradient),
-                 *(c.denominator for c in consts))
+    rows = [a.cleared for a in f.affines]
+    D = math.lcm(*(q for _, q in rows))
     # pieces of one slope s_j make lines of one slope: only the lowest counts
     by_slope: dict[int, list] = {}
-    for a, c in zip(f.affines, consts):
-        G = [int(g * D) for g in a.gradient]
-        s = G.pop()
-        by_slope.setdefault(s, []).append((G[:-1], G[-1] if G else 0, int(c * D)))
+    for row, q in rows:
+        *G, s, C = (v * (D // q) for v in row)
+        by_slope.setdefault(s, []).append((G[:-1], G[-1] if G else 0, k * C))
     slopes, groups = zip(*sorted(by_slope.items()))
     N = t_mu = t_mu2 = u_y = u_x = mu_y = mu_x = 0
     q_u, q_mu = [0] * (n - 2), [0] * (n - 2)

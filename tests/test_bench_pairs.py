@@ -1,7 +1,10 @@
 """scripts/bench_pairs.py's summary on synthetic runs: quartiles, pairs won
-and the acceptance rule (gain_shown, within_bound)."""
+and the acceptance rule (gain_shown, within_bound); and its traffic lines,
+taken once per checkout."""
 
 import importlib.util
+import json
+import sys
 
 from conftest import REPO
 
@@ -64,3 +67,37 @@ def test_bound_on_either_side():
     assert e["tasks_per_s"]["within_bound"] and e["setup_s"]["within_bound"]
     e = entries(runs(parent, [84] * 10, setups, [0.126] * 10))
     assert not e["tasks_per_s"]["within_bound"] and not e["setup_s"]["within_bound"]
+
+
+def fake_checkout(root, speed):
+    """A checkout whose perfbench/run.py prints one result line of the given
+    speed and whose scripts/traffic.py prints two lines, adding a mark to
+    runs.log on each run."""
+    result = {"correct": True, "failed": 0, "attempted": 10,
+              "metrics": {"tasks_per_s": {"value": speed}}}
+    for path, text in (("perfbench/run.py", f"print({json.dumps(result)!r})\n"),
+                       ("scripts/traffic.py", "open('runs.log', 'a').write('x')\n"
+                                              f"print('golden 84 {root.name} 174 1090')\n"
+                                              "print('sweep:0 20 h 96 581')\n"),
+                       ("BENCHMARK.json", json.dumps({"end_to_end": END_TO_END[:1]}))):
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text)
+    return root
+
+
+def test_traffic_runs_once_in_each_checkout(tmp_path, monkeypatch):
+    parent, change = fake_checkout(tmp_path / "parent", 100), fake_checkout(tmp_path / "change", 90)
+    out = tmp_path / "BENCH.json"
+    for workload in ("sweep", "tcmix"):  # two invocations build one file
+        monkeypatch.setattr(sys, "argv", [
+            "bench_pairs.py", "--parent", str(parent), "--change", str(change),
+            "--workload", workload, "--pairs", "1", "--out", str(out)])
+        bench_pairs.main()
+    doc = json.loads(out.read_text())
+    assert doc["traffic"] == [{"side": side, "line": line}
+                              for side in ("parent", "change")
+                              for line in (f"golden 84 {side} 174 1090", "sweep:0 20 h 96 581")]
+    assert (parent / "runs.log").read_text() == (change / "runs.log").read_text() == "x"
+    assert [(r["workload"], r["side"]) for r in doc["runs"]] == [
+        ("sweep", "parent"), ("sweep", "change"), ("tcmix", "parent"), ("tcmix", "change")]
+    assert [e["change_wins"] for e in doc["summary"]] == [0, 0]

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricding import cli, functionals, geometry, lattice, normalcone
@@ -186,6 +186,66 @@ class TestPolytopeExitCodes:
         assert code in (0, 1), err.getvalue()
         assert code == 0 or out.getvalue() == ""
         assert code == 1 or err.getvalue() == ""
+
+
+# a decimal integer past double range, and its reciprocal, far below it
+FAR = "1" + "0" * 310
+NEAR_ZERO = "1/" + FAR
+
+
+@st.composite
+def piece_files(draw):
+    """The text of a piece file for P^2: 0-4 pieces of small rationals with one
+    or two changes: a gradient of the wrong length, an entry that is no
+    rational ("1/0", true, 0.5, null), an integer past the digit limit (in the
+    file or as a string), or a value past double range, large or small."""
+    entry = st.sampled_from(["0", "1", "-1", "1/2", "-1/3", 2, -1])
+    piece = st.fixed_dictionaries({"gradient": st.lists(entry, min_size=2, max_size=2),
+                                   "constant": entry})
+    pieces = draw(st.lists(piece, max_size=4))
+    odd = {"bad": ["1/0", True, 0.5, None], "huge": [HUGE, "9" * 4301],
+           "far": [FAR, "-" + FAR, NEAR_ZERO, 10 ** 310, "1e310"]}
+    for kind in draw(st.lists(st.sampled_from(["plain", "length", *odd]), min_size=1, max_size=2)):
+        if not pieces or kind == "plain":
+            continue
+        a = draw(st.sampled_from(pieces))
+        if kind == "length":
+            a["gradient"] = (a["gradient"] + ["0"])[:draw(st.sampled_from([0, 1, 3]))]
+            continue
+        i, value = draw(st.integers(0, len(a["gradient"]))), draw(st.sampled_from(odd[kind]))
+        if i < len(a["gradient"]):
+            a["gradient"][i] = value
+        else:
+            a["constant"] = value
+    return json.dumps({"affines": pieces}).replace(f'"{HUGE}"', HUGE)
+
+
+class TestPieceExitCodes:
+    """tc-eval, reduce (with and without --segment) and oracle on a piece file
+    exit 0, 1 or 2, with nothing on stdout at 1: no input reaches an internal
+    error (exit 3)."""
+
+    @given(text=piece_files(), end=st.sampled_from(["1,-1", "-1/2,0", FAR + ",0"]))
+    @example(text=json.dumps({"affines": [{"gradient": [FAR, "0"], "constant": "0"}]}),
+             end="1,-1")  # oracle's table
+    @example(text=(GOLDEN_DIR / "mix2.json").read_text(), end=FAR + ",0")  # reduce's samples
+    @example(text=json.dumps({"affines": [{"gradient": [NEAR_ZERO, "0"], "constant": "0"}]}),
+             end="1,-1")  # tc-eval's density plot
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_exit_zero_one_or_two(self, text, end, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("pieces")
+        tc, out = tmp / "tc.json", str(tmp / "out.csv")
+        tc.write_text(text)
+        P = str(POLYTOPE_DIR / "p2.json")
+        for argv in (["tc-eval", P, str(tc), "--emit-plot-data", out],
+                     ["reduce", P, str(tc)],
+                     ["reduce", P, str(tc), "--segment", f"0,0;{end};2", "--segment-csv", out],
+                     ["oracle", P, str(tc), "--k-ladder", "1,2"]):
+            stdout, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, err.getvalue())
+            assert code != 1 or stdout.getvalue() == "", argv
 
 
 class TestMalformedFiles:

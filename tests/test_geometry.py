@@ -365,9 +365,9 @@ class TestHash:
     def test_equal_affines_hash_equal(self):
         a = affine([1, Fraction(1, 2)], Fraction(-2, 3))
         b = affine([Fraction(3, 3), Fraction(2, 4)], Fraction(-4, 6))
-        assert a.cleared == ((6, 3, -4), 6)  # cached on a, no part in equality
+        assert a.cleared == ((6, 3, -4), 6)  # set at construction, the only part in equality
         assert a == b and a is not b
-        assert hash(a) == hash(b) == hash((a.gradient, a.constant))
+        assert hash(a) == hash(b)
         assert a != affine([1, Fraction(1, 2)], 0)
         assert hash(a) != hash(affine([1, Fraction(1, 2)], 0))
         assert {a: 1}[b] == 1 and len({a, b}) == 1
@@ -434,6 +434,40 @@ class TestIntegerRows:
         fraction_calls.clear()
         assert _record(R).rows
         assert fraction_calls == []
+
+    def test_reloading_a_configuration(self, fraction_calls):
+        """A configuration equal to a stored one finds its split, and its pieces
+        answer is_constant, from their integer rows alone."""
+        P = load_corpus("p2").base
+        path = str(REPO / "tests" / "golden" / "mix2.json")
+        stored = tio.load_test_config(path, P)._split()
+        fraction_calls.clear()
+        f = tio.load_test_config(path, P)
+        assert f._split() is stored
+        assert [a.is_constant for a in f.affines] == [True, False, False]
+        assert fraction_calls == []
+
+    @given(dim=st.integers(1, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_identity_is_the_cleared_row(self, dim, data):
+        """Two pieces are equal, and then hash equal, iff their Fraction fields
+        are, however the entries are written (ints, unreduced fractions);
+        cleared = (row, q) is canonical: q > 0 and gcd(*row, q) = 1."""
+        value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+        def written(x):
+            if x.denominator == 1 and data.draw(st.booleans()):
+                return int(x)
+            m = data.draw(st.integers(1, 3))
+            return Fraction(m * x.numerator, m * x.denominator)
+
+        first = data.draw(st.lists(value, min_size=dim + 1, max_size=dim + 1))
+        second = [x if data.draw(st.booleans()) else data.draw(value) for x in first]
+        a, b = (AffineFn(tuple(map(written, e[:-1])), written(e[-1])) for e in (first, second))
+        assert (a == b) == ((a.gradient, a.constant) == (b.gradient, b.constant))
+        assert a != b or hash(a) == hash(b)
+        for row, q in (a.cleared, b.cleared):
+            assert q > 0 and gcd(*row, q) == 1
 
     @given(name=st.sampled_from(sorted(CORPUS_FILES)), data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -9,8 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricding import (
+    AffineFn,
     FanoPolytope,
     HPolytope,
+    PLConcave,
     dh_measure,
     e_na,
     inner_product,
@@ -220,19 +222,26 @@ class TestJumpWeights:
     st.integers(1, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
 )
+# k c has a smaller denominator than c: k c = 2 and k c = 1, 3
+@example("p2", [0, 0, Fraction(1, 2), 1, -1, 0, 0, 0], 4, [1, 0], 1, 0)
+@example("p1", [0, Fraction(1, 2), -1, 0, 1, Fraction(3, 2), 2, -1], 2, [0, 0], 1, Fraction(1, 2))
 @settings(max_examples=60, deadline=None)
 def test_level_sums_match_per_point_fractions(name, coeffs, k, head, last, lam):
-    """The level's moments and pairing, and the per-point reference, equal
-    the per-point Fraction formula over box_scan."""
+    """The level's totals, moments and pairing, and the per-point reference,
+    equal the per-point Fraction formula over box_scan; integral entries are
+    given to the pieces as ints."""
     assume(any(c.denominator > 1 for c in coeffs))
     P = corpus(name)
     row = P.dim + 1
-    f = pl(P, *(tuple(coeffs[i:i + row]) for i in range(0, len(coeffs) - row + 1, row)))
+    entries = [int(c) if c.denominator == 1 else c for c in coeffs]
+    f = PLConcave.make([AffineFn(tuple(entries[i:i + row - 1]), entries[i + row - 1])
+                        for i in range(0, len(coeffs) - row + 1, row)], P)
     rho = [*head[:P.dim - 1], last]
     points = box_scan(P, k)
     mu = jumps(f, k, points)
     nu = [sum(r * x for r, x in zip(rho, u)) for u in points]
     N = len(points)
+    assert jump_weights(f, k) == totals(points, mu)
     wm = weight_measure(f, k)
     assert wm.N_k == N
     assert wm.entries == tuple((Fraction(m, k), c) for m, c in sorted(Counter(mu).items()))
