@@ -12,8 +12,8 @@ pairs are numbered on from the last one of the same workload and seed.
 With --trace 1 the result lines hold the per-layer metrics.  Before the
 first pair, `scripts/traffic.py` runs once in each checkout that has no
 lines in the "traffic" list of --out yet, and each line it prints (per set
-of tasks: its hash, kernel records and Fraction equality and hash calls) is
-kept there with its side.  At the end
+of tasks: its hash, kernel records, Fraction equality and hash calls and
+Fraction constructions) is kept there with its side.  At the end
 the "summary" of --out is recomputed from all untraced runs: per
 workload, seed and end-to-end metric of BENCHMARK.json, the quartiles of
 each side and the number of pairs the change wins.  Beside each side's

@@ -10,10 +10,12 @@ each of the seeds 0-2, every task of each benchmark workload of perfbench/worklo
 sha256 over each task's argv, exit code, stdout, stderr and the files it
 wrote under "{out}", with the input and output directories masked, and the
 number of kernel records (geometry._record misses) the set built, with the
-package's four caches emptied before each set, and the number of calls to
-Fraction.__eq__ and Fraction.__hash__ the set made.  Two checkouts that
-print the same hashes behave the same on this traffic; the record and
-call counts are deterministic measures of the kernel's work.
+package's four caches emptied before each set, the number of calls to
+Fraction.__eq__ and Fraction.__hash__ the set made and the number of calls
+to Fraction.__new__ (each Fraction built, by a constructor or by Fraction
+arithmetic) it made.  Two checkouts that print the same hashes behave the
+same on this traffic; the record and call counts are deterministic measures
+of the kernel's work, whatever the speed of the host.
 
 With --lines it then lists, per module of src/toricding, the statement lines
 (lines that carry bytecode) that no task ran, and the public functions and
@@ -65,34 +67,36 @@ def digest(results: list[list]) -> str:
     return h.hexdigest()
 
 
-def counted(run) -> tuple[list, int, int]:
+def counted(run) -> tuple[list, int, int, int]:
     """(run(), the kernel records it built, the calls to Fraction.__eq__ and
-    Fraction.__hash__ it made), the package's four caches emptied first."""
+    Fraction.__hash__ it made, the calls to Fraction.__new__ it made), the
+    package's four caches emptied first."""
     from toricding import extremal, geometry, lattice
 
     for cache in (geometry._record, geometry._region_subdivision_cached,
                   extremal.extremal_affine, lattice._fiber_rows):
         cache.cache_clear()
-    calls = [0]
+    calls = [0, 0]
 
-    def counting(method):
-        def wrapper(*args):
-            calls[0] += 1
-            return method(*args)
+    def counting(method, column):
+        def wrapper(*args, **kwargs):
+            calls[column] += 1
+            return method(*args, **kwargs)
         return wrapper
 
-    saved = Fraction.__eq__, Fraction.__hash__
-    Fraction.__eq__, Fraction.__hash__ = map(counting, saved)
+    saved = Fraction.__eq__, Fraction.__hash__, Fraction.__new__
+    Fraction.__eq__, Fraction.__hash__, Fraction.__new__ = map(counting, saved, (0, 0, 1))
     try:
         results = run()
     finally:
-        Fraction.__eq__, Fraction.__hash__ = saved
-    return results, geometry._record.cache_info().misses, calls[0]
+        Fraction.__eq__, Fraction.__hash__, Fraction.__new__ = saved
+    return results, geometry._record.cache_info().misses, *calls
 
 
 def traffic(main):
     """(set name, task results, kernel records built, Fraction equality and
-    hash calls) per set: the goldens, then each workload and seed."""
+    hash calls, Fraction constructions) per set: the goldens, then each
+    workload and seed."""
     golden = json.loads((REPO / "tests" / "golden" / "cli_outputs.json").read_text())
     cwd = os.getcwd()
     os.chdir(REPO)
@@ -172,9 +176,9 @@ def main() -> int:
         sys.settrace(tracer)  # before the import, so module-level lines count
     from toricding.cli import main as cli_main
 
-    for name, results, records, calls in traffic(cli_main):
-        print(f"{name:10s} {len(results):3d} {digest(results)} {records:5d} {calls:7d}",
-              flush=True)
+    for name, results, records, calls, built in traffic(cli_main):
+        print(f"{name:10s} {len(results):3d} {digest(results)} {records:5d} {calls:7d} "
+              f"{built:8d}", flush=True)
     sys.settrace(None)
     if args.lines:
         for path, module in modules.items():

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from . import rationalpoly as rp
@@ -116,11 +117,8 @@ class DHMeasure:
 
     def moment(self, d: int) -> Fraction:
         """int lambda^d dm: d = 0, 1, 2 give the mass, the mean and the second moment."""
-        val = sum((m * loc**d for loc, m in self.atoms), Fraction(0))
-        for lo, hi, coeffs in self.pieces:
-            weighted = tuple([Fraction(0)] * d + list(coeffs))  # lambda^d * density
-            val += rp.integrate(weighted, lo, hi)
-        return val
+        return sum((m * loc**d for loc, m in self.atoms), Fraction(0)) + sum(
+            rp.integrate((Fraction(0),) * d + coeffs, lo, hi) for lo, hi, coeffs in self.pieces)
 
 
 def _partial_fractions(tau: int, knots: Counter, n: int) -> tuple[list[int], int]:
@@ -235,9 +233,20 @@ def inner_product(f: PLConcave, rho: Sequence) -> Fraction:
     return total / volume(P)
 
 
+def _theta_pairing(f: PLConcave, ext: ExtremalData) -> Fraction:
+    """(1/vol) int_P f theta for the extremal theta = <g, x - b> of P = f.domain.  As
+    int_P theta = 0 and cov g = vol b, int_P a0 theta = g0^T cov g = vol <g0, b> for
+    a0 = <g0, x> + c0: the pairing is <g0, b> + (1/vol) sum_{R != R0} int_R (a - a0) theta,
+    <g0, b> = <G0, m> / (q0 m[-1]) for a0's cleared row ((G0, q0 c0), q0) and P's moment m."""
+    (a0, others, *_), m = f._split(), _record(f.domain).moment
+    (*G0, _), q0 = a0.cleared
+    return Fraction(sum(map(mul, G0, m)), q0 * m[-1]) + sum(
+        _signed_product(R, a, a0, ext.theta) for R, a in others) / volume(f.domain)
+
+
 def d_z_na(f: PLConcave, ext: ExtremalData) -> Fraction:
-    """Relative (Berman-)Ding invariant: d_na(f) + (1/vol) int f theta."""
-    return d_na(f) + inner_product(f, ext.theta.gradient)
+    """Relative (Berman-)Ding invariant: d_na(f) + (1/vol) int f theta (_theta_pairing)."""
+    return d_na(f) + _theta_pairing(f, ext)
 
 
 def outside_calibrated_regime(f: PLConcave) -> bool:

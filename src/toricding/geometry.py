@@ -375,12 +375,17 @@ def volume(P: HPolytope) -> Fraction:
     return _nonempty(P).volume
 
 
+def _moment(P: HPolytope) -> tuple[int, ...]:
+    """The record's moment m, b = m[:-1] / m[-1]; EmptyPolytope when P is empty or degenerate."""
+    if not (m := _nonempty(P).moment)[-1]:
+        raise EmptyPolytope("barycenter of a degenerate polytope")
+    return m
+
+
 def barycenter(P: HPolytope) -> Point:
     """Exact centroid: volume-weighted average of simplex centroids, the
     record's moment over its last entry (n + 1) D sum det."""
-    *m, total = _nonempty(P).moment
-    if not total:
-        raise EmptyPolytope("barycenter of a degenerate polytope")
+    *m, total = _moment(P)
     return tuple(Fraction(c, total) for c in m)
 
 

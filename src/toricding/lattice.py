@@ -212,7 +212,7 @@ def level_moments(f: PLConcave, rho: Sequence[int], k: int) -> tuple:
     """
     if len(rho) != f.domain.dim:
         raise DimensionMismatch("rho length does not match domain dimension")
-    if any(int(r) != _frac(r) for r in rho):
+    if any(_frac(r).denominator != 1 for r in rho):
         raise ValueError("level_moments needs an integer direction rho")
     N, s_mu, s_mu2, s_u, s_mu_u = jump_weights(f, k)
     s_nu, s_cross = (sum(map(mul, map(int, rho), t)) for t in (s_u, s_mu_u))

@@ -24,7 +24,8 @@ g_c(b) vanish while c <= ord(0) and c <= ord(b).  The term
 c^{n+1}/((n+1) L^n) is J(g_c), which D(g_c) - g_c(0) equals as well.
 normal_cone_family computes J(g_c) and D_Z(g_c) - g_c(0) once, as
 polynomials in c, with the extremal data and L^n; every closed form
-above is read from those two.
+above is read from those two by one integer Horner scheme, with g_c(0)
+read off the chart; the generic side pairs g_c with theta by its Gram identity.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Sequence
 from . import rationalpoly as rp
 from .errors import COutOfRange, MismatchReport, NonSmoothVertex
 from .extremal import ExtremalData, FanoPolytope, extremal_affine
-from .functionals import DHMeasure, PLConcave, d_na, d_z_na, dh_measure, inner_product, j_na
+from .functionals import DHMeasure, PLConcave, _theta_pairing, d_na, d_z_na, dh_measure, j_na
 from .geometry import AffineFn, Point, _divided, _dot, _frac, _gauss_jordan, _record, _values, show
 from .twisting import reduce_jna
 
@@ -129,20 +130,23 @@ def normal_cone_family(P: FanoPolytope, v: Point | None = None) -> NormalConeFam
     return NormalConeFamily(P, chart, c_max, ext, Ln, j, expansion)
 
 
+def _shift(family: NormalConeFamily, c) -> Fraction:
+    """ord(0) - c, the constant of g_c's piece ord - c; raises COutOfRange outside (0, c_max)."""
+    if not 0 < (c := _frac(c)) < family.c_max:
+        raise COutOfRange(f"c = {c} outside (0, {family.c_max})")
+    return family.chart.ord.constant - c
+
+
 def g_c(family: NormalConeFamily, c) -> PLConcave:
     """The configuration min(ord - c, 0) on the moment polytope."""
-    c = _frac(c)
-    if not 0 < c < family.c_max:
-        raise COutOfRange(f"c = {c} outside (0, {family.c_max})")
-    shifted = AffineFn(family.chart.ord.gradient, family.chart.ord.constant - c)
+    shifted = AffineFn(family.chart.ord.gradient, _shift(family, c))
     zero = AffineFn.const(0, family.P.dim)
     return PLConcave((shifted, zero), family.P.base)
 
 
 def _d_z(family: NormalConeFamily, c) -> Fraction:
-    """D_Z(g_c) in closed form; raises COutOfRange outside (0, c_max)."""
-    g_0 = min(a.constant for a in g_c(family, c).affines)  # g_c(0)
-    return g_0 + rp.evaluate(family.expansion_coeffs, _frac(c))
+    """D_Z(g_c) in closed form, g_c(0) = min(ord(0) - c, 0); COutOfRange outside (0, c_max)."""
+    return min(_shift(family, c), 0) + rp.evaluate(family.expansion_coeffs, _frac(c))
 
 
 def dh_closed_form(n: int, Ln, c) -> DHMeasure:
@@ -181,7 +185,7 @@ def verify_family(family: NormalConeFamily, c_grid: Sequence) -> list[FamilyRow]
         f = g_c(family, c)
         measure, expected_measure = dh_measure(f), dh_closed_form(n, family.Ln, c)
         dv = d_na(f)
-        pairing = inner_product(f, ext.theta.gradient)
+        pairing = _theta_pairing(f, ext)
         rho_star, j_t = reduce_jna(f)
         row = FamilyRow(c=c, j=j_na(f), j_t=j_t, rho_star=rho_star, d=dv, pairing=pairing,
                         d_z=dv + pairing, dh_matches=measure == expected_measure)

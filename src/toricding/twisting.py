@@ -15,11 +15,12 @@ smallest point of that hull is one of its generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .functionals import PLConcave, e_na
-from .geometry import AffineFn, _dot, barycenter
+from .geometry import AffineFn, _dot, _moment
 
 
 def _twisted(f: PLConcave, rho: Sequence[Fraction], b) -> Fraction:
@@ -37,9 +38,13 @@ def _twisted(f: PLConcave, rho: Sequence[Fraction], b) -> Fraction:
 
 
 def reduce_jna(f: PLConcave):
-    """(rho_star, j_t): the lexicographically smallest minimizer of the
-    twisted J and its minimum, f(b) - mean(f)."""
-    b = barycenter(f.domain)
+    """(rho_star, j_t): the lexicographically smallest minimizer of the twisted J and
+    its minimum, f(b) - mean(f).  For m the moment of the domain's record, b = m[:-1] / m[-1]
+    and a piece (G, q) cleared is <G, m> / (q m[-1]) there: integers over L, the q's lcm."""
+    m, mean = _moment(f.domain), e_na(f)
+    rows = [a.cleared for a in f.affines]
+    L = lcm(*(q for _, q in rows))
     # the least value f(b), then the lexicographically least rho among its pieces
-    top, rho_star = min((a(b), tuple(-g for g in a.gradient)) for a in f.affines)
-    return rho_star, top - e_na(f)
+    top, rho = min((sum(map(mul, G, m)) * (L // q), [-x * (L // q) for x in G[:-1]])
+                   for G, q in rows)
+    return tuple(Fraction(x, L) for x in rho), Fraction(top, L * m[-1]) - mean

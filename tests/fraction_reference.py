@@ -1,7 +1,7 @@
 """Fraction references for the functionals and vertex values that are
 evaluated in integers on the kernel record: each evaluates the affine pieces
 as Fraction dot products at points, as the library did before clearing them
-to integers."""
+to integers; and a Fraction Horner scheme for the integer one."""
 
 from fractions import Fraction
 
@@ -51,6 +51,22 @@ def reference_region(P, aj, affines):
             continue
         rows.append((diff, ai.constant - aj.constant))
     return HPolytope(P.dim, _normalized(P.dim, pairs(P) + rows).facets, P)
+
+
+def reference_reduce_jna(f):
+    """(rho_star, j_t) from each piece evaluated at the barycenter b as a Fraction:
+    the least (a(b), -gradient), lexicographically, and f(b) less the mean."""
+    b = barycenter(f.domain)
+    top, rho_star = min((a(b), tuple(-g for g in a.gradient)) for a in f.affines)
+    return rho_star, top - reference_e_na(f)
+
+
+def reference_evaluate(p, x):
+    """sum_k p_k x^k by Horner's scheme in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def reference_vartheta(P):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricding import cli, functionals, geometry, lattice, normalcone
+from toricding import cli, functionals, geometry, lattice, normalcone, validate_fano
 from toricding import io as tio
 from toricding.cli import main
 from toricding.errors import SingularGram
@@ -246,6 +246,47 @@ class TestPieceExitCodes:
                 code = main(argv)
             assert code in (0, 1, 2), (argv, err.getvalue())
             assert code != 1 or stdout.getvalue() == "", argv
+
+
+# c_max of the normal-cone family at the theta-maximizing vertex
+C_MAX = {name: normalcone.normal_cone_family(
+    validate_fano(tio.load_polytope(str(POLYTOPE_DIR / f"{name}.json")))).c_max
+    for name in ("p1", "p2", "bl1p2", "stretched")}
+
+
+@st.composite
+def normal_cone_argv(draw):
+    """normal-cone on a bundled polytope, with or without a --grid of 0-3 items (values in
+    range, 0, c_max and past it, negatives, "1/0", "nan", empty items, a 4,000-digit
+    denominator, a value past double range) and a --vertex (an index, a huge integer within
+    and past the digit limit, a negative, 1.5)."""
+    name = draw(st.sampled_from(sorted(C_MAX)))
+    c_max = C_MAX[name]
+    argv = ["normal-cone", "--polytope", str(POLYTOPE_DIR / f"{name}.json")]
+    if draw(st.booleans()):
+        item = st.sampled_from(["1/4", "1/2", str(c_max / 2), "0", str(c_max), str(c_max + 1),
+                                "-1", "-1/3", "1/0", "nan", "", " ", "1/" + "7" * 4000, FAR])
+        argv.append("--grid=" + ",".join(draw(st.lists(item, max_size=3))))
+    vertex = draw(st.sampled_from([None, "auto", "0", "1", "4", "-1", "1.5", "9" * 30, "9" * 5000]))
+    return argv + [f"--vertex={vertex}"] * (vertex is not None)
+
+
+class TestNormalConeExitCodes:
+    """normal-cone exits 0, 1 or 2, with nothing on stdout at 1, whatever its --grid and
+    --vertex: no option value reaches an internal error (exit 3)."""
+
+    @given(argv=normal_cone_argv())
+    @example(argv=["normal-cone", "--polytope", str(POLYTOPE_DIR / "stretched.json"),
+                   "--grid=1/" + "7" * 4000])  # every value past the digit limit
+    @example(argv=["normal-cone", "--polytope", str(POLYTOPE_DIR / "bl1p2.json"),
+                   "--vertex=1"])  # off the theta-maximizer: a mismatch
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_exit_zero_one_or_two(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert code != 1 or out.getvalue() == "", argv
 
 
 class TestMalformedFiles:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricding import (
@@ -16,6 +16,7 @@ from toricding import (
     extremal_affine,
     inner_product,
     j_na,
+    reduce_jna,
     validate_fano,
 )
 from toricding import io as tio
@@ -29,8 +30,10 @@ from toricding.lattice import level_moments
 from dh_reference import bspline, max_support, reference_dh_measure, upper_mass
 from fraction_reference import (
     reference_e_na,
+    reference_evaluate,
     reference_max_value,
     reference_min_value,
+    reference_reduce_jna,
     reference_region,
 )
 
@@ -348,6 +351,25 @@ class TestIntegerEvaluation:
             assert R == expected
             assert R is None or R.parent is f.domain
 
+    # the tie at b of x and y on Bl_pt P2, its two pieces in either order
+    @example(f=pl(CORPUS["bl1p2"], (0, 1, 0), (1, 0, 0)))
+    @example(f=pl(CORPUS["bl1p2"], (1, 0, 0), (0, 1, 0), (1, 1, 1)))
+    @given(f=corpus_configurations())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_reduce_jna_matches_fraction_reference(self, f):
+        assert reduce_jna(f) == reference_reduce_jna(f)
+
+    @example(p=[], x=Fraction(1, 3))
+    @example(p=[1, -2, 3], x=-2)
+    @example(p=[Fraction(1, 2), 0, Fraction(-3, 4)], x=Fraction(-5, 3))
+    @given(p=st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)),
+                      max_size=8),
+           x=st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=12)))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_evaluate_matches_fraction_horner(self, p, x):
+        value = rp.evaluate(p, x)
+        assert type(value) is Fraction and value == reference_evaluate(p, x)
+
     @pytest.mark.parametrize("config", ["mix", "step"])
     @pytest.mark.parametrize("name", ["p3", "blp3", "p1x3", "p4", "p1x4"])
     def test_dh_mean_is_energy_on_dim_3_4_goldens(self, name, config):
@@ -459,6 +481,27 @@ class TestRelativeDing:
     def test_reduces_to_ding_when_theta_zero(self, p2, step_p2):
         ext = extremal_affine(p2)
         assert d_z_na(step_p2, ext) == d_na(step_p2)
+
+    # a constant a0 (its region an atom) and two sloped a0, one with another region
+    @example(f=pl(CORPUS["bl1p2"], (0, 0, 0), (1, 1, Fraction(-1, 2))))
+    @example(f=pl(CORPUS["bl1p2"], (1, 1, 2)))
+    @example(f=pl(CORPUS["bl1p2"], (1, 0, 0), (0, -1, 0)))
+    @given(f=corpus_configurations())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_theta_pairing_is_the_generic_pairing(self, f):
+        """d_z_na pairs f with theta through cov g = vol b; inner_product integrates."""
+        ext = extremal_affine(validate_fano(f.domain))
+        assert d_z_na(f, ext) == d_na(f) + inner_product(f, ext.theta.gradient)
+
+    @pytest.mark.parametrize("name", ["p5", "blp5", "p1x5"])
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    def test_theta_pairing_in_dim_5(self, name, data):
+        P = golden_polytope(name)
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        f = pl(P, *data.draw(st.lists(st.tuples(*[entry] * 6), min_size=1, max_size=2)))
+        ext = extremal_affine(P)
+        assert d_z_na(f, ext) == d_na(f) + inner_product(f, ext.theta.gradient)
 
     def test_normal_cone_cubic_coefficient(self, bl1p2):
         # exact polynomial in c with leading coefficient (1 - vartheta)/24

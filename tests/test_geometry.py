@@ -18,6 +18,7 @@ from toricding import (
     dh_measure,
     facets_from_vertices,
     integrate_product,
+    reduce_jna,
     triangulate,
     vertices,
     volume,
@@ -446,6 +447,15 @@ class TestIntegerRows:
         assert f._split() is stored
         assert [a.is_constant for a in f.affines] == [True, False, False]
         assert fraction_calls == []
+
+    def test_reduce_jna(self, fraction_calls):
+        """reduce_jna reads each piece's value at b and its gradient as integers."""
+        P = load_corpus("p2").base
+        f = tio.load_test_config(str(REPO / "tests" / "golden" / "mix2.json"), P)
+        fraction_calls.clear()
+        rho_star, j_t = reduce_jna(f)
+        assert fraction_calls == []
+        assert (rho_star, j_t) == ((0, 0), Fraction(29555, 69984))
 
     @given(dim=st.integers(1, 3), data=st.data())
     @settings(max_examples=200, deadline=None)

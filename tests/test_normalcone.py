@@ -112,10 +112,12 @@ class TestGc:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_out_of_range(self, p1):
+        """g_c and the closed form of D_Z, which builds no g_c, refuse the same c."""
         fam = normal_cone_family(p1)
         for bad in (0, fam.c_max, fam.c_max + 1, -1):
-            with pytest.raises(COutOfRange):
-                g_c(fam, bad)
+            for at_c in (g_c, normalcone._d_z):
+                with pytest.raises(COutOfRange, match=f"^c = {bad} outside \\(0, 2\\)$"):
+                    at_c(fam, bad)
 
     def test_c_max_values(self, p1, p2, bl1p2):
         assert normal_cone_family(p1).c_max == 2
